@@ -44,7 +44,6 @@ class RunConfig:
     angle_tol: float = 1e-6
     verify_only: bool = False
     output: str | None = None
-    seed: int | None = None  # reserved: the pipeline is deterministic
 
     def __post_init__(self) -> None:
         if self.mode not in ("subcubic", "medial"):

@@ -426,7 +426,6 @@ def draw_3connected(
     pack_tol: float = 1e-10,
     pack_max_iter: int = 10**6,
     opt_step_tol: float = 1e-9,
-    check_connectivity: bool = False,
 ) -> LombardiDrawing:
     """Planar Lombardi drawing of a 3-connected cubic planar graph.
 
@@ -438,8 +437,6 @@ def draw_3connected(
     for v in g.vertices:
         if g.degree(v) != 3:
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)}, expected 3")
-    if check_connectivity and not is_three_connected(g):
-        raise GraphError("graph is not 3-connected")
     faces = g.faces()
     if not 0 <= outer_face < len(faces):
         raise GraphError(f"outer face index {outer_face} out of range")
@@ -725,36 +722,20 @@ def attach_bridge_stubs(
         tang = _forward_tangent(inset, pts[j]) / rot
         chain_arcs.append(arc_with_tangent(pts[j], pts[j + 1], tang))
     seq = [u] + list(junction_names) + [w]
-
-    lengths = [stub_scale * min(abs(pts[j + 1] - pts[j]), abs(pts[j] - pts[j - 1])) for j in range(1, k + 1)]
-    for _ in range(12):
-        positions = dict(d.positions)
-        arcs = {t: aa for t, aa in d.arcs.items() if t != e}
-        edges = {t: ee for t, ee in d.edges.items() if t != e}
-        for j in range(k + 1):
-            tag = ("e",) + tuple(sorted((seq[j], seq[j + 1])))
-            arcs[tag] = chain_arcs[j]
-            edges[tag] = (seq[j], seq[j + 1])
-        stub_edge_tags = []
-        for i, name in enumerate(junction_names):
-            z = pts[i + 1]
-            positions[name] = z
-            direction = 1j * _forward_tangent(inset, z) * s
-            leaf = ("stub", stub_tags[i], name)
-            positions[leaf] = z + lengths[i] * direction
-            arcs[stub_tags[i]] = segment(z, positions[leaf])
-            edges[stub_tags[i]] = (name, leaf)
-            stub_edge_tags.append(stub_tags[i])
-        out = LombardiDrawing(positions, arcs, edges, d.outer_face)
-        rep = verify(out)
-        if rep.passed:
-            return out
-        stub_cross = [c for c in rep.crossings if c[0] in stub_edge_tags or c[1] in stub_edge_tags]
-        if rep.angles_ok and rep.endpoint_ok and rep.distinct_ok and stub_cross and len(stub_cross) == len(rep.crossings):
-            lengths = [L / 2 for L in lengths]
-            continue
-        raise DrawingError(f"bridge stub attachment failed: {rep.summary()}")
-    raise DrawingError("bridge stubs could not avoid collisions")
+    positions = dict(d.positions)
+    arcs = {t: aa for t, aa in d.arcs.items() if t != e}
+    edges = {t: ee for t, ee in d.edges.items() if t != e}
+    for j in range(k + 1):
+        tag = ("e",) + tuple(sorted((seq[j], seq[j + 1])))
+        arcs[tag] = chain_arcs[j]
+        edges[tag] = (seq[j], seq[j + 1])
+    stubs = []
+    for i, name in enumerate(junction_names):
+        z = pts[i + 1]
+        positions[name] = z
+        length = stub_scale * min(abs(pts[i + 2] - z), abs(z - pts[i]))
+        stubs.append((name, 1j * _forward_tangent(inset, z) * s, stub_tags[i], length))
+    return _add_stubs(LombardiDrawing(positions, arcs, edges, d.outer_face), stubs)
 
 
 def claw_drawing(
@@ -918,7 +899,8 @@ def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float
         rep = verify(out)
         if rep.passed:
             return out
-        if rep.crossings and rep.angles_ok and all(c[0] in tags or c[1] in tags for c in rep.crossings):
+        stub_only = rep.crossings and all(c[0] in tags or c[1] in tags for c in rep.crossings)
+        if stub_only and rep.angles_ok and rep.endpoint_ok and rep.distinct_ok:
             lengths = [L / 2 for L in lengths]
             continue
         raise DrawingError(f"stub attachment failed: {rep.summary()}")

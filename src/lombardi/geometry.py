@@ -4,6 +4,14 @@ Points are python complex numbers; the point at infinity is the tagged
 singleton ``INF``.  Circles and lines are first-class ("generalized
 circles"), and Moebius transformations act on points, circles and arcs.
 All tolerances are relative to the scale of the operands.
+
+A Moebius map acts on a generalized circle in one way, in closed form
+around its pole (``Mobius.apply_circle``): the support is shifted so the
+pole sits at the origin, inverted by z -> 1/z and carried by a
+similarity.  Arcs take that support too (``Mobius.apply_arc``) and fall
+back to refitting the circle through their three image points only where
+the closed form cannot hold them: an image point at INF, or a support so
+close to the pole that the reciprocal cancels.
 """
 
 from __future__ import annotations
@@ -164,63 +172,10 @@ def circle_through(p: Point, q: Point, r: Point, tol: float = 1e-12) -> Generali
     return Circle(center, radius)
 
 
-def _conj_support(s: GeneralizedCircle) -> GeneralizedCircle:
-    """Image of a generalized circle under complex conjugation."""
-    if isinstance(s, Circle):
-        return Circle(s.center.conjugate(), s.radius)
-    return Line(s.normal.conjugate(), s.offset)
-
-
-def _translate_support(s: GeneralizedCircle, shift: complex) -> GeneralizedCircle:
-    if isinstance(s, Circle):
-        return Circle(s.center + shift, s.radius)
-    return Line(s.normal, s.offset + (s.normal.conjugate() * shift).real)
-
-
-def _affine_support(s: GeneralizedCircle, alpha: complex, beta: complex) -> GeneralizedCircle:
-    """Image of a generalized circle under z -> alpha*z + beta."""
-    if alpha == 0:
-        raise ValueError("degenerate affine map")
-    if isinstance(s, Circle):
-        return Circle(alpha * s.center + beta, abs(alpha) * s.radius)
-    n = s.normal / alpha.conjugate()
-    scale = abs(n)
-    return Line(n / scale, (s.offset + (n.conjugate() * beta).real) / scale)
-
-
-def _reciprocal_support(s: GeneralizedCircle, tol: float = 1e-13) -> GeneralizedCircle:
-    """Image of a generalized circle under z -> 1/z."""
-    if isinstance(s, Circle):
-        power = abs(s.center) ** 2 - s.radius**2  # power of the origin
-        if abs(power) <= tol * (abs(s.center) ** 2 + s.radius**2):
-            raise ValueError("circle through the pole: image is a line")
-        return Circle(s.center.conjugate() / power, s.radius / abs(power))
-    if abs(s.offset) <= tol:
-        return Line(s.normal.conjugate(), 0.0)
-    return Circle(s.normal.conjugate() / (2 * s.offset), 1 / (2 * abs(s.offset)))
-
-
 def _support_distance(s: GeneralizedCircle, z: complex) -> float:
     if isinstance(s, Circle):
         return abs(abs(z - s.center) - s.radius)
     return abs(s.signed_distance(z))
-
-
-def _project_on_support(s: GeneralizedCircle, z: complex) -> complex:
-    if isinstance(s, Circle):
-        if z == s.center:
-            return z
-        return s.center + s.radius * (z - s.center) / abs(z - s.center)
-    return z - s.signed_distance(z) * s.normal
-
-
-def _samples_on(support: GeneralizedCircle, n: int = 4) -> list[complex]:
-    """A few well-spread finite points on the support."""
-    if isinstance(support, Circle):
-        return [support.point_at(2 * math.pi * k / n + 0.5) for k in range(n)]
-    f = support.foot()
-    d = support.direction
-    return [f + t * d for t in (-1.0, 0.0, 1.0, 2.0)][:n]
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +222,6 @@ class Mobius:
     def __call__(self, p: Point) -> Point:
         return self.apply(p)
 
-    def pole(self) -> Point:
-        """The extended point that maps to INF."""
-        if self.c == 0:
-            return INF
-        z = -self.d / self.c
-        return z.conjugate() if self.conj else z
-
     # -- algebra -------------------------------------------------------
 
     def compose(self, inner: "Mobius") -> "Mobius":
@@ -303,72 +251,71 @@ class Mobius:
     # -- action on circles and arcs -------------------------------------
 
     def apply_circle(self, support: GeneralizedCircle) -> GeneralizedCircle:
-        """Image of a generalized circle, by mapping three points on it."""
-        pole = self.pole()
-        if isinstance(support, Circle):
-            on_pole = (not is_inf(pole)) and support.contains(pole, tol=1e-9)
-            if on_pole:
-                # image is a line: map two points far from the pole
-                th = support.angle_of(pole)
-                p1 = self.apply(support.point_at(th + 2 * math.pi / 3))
-                p2 = self.apply(support.point_at(th - 2 * math.pi / 3))
-                return line_through(p1, p2)
-            samples = _samples_on(support)
-            if not is_inf(pole):
-                th = support.angle_of(pole)
-                samples = [support.point_at(th + a) for a in (0.7, 2.5, 4.3)]
-            imgs = [self.apply(s) for s in samples[:3]]
-            return circle_through(*imgs)
-        # support is a Line (which passes through INF)
-        if is_inf(pole) or support.contains(pole, tol=1e-9):
-            # image contains INF: still a line
-            f = support.foot()
-            d = support.direction
-            base = 0.0 if is_inf(pole) else ((d.conjugate() * (pole - f)).real)
-            p1 = self.apply(f + (base + 1.0) * d)
-            p2 = self.apply(f + (base - 1.0) * d)
-            return line_through(p1, p2)
-        imgs = [self.apply(s) for s in _samples_on(support)[:2]]
-        imgs.append(self.apply(INF))
-        return circle_through(*imgs)
+        """Image of a generalized circle, in closed form around the pole.
 
-    def _image_support(self, support: GeneralizedCircle) -> GeneralizedCircle:
-        """Image of a generalized circle by closed-form coefficient algebra."""
-        sup = _conj_support(support) if self.conj else support
+        After conjugating the support when ``conj`` is set, a map with
+        c != 0 is z -> a/c + k/(z - p) with pole p = -d/c and
+        k = (b*c - a*d)/c^2.  The support is shifted so the pole sits at
+        the origin, taken through z -> 1/z, and carried by the similarity
+        z -> k*z + a/c; with c == 0 only the similarity z -> (a*z + b)/d
+        acts.  A circle (m, r) shifted to (m - p, r) inverts to the circle
+        with center conj(m - p)/P and radius r/|P|, P = |m - p|^2 - r^2.
+        A line with unit normal n inverts to the circle with center
+        conj(n)/(2*off'), off' = offset - Re(conj(n)*p).  Shifting first
+        keeps small circles far from the origin accurate, where raw
+        coefficients would cancel.  The image is a Line exactly when the
+        support passes through the pole (relative tolerance 1e-9).
+        """
+        s = support
+        if self.conj and isinstance(s, Circle):
+            s = Circle(s.center.conjugate(), s.radius)
+        elif self.conj:
+            s = Line(s.normal.conjugate(), s.offset)
         a, b, c, d = self.a, self.b, self.c, self.d
         if c == 0:
-            return _affine_support(sup, a / d, b / d)
-        # (a*z + b)/(c*z + d) == a/c + (b*c - a*d)/c^2 * 1/(z + d/c)
-        sup = _translate_support(sup, d / c)
-        sup = _reciprocal_support(sup)
-        return _affine_support(sup, (b * c - a * d) / (c * c), a / c)
+            alpha, beta = a / d, b / d
+        else:
+            p = -d / c
+            alpha, beta = (b * c - a * d) / (c * c), a / c
+            if isinstance(s, Circle):
+                m = s.center - p
+                if s.contains(p, tol=1e-9):
+                    s = Line(m.conjugate() / abs(m), 1 / (2 * abs(m)))
+                else:
+                    power = abs(m) ** 2 - s.radius**2
+                    s = Circle(m.conjugate() / power, s.radius / abs(power))
+            elif s.contains(p, tol=1e-9):
+                s = Line(s.normal.conjugate(), 0.0)
+            else:
+                off = s.offset - (s.normal.conjugate() * p).real
+                s = Circle(s.normal.conjugate() / (2 * off), 1 / (2 * abs(off)))
+        if isinstance(s, Circle):
+            return Circle(alpha * s.center + beta, abs(alpha) * s.radius)
+        n = s.normal / alpha.conjugate()
+        return Line(n / abs(n), (s.offset + (n.conjugate() * beta).real) / abs(n))
 
     def apply_arc(self, arc: "Arc") -> "Arc":
+        """Image of an arc: its mapped endpoints and witness on the image support.
+
+        The support comes from ``apply_circle``, whose closed form stays
+        accurate for arcs far smaller than the working scale, where the
+        three image points are too close together to recover the
+        support's center.  The support is refit through the three image
+        points instead when one of them is INF, or when the closed form
+        misses them by more than a relative 1e-9: for a support passing
+        close to the pole the reciprocal cancels catastrophically, but
+        there the image points are far apart and determine the support
+        well.
+        """
         p = self.apply(arc.p)
         q = self.apply(arc.q)
         w = self.apply(arc.witness)
-        support: GeneralizedCircle | None = None
         if not (is_inf(p) or is_inf(q) or is_inf(w)):
-            # the closed-form support stays accurate for arcs far smaller
-            # than the working scale, where the three image points are too
-            # close together to recover the support's center from them
-            try:
-                cand = self._image_support(arc.support)
-            except (ValueError, ZeroDivisionError):
-                cand = None
-            if cand is not None:
-                mag = max(1.0, abs(p), abs(q), abs(w))
-                if max(_support_distance(cand, z) for z in (p, q, w)) <= 1e-9 * mag:
-                    support = cand
-        if support is None:
-            # near the pole the coefficient algebra cancels catastrophically,
-            # but there the image points are far apart and determine the
-            # support well
-            support = circle_through(p, q, w)
-        return Arc(support, p, q, w)
-
-
-IDENTITY = Mobius(1, 0, 0, 1)
+            support = self.apply_circle(arc.support)
+            mag = max(1.0, abs(p), abs(q), abs(w))
+            if max(_support_distance(support, z) for z in (p, q, w)) <= 1e-9 * mag:
+                return Arc(support, p, q, w)
+        return Arc(circle_through(p, q, w), p, q, w)
 
 
 def mobius_scale_translate(scale: complex, offset: complex = 0j) -> Mobius:
@@ -379,13 +326,6 @@ def inversion(circle: Circle) -> Mobius:
     """Inversion in a circle: z -> o + r^2 / conj(z - o).  Orientation reversing."""
     o, r = circle.center, circle.radius
     return Mobius(o, r * r - abs(o) ** 2, 1, -o.conjugate(), conj=True)
-
-
-def reflection(line: Line) -> Mobius:
-    """Reflection across a line.  Orientation reversing."""
-    n, d = line.normal, line.offset
-    # z -> z - 2*(signed_distance)*n = -n^2 * conj(z) + 2*d*n
-    return Mobius(-n * n, 2 * d * n, 0, 1, conj=True)
 
 
 def _to_zero_one_inf(z1: Point, z2: Point, z3: Point) -> Mobius:
@@ -756,9 +696,9 @@ def lune_bisector(
     if len(finite) != 2:
         raise ValueError("lune_bisector: supports must cross at two points")
     q1, q2 = finite
-    # a third anchor on c1, away from the corners
-    anchors = [s for s in _samples_on(c1, 8) if abs(s - q1) > tol and abs(s - q2) > tol]
-    m = mobius_from_triples((q1, q2, anchors[0]), (0j, INF, 1 + 0j))
+    # any third anchor sends the corners to 0 and INF alike; the images
+    # of both supports turn by the same angle with the choice
+    m = mobius_from_triples((q1, q2, (q1 + q2) / 2), (0j, INF, 1 + 0j))
     minv = m.inverse()
 
     def image_dir(c: GeneralizedCircle) -> float:

@@ -304,9 +304,6 @@ class PlanarGraph:
         rot = {a: [new_tag_at[(a, i)] for i in range(self.degree(a))] for a in anchors}
         return PlanarGraph(rot), chains
 
-    def copy(self) -> "PlanarGraph":
-        return PlanarGraph(self.rot)
-
 
 # ---------------------------------------------------------------------------
 # Text format
@@ -395,9 +392,6 @@ class SpqrTree:
     nodes: list[SpqrNode] = field(default_factory=list)
     # tree edges: virtual tag -> (node index, node index); the S side first
     links: dict = field(default_factory=dict)
-
-    def node_of_tag(self, tag) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if tag in n.skeleton._ends]
 
 
 def _two_cut_classes(g: PlanarGraph) -> list[list]:

@@ -214,6 +214,16 @@ def test_attach_bridge_stubs_on_chain():
     assert d2.degree(leaf) == 1
     rep = verify(d2)
     assert rep.passed, rep.summary()
+    # a stub ten times the default length crosses the triangle and is
+    # halved until it fits
+    d3 = attach_bridge_stubs(d, tag, face=1, k=1, junction_names=["j"], stub_tags=[("b", "j")], stub_scale=3.0)
+    rep = verify(d3)
+    assert rep.passed, rep.summary()
+    pos = d3.positions
+    requested = 3.0 * min(abs(pos["j"] - pos["v0"]), abs(pos["v1"] - pos["j"]))
+    u, w = d3.edges[("b", "j")]
+    assert abs(abs(pos[u] - pos[w]) - 1.3449) < 1e-4
+    assert abs(pos[u] - pos[w]) < requested
 
 
 def test_glue_bridge_joins_two_claws():

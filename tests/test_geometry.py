@@ -170,6 +170,20 @@ def test_mobius_inverse_and_composition():
         assert abs(m.compose(n).apply(z) - m.apply(n.apply(z))) < 1e-7
 
 
+# maps with their poles: z -> 1/z, an inversion, and a conjugating map with c != 0
+POLED_MAPS = (
+    (Mobius(0, 1, 1, 0), 0j),
+    (inversion(Circle(0.5 - 1j, 1.5)), 0.5 - 1j),
+    (Mobius(1 + 1j, 2, 0.5j, 1 - 1j, conj=True), 2 - 2j),
+)
+
+
+def support_points(s, ts=(-1.0, 0.3, 2.0)) -> list[complex]:
+    if isinstance(s, Circle):
+        return [s.point_at(t) for t in ts]
+    return [s.foot() + t * s.direction for t in ts]
+
+
 def test_apply_circle_matches_inversion_formula():
     # the image of a circle under z -> 1/z has a closed form via the
     # power of the origin: center' = conj(c)/(|c|^2 - r^2), r' = r/||c|^2 - r^2|
@@ -180,6 +194,16 @@ def test_apply_circle_matches_inversion_formula():
         assert isinstance(img, Circle)
         assert abs(img.center - c.conjugate() / power) < 1e-9
         assert abs(img.radius - r / abs(power)) < 1e-9
+    # with the pole off the support, circles and lines alike map to the
+    # circle through the images of their points (INF too, for a line)
+    supports = (Circle(2 + 1j, 0.5), Circle(-1 + 3j, 2.0), line_through(-1 + 2j, 3 + 0.5j), line_through(4j, 1 + 4j))
+    for m, _ in POLED_MAPS:
+        for s in supports:
+            img = m.apply_circle(s)
+            assert isinstance(img, Circle)
+            extra = [m.apply(INF)] if isinstance(s, Line) else []
+            for z in [m.apply(x) for x in support_points(s)] + extra:
+                assert img.contains(z, 1e-9)
 
 
 def test_apply_circle_through_pole_gives_line():
@@ -190,9 +214,26 @@ def test_apply_circle_through_pole_gives_line():
     for t in (0.3, 1.1, 2.9):
         z = Circle(1 + 0j, 1.0).point_at(t)
         assert img.contains(1 / z, 1e-9)
+    for m, pole in POLED_MAPS:
+        for s in (Circle(pole + 1, 1.0), line_through(pole, pole + 1 + 2j)):
+            img = m.apply_circle(s)
+            assert isinstance(img, Line)
+            for z in support_points(s, (0.3, 1.1, 2.9)):
+                assert img.contains(m.apply(z), 1e-9)
 
 
 def test_apply_arc_points_stay_on_image():
+    def check(m: Mobius, a: Arc, inner: list[complex]) -> None:
+        imgs = [m.apply(z) for z in (a.p, a.q, a.witness)]
+        if any(is_inf(z) or abs(z) > 1e6 for z in imgs):
+            return
+        b = m.apply_arc(a)
+        assert abs(b.p - imgs[0]) < 1e-9
+        assert abs(b.q - imgs[1]) < 1e-9
+        # interior sample points of the source arc map onto the image arc
+        for z in inner:
+            assert b.contains(m.apply(z), 1e-7)
+
     rng = random.Random(3)
     for _ in range(25):
         m = rand_mobius(rng)
@@ -201,18 +242,19 @@ def test_apply_arc_points_stay_on_image():
             cmath.exp(1j * rng.uniform(3, 5)),
             cmath.exp(1j * rng.uniform(2.2, 2.8)),
         )
-        imgs = [m.apply(z) for z in (a.p, a.q, a.witness)]
-        if any(is_inf(z) or abs(z) > 1e6 for z in imgs):
-            continue
-        b = m.apply_arc(a)
-        assert abs(b.p - imgs[0]) < 1e-9
-        assert abs(b.q - imgs[1]) < 1e-9
-        # interior sample points of the source arc map onto the image arc
         start, swept, ccw = a._sweep()
-        for f in (0.25, 0.5, 0.75):
-            th = start + (swept * f if ccw else -swept * f)
-            z = a.support.point_at(th)
-            assert b.contains(m.apply(z), 1e-7)
+        inner = [a.support.point_at(start + (swept * f if ccw else -swept * f)) for f in (0.25, 0.5, 0.75)]
+        check(m, a, inner)
+    # orientation-reversing maps, on circle arcs and on straight segments
+    rng = random.Random(4)
+    for _ in range(25):
+        m = rand_mobius(rng)
+        m = Mobius(m.a, m.b, m.c, m.d, conj=True)
+        p, q = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+        check(m, segment(p, q), [p + f * (q - p) for f in (0.25, 0.5, 0.75)])
+        a = arc_through(1 + 0j, cmath.exp(1j * rng.uniform(3, 5)), cmath.exp(1j * rng.uniform(1, 2.8)))
+        start, swept, ccw = a._sweep()
+        check(m, a, [a.support.point_at(start + (swept * f if ccw else -swept * f)) for f in (0.25, 0.5, 0.75)])
 
 
 def test_apply_arc_preserves_tiny_arc_tangents():
