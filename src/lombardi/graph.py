@@ -10,6 +10,8 @@ a sphere embedding.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -430,9 +432,6 @@ def _assert_cubic(g: PlanarGraph):
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)}, expected 3")
 
 
-_VIRT_COUNTER = [0]
-
-
 def spqr(g: PlanarGraph) -> SpqrTree:
     """SPQR tree of a 2-edge-connected cubic planar multigraph.
 
@@ -440,13 +439,14 @@ def spqr(g: PlanarGraph) -> SpqrTree:
     yields an S node (an even cycle alternating real class edges and
     virtual edges), and every side is re-split with its virtual edge
     inserted in place of its class edge.  Leaves are P nodes (3-bonds)
-    or R nodes (3-connected simple cubic skeletons).
+    or R nodes (3-connected simple cubic skeletons).  Virtual edges are
+    tagged ("virt", 1), ("virt", 2), ... afresh in every call.
     """
     _assert_cubic(g)
     if g.bridges():
         raise GraphError("graph is not 2-edge-connected")
     tree = SpqrTree()
-    _split(g, tree)
+    _split(g, tree, itertools.count(1))
     for i, n in enumerate(tree.nodes):
         n.index = i
     # pair virtual tags into tree links
@@ -467,7 +467,7 @@ def spqr(g: PlanarGraph) -> SpqrTree:
     return tree
 
 
-def _split(g: PlanarGraph, tree: SpqrTree) -> None:
+def _split(g: PlanarGraph, tree: SpqrTree, virt_ids: Iterator[int]) -> None:
     classes = _two_cut_classes(g)
     if not classes:
         if len(g.vertices) == 2:
@@ -511,8 +511,7 @@ def _split(g: PlanarGraph, tree: SpqrTree) -> None:
     while True:
         (t1, v1), (t2, v2) = touch[cur]
         out_tag, out_v = (t2, v2) if t1 == tag else (t1, v1)
-        _VIRT_COUNTER[0] += 1
-        vt = ("virt", _VIRT_COUNTER[0])
+        vt = ("virt", next(virt_ids))
         virt_of_comp[cur] = (vt, entry, out_v)
         # S cycle vertices entry/out_v joined by the virtual edge
         s_rot.setdefault(entry, []).append(tag)
@@ -540,7 +539,7 @@ def _split(g: PlanarGraph, tree: SpqrTree) -> None:
         slot_a = sum(1 for t in g.rot[va][: g.rot[va].index(ta)] if t not in cls)
         slot_b = sum(1 for t in g.rot[vb][: g.rot[vb].index(tb)] if t not in cls)
         sub2 = sub.with_edge(vt, va, slot_a, vb, slot_b)
-        _split(sub2, tree)
+        _split(sub2, tree, virt_ids)
 
 
 def recompose_edges(tree: SpqrTree) -> list:

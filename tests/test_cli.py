@@ -175,6 +175,18 @@ def test_cli_verify_only_rejects_garbage(tmp_path):
     assert main([str(bad), "--verify-only"]) == 2
 
 
+def test_cli_verify_only_rejects_edge_to_unknown_vertex(tmp_path, capsys):
+    inp = k4_input(tmp_path)
+    assert main([str(inp), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "k4.json").read_text())
+    obj["vertices"] = obj["vertices"][1:]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([str(bad), "--verify-only"]) == 2
+    assert "not a drawing dump" in capsys.readouterr().err
+
+
 def test_cli_rejects_unsupported_inputs(tmp_path):
     # 4-regular graph fed directly: unsupported in both modes
     g18 = FIXTURES / "g18.txt"

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import drawn, load_graph
+from conftest import drawn, load_graph, load_text
 from lombardi.drawing import (
     DrawingError,
     LombardiDrawing,
@@ -199,6 +199,13 @@ def test_claw_drawing_verifies():
     assert rep.passed
     degs = sorted(d.degree(v) for v in d.positions)
     assert degs == [1, 1, 1, 3]
+    # smaller stars: leaves at 2*pi/k spacing, the first straight up
+    for k in (1, 2):
+        leaves = [f"l{i}" for i in range(k)]
+        d = claw_drawing("c", leaves)
+        assert verify(d).passed
+        assert abs(d.positions["l0"] - 1j) < 1e-15
+        assert sorted(d.degree(v) for v in d.positions) == [1] * k + [k]
 
 
 def test_attach_bridge_stubs_on_chain():
@@ -294,6 +301,40 @@ def test_draw_subcubic_fixtures(name):
     rep = verify(d, g)
     assert rep.passed, f"{name}: {rep.summary()}"
     assert rep.max_angle_residual < 1e-6
+
+
+def subdivided_k4() -> str:
+    """K4 with every edge subdivided once, as rotation-system text."""
+    rot = {}
+    for line in K4_TEXT.splitlines():
+        v, *nbrs = line.split()
+        rot[v] = ["".join(sorted(v + w)) for w in nbrs]
+    for v, mids in list(rot.items()):
+        for m in mids:
+            rot.setdefault(m, []).append(v)
+    return "".join(" ".join([v] + nbrs) + "\n" for v, nbrs in rot.items())
+
+
+@pytest.mark.parametrize(
+    "draw,text",
+    [(draw_subcubic, subdivided_k4()), (draw_subcubic, load_text("cube")), (draw_medial, K4_TEXT)],
+    ids=["subcubic-k4-subdivided", "subcubic-cube", "medial-k4"],
+)
+def test_entry_points_verify_once(monkeypatch, draw, text):
+    # the entry point is the one verification gate: its construction
+    # steps return unverified drawings
+    import lombardi.drawing as drawing
+
+    calls = []
+    real = drawing.verify
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(drawing, "verify", counted)
+    draw(parse(text))
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------

@@ -216,6 +216,18 @@ def test_spqr_structural_assertions(name):
             assert all(sk.degree(v) == 3 for v in sk.vertices)
 
 
+def test_spqr_virtual_tags_do_not_depend_on_earlier_calls():
+    g, _ = load_graph("two_k4e").suppress_degree_two()
+
+    def virtual_tags():
+        tree = spqr(g)
+        return [sorted((t for t in n.skeleton.edges if _is_virtual(t)), key=repr) for n in tree.nodes]
+
+    first = virtual_tags()
+    assert any(first)
+    assert virtual_tags() == first
+
+
 def test_spqr_rejects_bridged_or_noncubic():
     with pytest.raises(GraphError):
         spqr(load_graph("two_blocks_bridge"))
