@@ -147,12 +147,24 @@ def _line_coord_interval(arc: Arc, frame: Line | None = None) -> tuple[float, fl
     return lo, hi
 
 
+def _support_noise(a1: Arc, a2: Arc) -> float:
+    """Absolute rounding noise of positions computed on the arcs' supports.
+
+    Coordinates on a huge-radius support carry noise of order radius *
+    machine epsilon; both crossing tests widen their tolerance to it.
+    """
+    return max(
+        (a.support.radius * 1e-14 for a in (a1, a2) if isinstance(a.support, Circle)),
+        default=0.0,
+    )
+
+
 def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
     """Whether two arcs on the same support share more than endpoints."""
     if isinstance(a1.support, Circle):
         r = a1.support.radius
         ov = _circular_overlap(_interval_of(a1), _interval_of(a2))
-        return ov * r > tol_len
+        return ov * r > max(tol_len, _support_noise(a1, a2))
     i1 = _line_coord_interval(a1)
     i2 = _line_coord_interval(a2, frame=a1.support)
     if i1 is None or i2 is None:
@@ -245,14 +257,7 @@ def verify(
                 if _arcs_overlap_on_support(a1, a2, match_tol):
                     rep.crossings.append((t1, t2))
                 continue
-            # intersection coordinates on a huge-radius support carry
-            # absolute noise of order radius * machine epsilon; widen the
-            # shared-endpoint exclusion zone to cover it
-            noise = 0.0
-            for a in (a1, a2):
-                if isinstance(a.support, Circle):
-                    noise = max(noise, a.support.radius * 1e-14)
-            exclude = max(match_tol, noise)
+            exclude = max(match_tol, _support_noise(a1, a2))
             for x in arc_intersections(a1, a2, tol=tol_pt):
                 if is_inf(x):
                     continue

@@ -136,11 +136,14 @@ def line_through(p: complex, q: complex) -> Line:
     return Line(n, (n.conjugate() * p).real)
 
 
-def circle_through(p: Point, q: Point, r: Point, tol: float = 1e-12) -> GeneralizedCircle:
+def circle_through(p: Point, q: Point, r: Point, tol: float = 1e-9) -> GeneralizedCircle:
     """The generalized circle through three distinct extended points.
 
     Returns a Line when one of the points is INF or when the three finite
-    points are collinear (relative cross-product tolerance ``tol``).
+    points are collinear (relative cross-product tolerance ``tol``).  The
+    default is the verifier's geometric tolerance: a nearly straight arc
+    becomes a Line rather than a circle of radius ~1/tol, whose image
+    under a Möbius map loses about radius * epsilon of relative precision.
     """
     pts = [p, q, r]
     infs = [x for x in pts if is_inf(x)]

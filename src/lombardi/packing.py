@@ -1,12 +1,14 @@
 """Circle packings of planar triangulations.
 
-Radii are found by the classical relaxation: sweep the interior
-vertices, and for each one replace its radius so that its neighbor
-circles would wrap around it with total angle exactly 2*pi.  Tangent
-neighbors use the closed-form update through the representative radius;
-packings with prescribed overlap angles (used for the primal-dual
-packing, where circles of a vertex and an incident face must cross at
-pi/2) update the radius by bisection on the monotone angle sum.
+Radii solve the angle-sum system: at every interior vertex the angles
+of its triangles of centers sum to 2*pi, where a side joining circles
+r, s with overlap angle phi has length sqrt(r^2 + s^2 + 2 r s cos phi)
+(tangency is phi = 0; the primal-dual packing crosses vertex and face
+circles at pi/2 and pins point circles at radius 0).  In log-radii the
+system is the gradient of a convex functional (Colin de Verdière 1991
+for tangencies, Bobenko-Springborn 2004 for overlap angles), so its
+Jacobian is minus a weighted Laplacian and damped Newton converges
+quadratically; each step is solved by conjugate gradients.
 
 Centers are then laid out by triangle-to-triangle propagation from a
 seed edge on the x-axis.
@@ -23,7 +25,7 @@ from .graph import GraphError, PlanarGraph
 
 
 class PackingError(RuntimeError):
-    """The relaxation failed to converge or the layout is inconsistent."""
+    """The radii failed to converge or the layout is inconsistent."""
 
 
 @dataclass
@@ -69,64 +71,14 @@ def _angle(lv_u: float, lv_w: float, l_uw: float) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-class _Relaxer:
-    def __init__(self, g: PlanarGraph, overlap: dict | None):
-        self.g = g
-        self.overlap = overlap or {}
-        # adjacency tag lookup for consecutive-neighbor edges
-        self._tag_of: dict[tuple[str, str], object] = {}
-        for t in g.edges:
-            u, w = g.endpoints(t)
-            self._tag_of[(u, w)] = t
-            self._tag_of[(w, u)] = t
-
-    def cos_ov(self, u: str, w: str) -> float:
-        t = self._tag_of.get((u, w))
-        if t is None:
-            raise PackingError(
-                f"consecutive neighbors {u!r},{w!r} are not adjacent: not a triangulation"
-            )
-        return math.cos(self.overlap.get(t, 0.0))
-
-    def length(self, radii, u, w) -> float:
-        return edge_length(radii[u], radii[w], self.cos_ov(u, w))
-
-    def angle_sum(self, radii, v: str, rv: float | None = None) -> float:
-        rv = radii[v] if rv is None else rv
-        nbr = self.g.neighbors(v)
-        k = len(nbr)
-        total = 0.0
-        for i in range(k):
-            u, w = nbr[i], nbr[(i + 1) % k]
-            lu = edge_length(rv, radii[u], self.cos_ov(v, u))
-            lw = edge_length(rv, radii[w], self.cos_ov(v, w))
-            total += _angle(lu, lw, self.length(radii, u, w))
-        return total
-
-    def angle_sum_d(self, radii, v: str, rv: float) -> tuple[float, float]:
-        """Angle sum at v for radius rv, and its derivative in rv."""
-        nbr = self.g.neighbors(v)
-        k = len(nbr)
-        total = 0.0
-        dtotal = 0.0
-        for i in range(k):
-            u, w = nbr[i], nbr[(i + 1) % k]
-            ru, rw = radii[u], radii[w]
-            cu, cw = self.cos_ov(v, u), self.cos_ov(v, w)
-            lu = edge_length(rv, ru, cu)
-            lw = edge_length(rv, rw, cw)
-            l = self.length(radii, u, w)
-            cos_a = (lu * lu + lw * lw - l * l) / (2 * lu * lw)
-            cos_a = min(1.0, max(-1.0, cos_a))
-            total += math.acos(cos_a)
-            sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-            if sin_a > 1e-12:
-                dlu = (rv + ru * cu) / lu
-                dlw = (rv + rw * cw) / lw
-                dc_du = (lu * lu - lw * lw + l * l) / (2 * lu * lu * lw)
-                dc_dw = (lw * lw - lu * lu + l * l) / (2 * lw * lw * lu)
-                dtotal += -(dc_du * dlu + dc_dw * dlw) / sin_a
-        return total, dtotal
+def _side_length(g: PlanarGraph, overlap: dict | None):
+    """length(radii, u, w): the side of the triangle of centers along edge uw."""
+    ov = overlap or {}
+    cos: dict[tuple[str, str], float] = {}
+    for t in g.edges:
+        u, w = g.endpoints(t)
+        cos[(u, w)] = cos[(w, u)] = math.cos(ov.get(t, 0.0))
+    return lambda radii, u, w: edge_length(radii[u], radii[w], cos[(u, w)])
 
 
 def pack_triangulation(
@@ -136,82 +88,130 @@ def pack_triangulation(
     max_iter: int = 1000000,
     overlap: dict | None = None,
 ) -> dict[str, float]:
-    """Relax interior radii until every interior angular defect is ≤ tol.
+    """Radii closing every interior angle sum at 2*pi, to a defect ≤ tol.
 
-    ``boundary`` vertices keep their given radii; every other vertex is
-    swept in fixed input order and its radius replaced so that its
-    neighbors close up around it (angle sum 2*pi).
+    ``boundary`` vertices keep their given radii (zero for point
+    circles); the others are found by at most ``max_iter`` damped Newton
+    steps in log-radii, each backtracking on the residual norm.
     """
-    rel = _Relaxer(g, overlap)
-    radii = {v: 1.0 for v in g.vertices}
-    radii.update(boundary)
-    interior = [v for v in g.vertices if v not in boundary]
-    use_closed_form = not overlap
-    two_pi = 2 * math.pi
-    worst = math.inf
-    for _ in range(max_iter):
-        worst = 0.0
-        for v in interior:
-            theta = rel.angle_sum(radii, v)
-            worst = max(worst, abs(theta - two_pi))
-            if use_closed_form:
-                k = len(g.rot[v])
-                s = math.sin(theta / (2 * k))
-                rho = radii[v] * s / (1 - s)
-                s_target = math.sin(math.pi / k)
-                radii[v] = rho * (1 - s_target) / s_target
-            else:
-                radii[v] = _solve_radius(rel, radii, v, theta)
+    ov = overlap or {}
+    names = [v for v in g.vertices if v not in boundary]
+    n = len(names)  # the unknowns come first; in ``pairs``, n is any pinned vertex
+    names += [v for v in g.vertices if v in boundary]
+    index = {v: i for i, v in enumerate(names)}
+    # per inner triangle in faces() order: its vertices, the overlap
+    # cosines of its sides ab, bc, ca, and each side's slot in ``pairs``
+    slot: dict[tuple[int, int], int] = {}
+    pairs: list[tuple[int, int]] = []
+    tris = []
+    for walk in g.faces():
+        vs = [index[d[0]] for d in walk]
+        if min(vs) >= n:
+            continue
+        if len(walk) != 3:
+            raise PackingError("packing requires a triangulation around every interior vertex")
+        sides = []
+        for k in range(3):
+            key = tuple(sorted((vs[k], vs[(k + 1) % 3])))
+            if key not in slot:
+                slot[key] = len(pairs)
+                pairs.append((min(key[0], n), min(key[1], n)))
+            sides.append(slot[key])
+        tris.append((vs, [math.cos(ov.get(g.dart_tag(d), 0.0)) for d in walk], sides))
+    radii = [boundary.get(v, 1.0) for v in names]
+    theta, weight = _angle_system(radii, tris, n, len(pairs))
+    norm = sum(x * x for x in theta)
+    step = 0
+    while True:
+        worst = max(map(abs, theta), default=0.0)
         if worst <= tol:
-            return radii
-    raise PackingError(f"packing did not converge within {max_iter} sweeps (defect {worst:.3e})")
+            return {v: radii[index[v]] for v in g.vertices}
+        if step == max_iter:
+            raise PackingError(
+                f"packing did not converge within {max_iter} Newton steps (defect {worst:.3e})"
+            )
+        step += 1
+        d = _solve_laplacian(pairs, weight, theta, rtol=min(0.1, math.sqrt(norm)))
+        t = 1.0
+        for _ in range(60):
+            try:  # a step may overflow a radius or flatten a triangle
+                trial = [r * math.exp(t * x) for r, x in zip(radii, d)] + radii[n:]
+                theta_t, weight_t = _angle_system(trial, tris, n, len(pairs))
+                norm_t = sum(x * x for x in theta_t)
+            except ArithmeticError:
+                norm_t = math.inf
+            if norm_t < norm:
+                break
+            t *= 0.5
+        else:
+            raise PackingError(f"packing stalled after {step} Newton steps (defect {worst:.3e})")
+        radii, theta, weight, norm = trial, theta_t, weight_t, norm_t
 
 
-def _solve_radius(rel: _Relaxer, radii, v: str, theta_now: float) -> float:
-    """Radius making the angle sum at v equal 2*pi (monotone decreasing in r).
+def _angle_system(radii, tris, n, n_pairs):
+    """Angle-sum defects of the n unknowns and the Jacobian's side weights.
 
-    Newton iteration safeguarded by a geometric bracket: the bracket is
-    grown/shrunk by doubling first, then Newton steps are clipped to it.
+    The Jacobian of the angle sums in log-radii is minus a weighted
+    Laplacian: in each triangle, d(angle at a)/d(log r_b) = d(angle at
+    b)/d(log r_a) = w_ab ≥ 0, and the angles do not change when all three
+    radii are scaled together.
     """
-    two_pi = 2 * math.pi
-    r = radii[v]
-    lo = hi = r
-    if theta_now > two_pi:  # grow the radius to shrink the angle sum
-        for _ in range(200):
-            hi *= 2.0
-            if rel.angle_sum(radii, v, hi) <= two_pi:
-                break
-            lo = hi
-        else:
-            raise PackingError("radius update failed to bracket")
-    elif theta_now < two_pi:
-        for _ in range(200):
-            lo *= 0.5
-            if rel.angle_sum(radii, v, lo) >= two_pi:
-                break
-            hi = lo
-        else:
-            raise PackingError("radius update failed to bracket")
-    else:
-        return r
-    x = math.sqrt(lo * hi)
-    for _ in range(40):
-        theta, dtheta = rel.angle_sum_d(radii, v, x)
-        err = theta - two_pi
-        if abs(err) <= 1e-14 * two_pi:
+    theta = [-2 * math.pi] * len(radii)
+    weight = [0.0] * n_pairs
+    for (a, b, c), (cab, cbc, cca), (sab, sbc, sca) in tris:
+        ra, rb, rc = radii[a], radii[b], radii[c]
+        ab = math.sqrt(ra * ra + rb * rb + 2 * ra * rb * cab)
+        bc = math.sqrt(rb * rb + rc * rc + 2 * rb * rc * cbc)
+        ca = math.sqrt(rc * rc + ra * ra + 2 * rc * ra * cca)
+        cos_a = min(1.0, max(-1.0, (ab * ab + ca * ca - bc * bc) / (2 * ab * ca)))
+        cos_b = min(1.0, max(-1.0, (ab * ab + bc * bc - ca * ca) / (2 * ab * bc)))
+        cos_c = min(1.0, max(-1.0, (bc * bc + ca * ca - ab * ab) / (2 * bc * ca)))
+        theta[a] += math.acos(cos_a)
+        theta[b] += math.acos(cos_b)
+        theta[c] += math.acos(cos_c)
+        # with F the area, d(angle at a)/d(side) is bc/(2F) for the
+        # opposite side and -bc*cos(angle at its far end)/(2F) for an
+        # adjacent one; d(side xy)/d(log r_x) = r_x (r_x + r_y cos_xy) / xy
+        h = 1.0 / (ab * ca * math.sqrt(max(0.0, 1.0 - cos_a * cos_a)))
+        weight[sab] += h * rb * (rb + rc * cbc - bc * cos_b * (rb + ra * cab) / ab)
+        weight[sbc] += h * rc * (rc + ra * cca - ca * cos_c * (rc + rb * cbc) / bc)
+        weight[sca] += h * ra * (ra + rb * cab - ab * cos_a * (ra + rc * cca) / ca)
+    return theta[:n], weight
+
+
+def _solve_laplacian(pairs, weight, b, rtol):
+    """Solve L x = b to relative residual rtol by Jacobi-preconditioned CG.
+
+    L is the Laplacian with weight ``weight[k]`` on the side ``pairs[k]``,
+    restricted to the unknowns; index len(b) is a pinned vertex, held at 0.
+    """
+    n = len(b)
+    diag = [0.0] * (n + 1)
+    for (i, j), w in zip(pairs, weight):
+        diag[i] += w
+        diag[j] += w
+    x = [0.0] * (n + 1)
+    r = list(b) + [0.0]
+    z = [ri / di for ri, di in zip(b, diag)] + [0.0]
+    p = z
+    rz = sum(ri * zi for ri, zi in zip(r, z))
+    stop = rtol * rtol * sum(bi * bi for bi in b)
+    for _ in range(2 * n + 10):
+        q = [0.0] * (n + 1)
+        for (i, j), w in zip(pairs, weight):
+            f = w * (p[i] - p[j])
+            q[i] += f
+            q[j] -= f
+        q[n] = 0.0
+        alpha = rz / sum(pi * qi for pi, qi in zip(p, q))
+        x = [xi + alpha * pi for xi, pi in zip(x, p)]
+        r = [ri - alpha * qi for ri, qi in zip(r, q)]
+        if sum(ri * ri for ri in r) <= stop:
             break
-        if err > 0:
-            lo = x
-        else:
-            hi = x
-        if dtheta < 0:
-            step = x - err / dtheta
-        else:
-            step = math.sqrt(lo * hi)
-        x = step if lo < step < hi else math.sqrt(lo * hi)
-        if hi - lo <= 1e-15 * hi:
-            break
-    return x
+        z = [ri / di for ri, di in zip(r, diag[:n])] + [0.0]
+        rz, rz_old = sum(ri * zi for ri, zi in zip(r, z)), rz
+        p = [zi + rz / rz_old * pi for zi, pi in zip(z, p)]
+    return x[:n]
 
 
 def layout_centers(
@@ -227,7 +227,7 @@ def layout_centers(
     tangent (or at their prescribed distance) at the origin, the first
     centered at (-r, 0).
     """
-    rel = _Relaxer(g, overlap)
+    length = _side_length(g, overlap)
     faces = g.faces()
     if any(len(f) != 3 for i, f in enumerate(faces) if i != outer_face):
         raise GraphError("layout requires a triangulation (all inner faces of size 3)")
@@ -236,7 +236,7 @@ def layout_centers(
     u0, v0 = d0[0], g.head(d0)
     seed: dict[str, complex] = {}
     seed[u0] = complex(-radii[u0], 0.0)
-    seed[v0] = seed[u0] + rel.length(radii, u0, v0)
+    seed[v0] = seed[u0] + length(radii, u0, v0)
 
     # try both face orientations; keep the one with consistent edge lengths
     def run(sign: float) -> dict[str, complex] | None:
@@ -255,13 +255,13 @@ def layout_centers(
                     a, b, c = vs[r % 3], vs[(r + 1) % 3], vs[(r + 2) % 3]
                     if a in pos and b in pos and c not in pos:
                         alpha = _angle(
-                            rel.length(radii, a, c),
-                            rel.length(radii, a, b),
-                            rel.length(radii, b, c),
+                            length(radii, a, c),
+                            length(radii, a, b),
+                            length(radii, b, c),
                         )
                         dab = pos[b] - pos[a]
                         dab /= abs(dab)
-                        pos[c] = pos[a] + rel.length(radii, a, c) * dab * cmath.exp(1j * sign * alpha)
+                        pos[c] = pos[a] + length(radii, a, c) * dab * cmath.exp(1j * sign * alpha)
                         done = True
                         break
                 if done:
@@ -274,7 +274,7 @@ def layout_centers(
         scale = max(radii.values())
         for t in g.edges:
             x, y = g.endpoints(t)
-            if abs(abs(pos[x] - pos[y]) - rel.length(radii, x, y)) > 1e-6 * scale:
+            if abs(abs(pos[x] - pos[y]) - length(radii, x, y)) > 1e-6 * scale:
                 return None
         return pos
 
@@ -316,13 +316,13 @@ def pack_and_layout(
 
 def packing_defects(g: PlanarGraph, packing: CirclePacking, overlap: dict | None = None) -> dict:
     """Max residuals of the laid-out packing: edge lengths and tangencies."""
-    rel = _Relaxer(g, overlap)
+    length = _side_length(g, overlap)
     radii = {v: packing.circles[v].radius for v in g.vertices}
     worst_len = 0.0
     for t in g.edges:
         x, y = g.endpoints(t)
         d = abs(packing.circles[x].center - packing.circles[y].center)
-        worst_len = max(worst_len, abs(d - rel.length(radii, x, y)))
+        worst_len = max(worst_len, abs(d - length(radii, x, y)))
     worst_contact = 0.0
     for t, p in packing.tangency.items():
         x, y = g.endpoints(t)
@@ -454,10 +454,10 @@ def primal_dual_pack(
         raise PackingError("ambiguous boundary ring after removing the hub")
     packing = layout_centers(sub, {v: radii[v] for v in sub.vertices}, ring[0], overlap=overlap)
 
-    rel = _Relaxer(kite, overlap)
+    length = _side_length(kite, overlap)
     hub_center = _trilaterate(
         [
-            (packing.centers[u], rel.length(radii, hub, u))
+            (packing.centers[u], length(radii, hub, u))
             for u in kite.neighbors(hub)
         ]
     )

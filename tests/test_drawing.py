@@ -25,7 +25,7 @@ from lombardi.drawing import (
     transform,
     verify,
 )
-from lombardi.geometry import Circle, Mobius, arc_through, segment
+from lombardi.geometry import Arc, Circle, Mobius, arc_through, segment
 from lombardi.graph import GraphError, parse
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
@@ -91,6 +91,26 @@ def test_verify_detects_crossing():
     rep = verify(d, g)
     assert not rep.noncrossing_ok
     assert len(rep.crossings) == 1
+
+
+def test_verify_adjacent_arcs_on_huge_support_do_not_cross():
+    # a path a-b-c along a radius-4e9 circle: the angles of b on the two
+    # arcs differ by rounding, which the radius turns into ~1e-6 of overlap
+    radius = 4e9
+    g = parse("a b\nb a c\nc b\n")
+    for k in range(-30, 31):
+        phi = k / 10
+        c = Circle(-radius * cmath.exp(1j * phi), radius)
+        a, b, z = (c.point_at(phi + s / radius) for s in (-1.0, 0.0, 1.0))
+        ab = Arc(c, a, b, c.point_at(phi - 0.5 / radius))
+        bz = Arc(c, b, z, c.point_at(phi + 0.5 / radius))
+        d = LombardiDrawing(
+            {"a": a, "b": b, "c": z},
+            {("e", "a", "b"): ab, ("e", "b", "c"): bz},
+            {("e", "a", "b"): ("a", "b"), ("e", "b", "c"): ("b", "c")},
+        )
+        rep = verify(d, g)
+        assert rep.crossings == [], phi
 
 
 def test_verify_detects_coincident_vertices():
@@ -301,6 +321,18 @@ def test_draw_subcubic_fixtures(name):
     rep = verify(d, g)
     assert rep.passed, f"{name}: {rep.summary()}"
     assert rep.max_angle_residual < 1e-6
+
+
+@pytest.mark.parametrize("name", ["cube", "dodecahedron", "truncated_icosahedron"])
+def test_arc_supports_are_lines_or_moderate_circles(name):
+    # a nearly straight edge is drawn on a Line: a circle of radius
+    # 1e9 times the drawing loses digits under every Moebius map
+    g, d, _ = drawn(name)
+    pts = list(d.positions.values())
+    diameter = max(abs(p - q) for p in pts for q in pts)
+    for t, arc in d.arcs.items():
+        if isinstance(arc.support, Circle):
+            assert arc.support.radius <= 1e6 * diameter, (name, t, arc.support.radius)
 
 
 def subdivided_k4() -> str:

@@ -53,6 +53,13 @@ def test_circle_through_collinear_gives_line():
         assert got.contains(p)
 
 
+def test_circle_through_nearly_collinear_gives_line():
+    # collinear within the verifier's 1e-9 geometric tolerance: a Line,
+    # not a circle of radius ~1e10
+    assert isinstance(circle_through(0j, 1 + 0j, 0.5 + 1e-11j), Line)
+    assert isinstance(circle_through(0j, 1 + 0j, 0.5 + 1e-6j), Circle)
+
+
 def test_circle_through_infinity_gives_line():
     got = circle_through(1 + 0j, 2 + 5j, INF)
     assert isinstance(got, Line)

@@ -67,18 +67,23 @@ def test_k4_packing_tangencies_and_defects():
     assert max(abs(x) for x in d.values()) < 1e-8
 
 
-@pytest.mark.parametrize("name", ["cube", "dodecahedron", "frucht"])
+CUBIC_3CONNECTED = ["k4", "cube", "dodecahedron", "frucht", "tutte", "truncated_icosahedron"]
+
+
+@pytest.mark.parametrize("name", CUBIC_3CONNECTED)
 def test_dual_packing_of_cubic_fixtures(name):
+    # Newton converges quadratically: a dozen steps reach a 1e-12 defect
     g = load_graph(name)
     dualg, _ = g.dual()
     f0 = dualg.faces()[0]
     boundary = {d[0]: 1.0 for d in f0}
-    p = pack_and_layout(dualg, boundary, outer_face=0)
+    p = pack_and_layout(dualg, boundary, outer_face=0, tol=1e-12, max_iter=12)
     for t in dualg.edges:
         u, w = dualg.endpoints(t)
         cu, cw = p.circles[u], p.circles[w]
         gap = abs(cu.center - cw.center) - (cu.radius + cw.radius)
         assert abs(gap) < 1e-7 * max(1.0, cu.radius + cw.radius), (name, t)
+    assert max(packing_defects(dualg, p).values()) < 1e-9, name
 
 
 def test_pack_nonconvergence_raises():
@@ -120,10 +125,10 @@ def test_primal_dual_pack_k4_closed_form():
         assert abs(r - w) < 1e-6
 
 
-@pytest.mark.parametrize("name", ["k4", "cube"])
+@pytest.mark.parametrize("name", CUBIC_3CONNECTED + ["octahedron"])
 def test_primal_dual_orthogonality(name):
     g = load_graph(name) if name != "k4" else parse(K4_TEXT)
-    pdp = primal_dual_pack(g)
+    pdp = primal_dual_pack(g, max_iter=12)
     fo = g.face_of()
     for t in g.edges:
         u, w = g.endpoints(t)
