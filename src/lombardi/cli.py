@@ -40,7 +40,6 @@ class RunConfig:
     outer_face: int | None = None
     pack_tol: float = 1e-10
     pack_max_iter: int = 10**6
-    opt_step_tol: float = 1e-9
     angle_tol: float = 1e-6
     verify_only: bool = False
     output: str | None = None
@@ -50,9 +49,11 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("svg", "json", "both"):
             raise ValueError(f"unknown format {self.format!r}")
-        for knob in ("pack_tol", "opt_step_tol", "angle_tol"):
-            if getattr(self, knob) <= 0:
-                raise ValueError(f"{knob} must be positive")
+        for knob in ("pack_tol", "angle_tol"):
+            if not 0 < getattr(self, knob) < math.inf:
+                raise ValueError(f"{knob} must be positive and finite")
+        if self.pack_max_iter < 1:
+            raise ValueError("pack_max_iter must be at least 1")
 
 
 def _num(x: float) -> str:
@@ -201,7 +202,6 @@ def run(cfg: RunConfig) -> int:
                 outer_face=outer,
                 pack_tol=cfg.pack_tol,
                 pack_max_iter=cfg.pack_max_iter,
-                opt_step_tol=cfg.opt_step_tol,
             )
             ref = g
     except GraphError as err:
@@ -236,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-face", type=int, default=None, help="outer face index (default: longest face)")
     p.add_argument("--pack-tol", type=float, default=1e-10)
     p.add_argument("--pack-max-iter", type=int, default=10**6)
-    p.add_argument("--opt-step-tol", type=float, default=1e-9)
     p.add_argument("--angle-tol", type=float, default=1e-6)
     p.add_argument("--verify-only", action="store_true", help="re-verify a drawing JSON dump")
     p.add_argument("--output", default=None, help="artifact path base (default: beside the input)")
@@ -246,18 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            input=args.input,
-            mode=args.mode,
-            format=args.format,
-            outer_face=args.outer_face,
-            pack_tol=args.pack_tol,
-            pack_max_iter=args.pack_max_iter,
-            opt_step_tol=args.opt_step_tol,
-            angle_tol=args.angle_tol,
-            verify_only=args.verify_only,
-            output=args.output,
-        )
+        cfg = RunConfig(**vars(args))  # one field per flag
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -431,7 +431,6 @@ def draw_3connected(
     outer_face: int = 0,
     pack_tol: float = 1e-10,
     pack_max_iter: int = 10**6,
-    opt_step_tol: float = 1e-9,
 ) -> LombardiDrawing:
     """Planar Lombardi drawing of a 3-connected cubic planar graph.
 
@@ -454,7 +453,7 @@ def draw_3connected(
     boundary = {dart[0]: 1.0 for dart in f0}
     packing = pack_and_layout(dualg, boundary, outer_face=0, tol=pack_tol, max_iter=pack_max_iter)
     norm, _ = normalize_outer(packing, f"f{outer_face}")
-    m, _ = optimize_min_radius(norm, step_tol=opt_step_tol)
+    m, _ = optimize_min_radius(norm)
     norm = apply_to_normalized(norm, m)
     return drawing_from_packing(g, norm, face_name, outer_face)
 

@@ -1,20 +1,24 @@
 """Moebius normalization and min-radius optimization of circle packings.
 
 After packing, one circle is chosen to become the outer boundary: an
-inversion centered inside it turns the configuration inside out, and a
-scaling pins the outer circle to the unit circle.  Among the Moebius
-maps that fix the unit circle, a local improvement scheme then
-maximizes the smallest interior radius; the problem is quasiconvex, so
-the local optimum found is the global one.
+inversion in it turns the configuration inside out, and a scaling pins
+it to the unit circle.  Among the Moebius maps that fix the unit circle,
+the optimizer then maximizes the smallest interior radius, a quasiconvex
+problem (Bern and Eppstein, Optimal Moebius transformations for
+information visualization and meshing, WADS 2001) that is convex in
+hyperboloid coordinates: with the map's parameter w = Y / (1 + S),
+S = sqrt(1 + |Y|^2), circle (c, r) has reciprocal image radius
+a*S - <b, Y> + gamma, where a = (1 + |c|^2 - r^2) / (2r), b = c / r and
+gamma = (1 - |c|^2 + r^2) / (2r), strictly convex in Y.  So the
+optimizer minimizes t subject to t >= each of these, by Newton.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .geometry import Circle, Line, Mobius, inversion, mobius_scale_translate
+from .geometry import Circle, Mobius, inversion, mobius_scale_translate
 from .packing import CirclePacking
 
 
@@ -41,28 +45,24 @@ def _map_packing(p: CirclePacking | NormalizedPacking, m: Mobius) -> tuple[dict,
     return circles, tangency
 
 
-def normalize_outer(p: CirclePacking, outer: str, tol: float = 1e-6) -> tuple[NormalizedPacking, Mobius]:
+_CONTAIN_TOL = 1e-6  # how far past the unit circle an interior circle may reach
+
+
+def normalize_outer(p: CirclePacking, outer: str) -> tuple[NormalizedPacking, Mobius]:
     """Turn the packing inside out so circle ``outer`` becomes the unit circle.
 
-    The map is an inversion centered at the chosen circle's center,
-    composed with a scaling and translation putting its image at the
-    unit circle.  All other circles end up strictly inside.
+    The map is the inversion in that circle, which fixes it, followed by
+    the scaling and translation taking it to the unit circle.  All other
+    circles end up strictly inside.
     """
     c0 = p.circles[outer]
-    inv = inversion(Circle(c0.center, c0.radius))
-    img0 = inv.apply_circle(c0)
-    # inversion in itself fixes the circle; recenter and rescale it to the unit circle
-    if not isinstance(img0, Circle):
-        raise ValueError("outer circle degenerated under inversion")
-    m = mobius_scale_translate(1.0 / img0.radius, -img0.center / img0.radius).compose(inv)
+    m = mobius_scale_translate(1.0 / c0.radius, -c0.center / c0.radius).compose(inversion(c0))
     circles, tangency = _map_packing(p, m)
     out = circles[outer]
     if abs(out.radius - 1.0) > 1e-9 or abs(out.center) > 1e-9:
         raise ValueError("outer normalization failed")
     for v, c in circles.items():
-        if v == outer:
-            continue
-        if abs(c.center) + c.radius > 1.0 + tol:
+        if v != outer and abs(c.center) + c.radius > 1.0 + _CONTAIN_TOL:
             raise ValueError(f"circle {v!r} not contained in the outer circle after normalization")
     return NormalizedPacking(circles=circles, tangency=tangency, outer=outer), m
 
@@ -76,185 +76,98 @@ def disk_automorphism(w: complex) -> Mobius:
 
 def _min_radius(p: NormalizedPacking, w: complex) -> float:
     m = disk_automorphism(w)
-    best = math.inf
-    for v in p.interior_names():
-        img = m.apply_circle(p.circles[v])
-        if isinstance(img, Line):
-            return -math.inf
-        best = min(best, img.radius)
-    return best
+    imgs = [m.apply_circle(p.circles[v]) for v in p.interior_names()]
+    return min((c.radius if isinstance(c, Circle) else -math.inf for c in imgs), default=math.inf)
 
 
-def _interior_radius(p: NormalizedPacking, v: str, w: complex) -> float:
-    img = disk_automorphism(w).apply_circle(p.circles[v])
-    return img.radius if isinstance(img, Circle) else -math.inf
+_GAP_REL = 1e-13  # stop once the duality gap n/s is below _GAP_REL * t
+_MU = 10.0  # barrier weight growth factor
+_CENTERED = 0.25  # squared Newton decrement of a point close to the central path
+# objective values this close tie, and a tie goes to the later iterate:
+# at a smooth optimum _min_radius cannot tell apart iterates 1e-9 from it
+_TIE_REL = 1e-14
 
 
-def _fd_grad(fn, w: complex, h: float = 1e-6) -> tuple[float, float]:
-    gx = (fn(w + h) - fn(w - h)) / (2 * h)
-    gy = (fn(w + h * 1j) - fn(w - h * 1j)) / (2 * h)
-    return gx, gy
-
-
-def _newton2(F, w0: complex, tol: float, itmax: int = 40) -> complex | None:
-    """Solve F(w) = (0, 0) for w = x + iy by Newton with FD Jacobian."""
-    w = w0
-    for _ in range(itmax):
-        f1, f2 = F(w)
-        if math.hypot(f1, f2) < tol:
-            return w
-        h = 1e-6
-        fxp, fxm = F(w + h), F(w - h)
-        fyp, fym = F(w + h * 1j), F(w - h * 1j)
-        j11, j21 = (fxp[0] - fxm[0]) / (2 * h), (fxp[1] - fxm[1]) / (2 * h)
-        j12, j22 = (fyp[0] - fym[0]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-18:
-            return None
-        dx = -(f1 * j22 - f2 * j12) / det
-        dy = -(j11 * f2 - j21 * f1) / det
-        if math.hypot(dx, dy) > 0.05:
-            return None  # left the local basin; reject
-        w = w + complex(dx, dy)
-        if abs(w) >= 0.999999:
-            return None
-    f1, f2 = F(w)
-    return w if math.hypot(f1, f2) < tol else None
-
-
-def _polish(p: NormalizedPacking, w0: complex, obj0: float) -> tuple[complex, float] | None:
-    """Active-set Newton refinement of a maximin stationary point.
-
-    The objective is the pointwise minimum of smooth per-circle radii;
-    near the optimum one, two or three of them are active.  Solve the
-    corresponding stationarity system exactly instead of probing:
-      3 active: equalize the three radii (two equations);
-      2 active: equal radii plus collinear opposing gradients;
-      1 active: vanishing gradient.
-    A candidate is accepted only if its common value is the true
-    minimum, the zero vector lies in the convex hull of the active
-    gradients (so it is a maximum), and the objective did not drop.
-    """
-    names = p.interior_names()
-    order = sorted(names, key=lambda v: _interior_radius(p, v, w0))
-    scale = max(1e-12, obj0)
-    best: tuple[complex, float] | None = None
-    for k in (3, 2, 1):
-        if len(order) < k:
-            continue
-        act = order[:k]
-        rfun = [lambda w, v=v: _interior_radius(p, v, w) for v in act]
-        if k == 3:
-            F = lambda w: (rfun[0](w) - rfun[1](w), rfun[0](w) - rfun[2](w))
-            tol = 1e-12 * scale
-        elif k == 2:
-            def F(w):
-                g1 = _fd_grad(rfun[0], w)
-                g2 = _fd_grad(rfun[1], w)
-                return (rfun[0](w) - rfun[1](w), g1[0] * g2[1] - g1[1] * g2[0])
-            tol = 1e-9 * scale
-        else:
-            F = lambda w: _fd_grad(rfun[0], w)
-            tol = 1e-9 * scale
-        w1 = _newton2(F, w0, tol)
-        if w1 is None:
-            continue
-        vals = {v: _interior_radius(p, v, w1) for v in names}
-        common = min(vals[v] for v in act)
-        overall = min(vals.values())
-        if common - overall > 1e-9 * scale:
-            continue  # some other circle dipped below the active set
-        grads = [_fd_grad(f, w1) for f in rfun]
-        if k == 2 and grads[0][0] * grads[1][0] + grads[0][1] * grads[1][1] > 1e-9:
-            continue  # gradients agree: a minimum along the tie, not a maximum
-        if k == 3:
-            g1, g2, g3 = grads
-            a11, a12 = g1[0] - g3[0], g2[0] - g3[0]
-            a21, a22 = g1[1] - g3[1], g2[1] - g3[1]
-            det = a11 * a22 - a12 * a21
-            if abs(det) < 1e-18:
-                continue
-            l1 = (-g3[0] * a22 + g3[1] * a12) / det
-            l2 = (-a11 * g3[1] + a21 * g3[0]) / det
-            l3 = 1.0 - l1 - l2
-            if min(l1, l2, l3) < -1e-6:
-                continue  # zero not in the gradient hull: not a maximum
-        if overall < obj0 - 1e-9 * scale:
-            continue
-        if best is None or overall > best[1]:
-            best = (w1, overall)
-    return best
+def _hyperboloid_coefficients(c: Circle) -> tuple[float, complex, float]:
+    """The (a, b, gamma) of the module docstring for circle ``c``."""
+    q = abs(c.center) ** 2 - c.radius**2
+    return (1 + q) / (2 * c.radius), c.center / c.radius, (1 - q) / (2 * c.radius)
 
 
 def optimize_min_radius(
-    p: NormalizedPacking,
-    step_tol: float = 1e-9,
-    max_rounds: int = 10000,
-    start: complex = 0j,
-    history: list | None = None,
+    p: NormalizedPacking, start: complex = 0j, history: list | None = None
 ) -> tuple[Mobius, float]:
     """Maximize the minimum interior radius over unit-disk automorphisms.
 
-    Adaptive local improvement: evaluate the objective at 8 candidate
-    steps on a ring around the current parameter, halving the ring
-    radius whenever no candidate improves, until the ring radius drops
-    below ``step_tol``.  Quasiconvexity of the objective makes the
-    result the global optimum up to step resolution.
+    Damped Newton steps from ``start`` minimize the barrier
+    s*t - sum log(t - f_v(Y)) of the convex program in the module
+    docstring, multiplying s by ``_MU`` whenever the iterate is near the
+    central path, until the duality gap n/s is below ``_GAP_REL * t`` or
+    rounding stops the barrier from decreasing.  Returns the map and the
+    objective of the best iterate by ``_min_radius``; ``history`` gets the
+    objective at ``start``, then the best one so far after each step.
     """
-    w = start
-    obj = _min_radius(p, w)
-    if history is not None:
-        history.append(obj)
-    rounds = 0
-
-    def sweep(floor: float) -> None:
-        # repeat full coarse-to-fine sweeps until one makes no progress:
-        # a single descent can stall on a narrow ridge that a fixed probe
-        # set straddles at one scale but resolves at another
-        nonlocal w, obj, rounds
-        while rounds < max_rounds:
-            improved_any = False
-            step = 0.25
-            while step > floor and rounds < max_rounds:
-                rounds += 1
-                best_w, best_obj = w, obj
-                # the objective is a min of smooth radii; along a valley
-                # where several radii tie the ascent cone can be narrow,
-                # so probe finer directions before shrinking the step
-                for ndir in (8, 48):
-                    offset = 0.5 / ndir  # stagger the two rings
-                    for k in range(ndir):
-                        d = cmath.exp(2j * math.pi * (k + offset) / ndir)
-                        cand = w + step * d
-                        if abs(cand) >= 0.999999:
-                            continue
-                        val = _min_radius(p, cand)
-                        if val > best_obj:
-                            best_w, best_obj = cand, val
-                    if best_obj > obj:
-                        break
-                if best_obj > obj:
-                    w, obj = best_w, best_obj
-                    improved_any = True
-                    if history is not None:
-                        history.append(obj)
-                else:
-                    step *= 0.5
-            if not improved_any:
-                return
-
-    # probe to a coarse resolution, then solve the stationarity system
-    # of the active circles exactly; fall back to fine probing if the
-    # polish step does not apply
-    sweep(max(step_tol, 1e-6))
-    polished = _polish(p, w, obj)
-    if polished is not None and polished[1] >= obj:
-        w, obj = polished
-        if history is not None:
-            history.append(obj)
-    else:
-        sweep(step_tol)
-    return disk_automorphism(w), obj
+    coef = [_hyperboloid_coefficients(p.circles[v]) for v in p.interior_names()]
+    n = len(coef)
+    best_w, obj = start, _min_radius(p, start)
+    history = [] if history is None else history
+    history.append(obj)
+    y = 2 * start / (1 - abs(start) ** 2)
+    sq = math.sqrt(1 + abs(y) ** 2)
+    f = [a * sq - (b.conjugate() * y).real + g for a, b, g in coef]
+    t = 2 * max(f)
+    s = n / t
+    slack = [t - fv for fv in f]
+    while True:
+        # gradient (less s, in t) and Hessian of the barrier; a symmetric
+        # 2x2 block acts on complex z as (P*z + Q*conj(z)) / 2
+        gy, gt, hyt, htt, P, Q, curv = 0j, 0.0, 0j, 0.0, 0.0, 0j, 0.0
+        for (a, b, _), d in zip(coef, slack):
+            u = (a * y / sq - b) / d  # gradient of f_v over its slack
+            gy += u
+            gt -= 1 / d
+            hyt -= u / d
+            htt += 1 / d**2
+            P += abs(u) ** 2
+            Q += u * u
+            curv += a / d
+        # the Hessian of f_v is a * (I / S - Y Y^T / S^3); eliminating dt
+        # leaves the Schur complement (P, Q), which does not depend on s
+        P += curv * (2 / sq - abs(y) ** 2 / sq**3) - abs(hyt) ** 2 / htt
+        Q -= curv * y * y / sq**3 + hyt * hyt / htt
+        while True:
+            r = hyt * (gt + s) / htt - gy
+            dy = 2 * (P * r - Q * r.conjugate()) / (P * P - abs(Q) ** 2)
+            dt = -(gt + s + (hyt.conjugate() * dy).real) / htt
+            slope = (gy.conjugate() * dy).real + (gt + s) * dt  # minus the squared decrement
+            if -slope > _CENTERED or n / s <= _GAP_REL * t:
+                break
+            s *= _MU
+        if -slope <= _CENTERED:
+            break
+        # backtrack until all slacks stay positive and the barrier decreases;
+        # slack changes avoid cancellation, so their rounding scales with the step
+        ydy, bdy = (y.conjugate() * dy).real, [(b.conjugate() * dy).real for _, b, _ in coef]
+        alpha = 1.0
+        for _ in range(60):
+            sq_new = math.sqrt(1 + abs(y + alpha * dy) ** 2)
+            dsq = alpha * (2 * ydy + alpha * abs(dy) ** 2) / (sq_new + sq)
+            change = [alpha * (dt + bd) - a * dsq for (a, _, _), bd in zip(coef, bdy)]
+            if all(d + c > 0 for d, c in zip(slack, change)):
+                dbar = s * alpha * dt - sum(math.log1p(c / d) for d, c in zip(slack, change))
+                if dbar <= 0.25 * alpha * slope:  # Armijo test on the barrier change
+                    break
+            alpha *= 0.5
+        else:
+            break
+        y, t, sq = y + alpha * dy, t + alpha * dt, sq_new
+        slack = [d + c for d, c in zip(slack, change)]
+        w = y / (1 + sq)
+        val = _min_radius(p, w)
+        if val >= history[-1] * (1 - _TIE_REL):
+            best_w, obj = w, val
+        history.append(max(history[-1], val))
+    return disk_automorphism(best_w), obj
 
 
 def apply_to_normalized(p: NormalizedPacking, m: Mobius) -> NormalizedPacking:

@@ -126,7 +126,7 @@ def pack_triangulation(
         worst = max(map(abs, theta), default=0.0)
         if worst <= tol:
             return {v: radii[index[v]] for v in g.vertices}
-        if step == max_iter:
+        if step >= max_iter:
             raise PackingError(
                 f"packing did not converge within {max_iter} Newton steps (defect {worst:.3e})"
             )

@@ -222,3 +222,13 @@ def test_runconfig_validation():
         RunConfig("x.txt", format="png")
     with pytest.raises(ValueError):
         RunConfig("x.txt", angle_tol=-1.0)
+    for knob in ("pack_tol", "angle_tol"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                RunConfig("x.txt", **{knob: bad})
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            RunConfig("x.txt", pack_max_iter=bad)
+    k4 = str(FIXTURES / "k4.txt")
+    assert main([k4, "--pack-tol", "nan"]) == 2
+    assert main([k4, "--pack-max-iter", "-5"]) == 2
