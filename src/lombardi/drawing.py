@@ -7,9 +7,13 @@ module builds such drawings for 3-connected cubic planar graphs from a
 circle packing of the dual, extends them to arbitrary subcubic planar
 graphs by SPQR-tree and bridge gluing, and draws medial graphs of
 polyhedral graphs from a primal-dual circle packing.  ``draw_subcubic``
-and ``draw_medial`` verify the drawing they return, once; the
-construction steps do not, and only the retry loops (S-node ``eps``,
-bridge ``t_sep``, stub halving) verify inside to pick their next try.
+and ``draw_medial`` verify the drawing they return, once, at their
+``angle_tol``, and keep that report on it as ``report``; the
+construction steps do not verify, and only the retry loops (S-node
+``eps``, bridge ``t_sep``, stub halving) verify inside to pick their
+next try.  ``verify`` finds crossing candidates by a sort-and-sweep over
+padded arc bounding boxes, so a verification costs about E log E for
+E arcs rather than E^2 pair tests.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .geometry import (
     arc_intersections,
     arc_through,
     inversion,
+    is_finite,
     is_inf,
     isodynamic_points,
     lune_bisector,
@@ -63,13 +68,16 @@ class LombardiDrawing:
     ``edges`` maps each edge tag to its (u, w) endpoint names; the arc
     stored under the same tag runs between those vertices' positions
     (in either orientation).  ``outer_face`` is an optional face index
-    of the source graph's embedding.
+    of the source graph's embedding.  ``report`` is the verification
+    report of the gate that passed the drawing (``draw_subcubic``,
+    ``draw_medial``), None if it was not gated; it is not serialized.
     """
 
     positions: dict[str, complex]
     arcs: dict = field(default_factory=dict)
     edges: dict = field(default_factory=dict)
     outer_face: int | None = None
+    report: VerificationReport | None = field(default=None, compare=False, repr=False)
 
     def degree(self, v: str) -> int:
         return sum(1 for u, w in self.edges.values() for x in (u, w) if x == v)
@@ -174,6 +182,101 @@ def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
     return hi - lo > tol_len
 
 
+def _finite_arc(a: Arc) -> bool:
+    s = a.support
+    nums = (s.center, s.radius) if isinstance(s, Circle) else (s.normal, s.offset)
+    return is_finite(a.p, a.q, a.witness, *nums)
+
+
+def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
+    """Padded box (x0, x1, y0, y1) of the arc, or None when it is unbounded.
+
+    The box is the arc's endpoints plus the axis extremes of its support
+    on the arc, padded to hold every point the crossing test of
+    ``verify`` can place on it: every x with ``a.contains(x, tol)``, and
+    every point where another arc on a ``same_support`` overlaps it.  On
+    a circle of radius r, ``Arc.contains`` widens the radius by
+    tol*max(r, 1) and the arc by at most tol of length, ``same_support``
+    lets centres and radii differ by 1e-9*r, and positions on the support
+    carry rounding noise of about 1e-14*(|centre| + r).  On a line,
+    ``Arc.contains`` widens the distance and the coordinate each by
+    tol*max(1, |p|, |q|, |w|, |x|), which grows with absolute position,
+    not with the drawing; x then stays within 5*tol*size of the segment
+    (size bounds |p|, |q|, |w| and the support's distance from them), and
+    ``same_support``'s 1e-9 on the normal and offset moves a projection
+    by less than 3e-9*size.  Rays, two-ray line arcs (also a segment
+    whose witness is not clearly inside it), non-finite arcs and lines at
+    tol >= 0.2, where x is not bounded, give None.
+    """
+    if not _finite_arc(a):
+        return None
+    s = a.support
+    zs = [a.p, a.q]
+    if isinstance(s, Circle):
+        c, r = s.center, s.radius
+        zs += [s.point_at(theta) for theta in _interval_of(a)] + a.axis_extremes()
+        pad = tol * max(r, 1.0) + tol + 2e-9 * r + 1e-14 * (abs(c) + r)
+    else:
+        if tol >= 0.2:
+            return None
+        d, f = s.direction, s.foot()
+        t1, t2 = sorted((d.conjugate() * (z - f)).real for z in (a.p, a.q))
+        tw = (d.conjugate() * (a.witness - f)).real
+        size = max(1.0, abs(a.p), abs(a.q), abs(a.witness))
+        size += max(abs(s.signed_distance(a.p)), abs(s.signed_distance(a.q)))
+        # the other arc's frame moves the witness against the ends by at
+        # most 1e-9 * |w - end|, and must not make this a two-ray arc
+        if min(tw - t1, t2 - tw) <= 2e-9 * (abs(a.witness - a.p) + abs(a.witness - a.q)) + 1e-12 * size:
+            return None
+        zs += [f + d * t1, f + d * t2]
+        pad = (5 * tol + 3e-9 + 1e-14) * size
+    xs = [z.real for z in zs]
+    ys = [z.imag for z in zs]
+    box = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
+    return box if is_finite(*box) else None
+
+
+def _crossing_candidates(boxes: list) -> list[tuple[int, int]]:
+    """Index pairs (i < j), sorted, whose boxes overlap or either is None.
+
+    Sort-and-sweep: boxes sorted by left edge; each box is compared with
+    the boxes that start before its right edge.  A None box (unbounded
+    arc) is paired with every other index.
+    """
+    n = len(boxes)
+    order = sorted((i for i in range(n) if boxes[i] is not None), key=lambda i: boxes[i][0])
+    pairs = set()
+    for k, i in enumerate(order):
+        _, x1, y0, y1 = boxes[i]
+        for m in range(k + 1, len(order)):
+            j = order[m]
+            bx0, _, by0, by1 = boxes[j]
+            if bx0 > x1:
+                break
+            if by0 <= y1 and y0 <= by1:
+                pairs.add((i, j) if i < j else (j, i))
+    for i in range(n):
+        if boxes[i] is None:
+            pairs.update((min(i, j), max(i, j)) for j in range(n) if j != i)
+    return sorted(pairs)
+
+
+def _arcs_cross(d: LombardiDrawing, t1, t2, match_tol: float, tol_pt: float) -> bool:
+    """Whether two arcs of the drawing meet anywhere but at shared endpoints."""
+    a1, a2 = d.arcs[t1], d.arcs[t2]
+    if same_support(a1.support, a2.support, 1e-9):
+        return _arcs_overlap_on_support(a1, a2, match_tol)
+    shared_pts = [d.positions[v] for v in set(d.edges[t1]) & set(d.edges[t2])]
+    exclude = max(match_tol, _support_noise(a1, a2))
+    for x in arc_intersections(a1, a2, tol=tol_pt):
+        if is_inf(x):
+            continue
+        if any(abs(x - s) <= exclude for s in shared_pts):
+            continue
+        return True
+    return False
+
+
 def verify(
     d: LombardiDrawing,
     g: PlanarGraph | None = None,
@@ -183,32 +286,52 @@ def verify(
     """Check the Lombardi drawing invariants and report residuals.
 
     Criteria: (a) every arc's endpoints coincide with its vertices'
-    positions; (b) at every vertex the sorted tangent directions of the
-    incident arc-ends are equally spaced at 2*pi/deg; (c) no two arcs
-    intersect except at shared endpoints; (d) vertex positions are
-    pairwise distinct.  When ``g`` is given, the drawing's vertex and
-    edge sets must match it.
+    positions, and every position and arc is finite; (b) at every vertex
+    the sorted tangent directions of the incident arc-ends are equally
+    spaced at 2*pi/deg; (c) no two arcs intersect except at shared
+    endpoints; (d) vertex positions are pairwise distinct.  When ``g`` is
+    given, the drawing's vertex set, edge set and each edge's endpoints
+    must match it (DrawingError otherwise).
+
+    (c) tests only the pairs of arcs whose padded bounding boxes overlap,
+    found by a sort-and-sweep (``_arc_box``); an unbounded arc (a ray or
+    a two-ray line arc) or a non-finite one is tested against every arc.
+    The pad covers every slack of the pair test, so the crossings are
+    those of testing all pairs, in the same order.  (d) likewise compares
+    only positions within the point tolerance of each other in x and in
+    y; that tolerance is ``tol_geom`` times the extent of the finite
+    positions.  With K candidate pairs the cost is O(E log E + K log K)
+    plus one box test per pair of arcs whose x-extents overlap, instead
+    of E^2/2 pair tests.
     """
     rep = VerificationReport()
+    if set(d.arcs) != set(d.edges):
+        raise DrawingError("drawing arcs and edge endpoints disagree")
     if g is not None:
         if set(g.vertices) != set(d.positions):
             raise DrawingError("drawing and graph have different vertex sets")
         if set(g.edges) != set(d.arcs):
             raise DrawingError("drawing and graph have different edge sets")
-    if set(d.arcs) != set(d.edges):
-        raise DrawingError("drawing arcs and edge endpoints disagree")
+        for t in g.edges:
+            if set(d.edges[t]) != set(g.endpoints(t)):
+                raise DrawingError(f"edge {t!r} joins different vertices in drawing and graph")
 
     pos = d.positions
+    names = list(pos)
+    fin = [i for i, v in enumerate(names) if is_finite(pos[v])]
     scale = 1.0
-    if pos:
-        vals = list(pos.values())
-        scale = max(1.0, max(abs(z - vals[0]) for z in vals))
+    if fin:
+        z0 = pos[names[fin[0]]]
+        scale = max(1.0, max(abs(pos[names[i]] - z0) for i in fin))
     tol_pt = tol_geom * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
 
     # (a) endpoint coincidence
     for t, (u, w) in d.edges.items():
         a = d.arcs[t]
+        if not (is_finite(pos[u], pos[w]) and _finite_arc(a)):
+            rep.max_endpoint_error = math.inf
+            continue
         e1 = min(abs(a.p - pos[u]), abs(a.p - pos[w]))
         e2 = min(abs(a.q - pos[u]), abs(a.q - pos[w]))
         straight = max(abs(a.p - pos[u]) + abs(a.q - pos[w]), e1, e2)
@@ -245,42 +368,34 @@ def verify(
                 rep.worst_angle_vertex = v
     rep.angles_ok = rep.max_angle_residual <= tol_angle
 
-    # (c) pairwise non-crossing except at shared endpoints
+    # (c) no two arcs cross except at shared endpoints
     tags = list(d.arcs)
-    for i in range(len(tags)):
-        for j in range(i + 1, len(tags)):
-            t1, t2 = tags[i], tags[j]
-            a1, a2 = d.arcs[t1], d.arcs[t2]
-            shared = set(d.edges[t1]) & set(d.edges[t2])
-            shared_pts = [pos[v] for v in shared]
-            if same_support(a1.support, a2.support, 1e-9):
-                if _arcs_overlap_on_support(a1, a2, match_tol):
-                    rep.crossings.append((t1, t2))
-                continue
-            exclude = max(match_tol, _support_noise(a1, a2))
-            for x in arc_intersections(a1, a2, tol=tol_pt):
-                if is_inf(x):
-                    continue
-                if any(abs(x - s) <= exclude for s in shared_pts):
-                    continue
-                rep.crossings.append((t1, t2))
-                break
+    boxes = [_arc_box(d.arcs[t], tol_pt) for t in tags]
+    rep.crossings = [
+        (tags[i], tags[j])
+        for i, j in _crossing_candidates(boxes)
+        if _arcs_cross(d, tags[i], tags[j], match_tol, tol_pt)
+    ]
     rep.noncrossing_ok = not rep.crossings
 
-    # (d) distinct vertex positions
-    names = list(pos)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if abs(pos[names[i]] - pos[names[j]]) <= tol_pt:
-                rep.coincident.append((names[i], names[j]))
+    # (d) distinct vertex positions; a non-finite one is within tol_pt of nothing
+    pts = [pos[names[i]] for i in fin]
+    near_pairs = _crossing_candidates(
+        [(z.real - tol_pt, z.real + tol_pt, z.imag - tol_pt, z.imag + tol_pt) for z in pts]
+    )
+    rep.coincident = [
+        (names[fin[i]], names[fin[j]]) for i, j in near_pairs if abs(pts[i] - pts[j]) <= tol_pt
+    ]
     rep.distinct_ok = not rep.coincident
     return rep
 
 
-def _check(d: LombardiDrawing, g: PlanarGraph | None = None) -> LombardiDrawing:
-    rep = verify(d, g)
+def _check(d: LombardiDrawing, g: PlanarGraph | None = None, tol_angle: float = 1e-6) -> LombardiDrawing:
+    """Verify ``d``, raise DrawingError if it fails, else keep the report on it."""
+    rep = verify(d, g, tol_angle=tol_angle)
     if not rep.passed:
         raise DrawingError(f"drawing failed verification: {rep.summary()}")
+    d.report = rep
     return d
 
 
@@ -1096,14 +1211,16 @@ def _block_drawing(piece: PlanarGraph, bridge_at: dict, outer_face: int, **kw) -
     return d
 
 
-def draw_subcubic(g: PlanarGraph, outer_face: int = 0, **kw) -> LombardiDrawing:
+def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, **kw) -> LombardiDrawing:
     """Planar Lombardi drawing of any connected planar graph of max degree 3.
 
     Bridges are deleted and each remaining 2-edge-connected piece is
     drawn on its own (SPQR gluing for blocks, circles and teardrops for
     cycles, claws for isolated vertices, with stubs marking bridge
     attachments); the pieces are then joined back along the bridges.
-    Only the joined drawing is verified, against ``g``: DrawingError if it fails.
+    Only the joined drawing is verified, against ``g`` with angle
+    tolerance ``angle_tol``: DrawingError if it fails, else the report is
+    kept as ``report`` on the returned drawing.
     """
     if not g.is_connected():
         raise GraphError("input graph is disconnected")
@@ -1111,7 +1228,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, **kw) -> LombardiDrawing:
         if g.degree(v) > 3:
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)} > 3")
     if len(g.vertices) == 1:
-        return LombardiDrawing({g.vertices[0]: 0j}, {}, {}, None)
+        return _check(LombardiDrawing({g.vertices[0]: 0j}, {}, {}, None), g, angle_tol)
 
     bridges = set(g.bridges())
     core = g.without_edges(bridges)
@@ -1168,14 +1285,16 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, **kw) -> LombardiDrawing:
     final = piece_drawings[cluster_of[piece_of[g.vertices[0]]]]
     if not bridges and len(comps) == 1:
         final.outer_face = outer_face
-    return _check(final, g)
+    return _check(final, g, angle_tol)
 
 
 # ---------------------------------------------------------------------------
 # Medial graphs of polyhedral graphs
 
 
-def draw_medial(g: PlanarGraph, pack_tol: float = 1e-10, pack_max_iter: int = 10**6) -> LombardiDrawing:
+def draw_medial(
+    g: PlanarGraph, pack_tol: float = 1e-10, pack_max_iter: int = 10**6, angle_tol: float = 1e-6
+) -> LombardiDrawing:
     """Lombardi drawing of the medial graph of a 3-connected planar graph.
 
     A primal-dual circle packing puts one vertex circle per vertex and
@@ -1184,7 +1303,8 @@ def draw_medial(g: PlanarGraph, pack_tol: float = 1e-10, pack_max_iter: int = 10
     is the bisector arc of its vertex-face lune, meeting both circles
     at 45 degrees so that the four arc-ends at each degree-4 vertex are
     spaced at 90 degrees.  The drawing is verified against the medial
-    graph before it is returned.
+    graph with angle tolerance ``angle_tol`` before it is returned, as in
+    ``draw_subcubic``.
     """
     if not is_three_connected(g):
         raise GraphError("medial drawings require a 3-connected (polyhedral) input graph")
@@ -1212,7 +1332,7 @@ def draw_medial(g: PlanarGraph, pack_tol: float = 1e-10, pack_max_iter: int = 10
             arcs[tag] = _corner_arc(bis, x1, x2, cv, cf, sv, sf)
             edges[tag] = (mname[e1], mname[e2])
     d = LombardiDrawing(positions, arcs, edges, None)
-    return _check(d, med)
+    return _check(d, med, angle_tol)
 
 
 def _corner_arc(

@@ -51,6 +51,11 @@ def is_inf(p: Point) -> bool:
     return p is INF or isinstance(p, _PointAtInfinity)
 
 
+def is_finite(*zs) -> bool:
+    """Whether every value is a finite number (INF and NaN are not)."""
+    return all(not is_inf(z) and cmath.isfinite(z) for z in zs)
+
+
 def near(p: Point, q: Point, tol: float = GEOM_TOL) -> bool:
     """Whether two extended points coincide within ``tol`` (absolute)."""
     if is_inf(p) or is_inf(q):
@@ -396,6 +401,19 @@ class Arc:
         if ccw_w <= ccw_q:
             return tp, ccw_q, True
         return tp, _TWO_PI - ccw_q, False
+
+    def axis_extremes(self) -> list[complex]:
+        """The points of a circle arc where its circle is leftmost,
+        rightmost, lowest or highest, in the order right, top, left, bottom."""
+        c: Circle = self.support  # type: ignore[assignment]
+        start, sweep, ccw = self._sweep()
+        out = []
+        for k in range(4):
+            th = k * math.pi / 2
+            delta = (th - start) % _TWO_PI
+            if (delta if ccw else (_TWO_PI - delta) % _TWO_PI) <= sweep:
+                out.append(c.center + c.radius * complex(math.cos(th), math.sin(th)))
+        return out
 
     def subtended_angle(self) -> float:
         """The central angle swept by a circle arc (0..2pi)."""

@@ -187,6 +187,38 @@ def test_cli_verify_only_rejects_edge_to_unknown_vertex(tmp_path, capsys):
     assert "not a drawing dump" in capsys.readouterr().err
 
 
+def test_cli_verify_only_rejects_non_finite_drawing(tmp_path, capsys):
+    cycle = tmp_path / "c3.txt"
+    cycle.write_text("a b c\nb c a\nc a b\n")
+    assert main([str(cycle), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "c3.json").read_text())
+    for v in obj["vertices"]:
+        v["x"] = v["y"] = math.nan
+    for e in obj["edges"]:
+        for key in ("px", "py", "qx", "qy", "wx", "wy"):
+            e[key] = math.nan
+        e["support"]["cx"] = e["support"]["cy"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([str(bad), "--verify-only"]) == 1
+    assert "endpoint error inf (FAIL)" in capsys.readouterr().out
+
+
+def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
+    # a loose packing leaves the cube an angle residual of about 1.2e-6
+    cube = tmp_path / "cube.txt"
+    shutil.copy(FIXTURES / "cube.txt", cube)
+    loose = [str(cube), "--pack-tol", "1e-6", "--format", "both"]
+    assert main(loose + ["--angle-tol", "1e-5"]) == 0
+    assert "angle residual 1.1" in capsys.readouterr().out
+    for ext in ("svg", "json"):
+        (tmp_path / f"cube.{ext}").unlink()
+    assert main(loose + ["--angle-tol", "1e-6"]) == 1
+    assert "angle residual 1.1" in capsys.readouterr().err
+    assert not (tmp_path / "cube.svg").exists() and not (tmp_path / "cube.json").exists()
+
+
 def test_cli_rejects_unsupported_inputs(tmp_path):
     # 4-regular graph fed directly: unsupported in both modes
     g18 = FIXTURES / "g18.txt"

@@ -125,6 +125,18 @@ def test_verify_rejects_edge_set_mismatch():
     g = parse(K4_TEXT)
     with pytest.raises((DrawingError, ValueError, KeyError)):
         verify(d, g)
+    # same vertex and edge sets, but c0 and c1 swap names: four tags
+    # then join the wrong vertices
+    g, d, _ = drawn("cube")
+    swap = {"c0": "c1", "c1": "c0"}
+    relabelled = LombardiDrawing(
+        {swap.get(v, v): z for v, z in d.positions.items()},
+        dict(d.arcs),
+        {t: tuple(swap.get(v, v) for v in ends) for t, ends in d.edges.items()},
+    )
+    assert verify(relabelled).passed
+    with pytest.raises(DrawingError, match="joins different vertices"):
+        verify(relabelled, g)
 
 
 def test_arc_with_tangent():
@@ -347,14 +359,28 @@ def subdivided_k4() -> str:
     return "".join(" ".join([v] + nbrs) + "\n" for v, nbrs in rot.items())
 
 
+def _cli_draw(text: str, tmp_path) -> None:
+    from lombardi.cli import main
+
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main([str(path), "--format", "both"]) == 0
+
+
 @pytest.mark.parametrize(
     "draw,text",
-    [(draw_subcubic, subdivided_k4()), (draw_subcubic, load_text("cube")), (draw_medial, K4_TEXT)],
-    ids=["subcubic-k4-subdivided", "subcubic-cube", "medial-k4"],
+    [
+        (lambda text, _: draw_subcubic(parse(text)), subdivided_k4()),
+        (lambda text, _: draw_subcubic(parse(text)), load_text("cube")),
+        (lambda text, _: draw_medial(parse(text)), K4_TEXT),
+        (_cli_draw, load_text("cube")),
+    ],
+    ids=["subcubic-k4-subdivided", "subcubic-cube", "medial-k4", "cli-cube"],
 )
-def test_entry_points_verify_once(monkeypatch, draw, text):
+def test_entry_points_verify_once(monkeypatch, tmp_path, draw, text):
     # the entry point is the one verification gate: its construction
-    # steps return unverified drawings
+    # steps return unverified drawings, and the CLI prints the gate's report
+    import lombardi.cli as cli
     import lombardi.drawing as drawing
 
     calls = []
@@ -365,7 +391,8 @@ def test_entry_points_verify_once(monkeypatch, draw, text):
         return real(*args, **kw)
 
     monkeypatch.setattr(drawing, "verify", counted)
-    draw(parse(text))
+    monkeypatch.setattr(cli, "verify", counted)
+    draw(text, tmp_path)
     assert len(calls) == 1
 
 

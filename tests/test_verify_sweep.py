@@ -1,0 +1,248 @@
+"""``verify``'s sort-and-sweep crossing and coincidence tests against the
+all-pairs loops they replaced, which are kept here as the oracle."""
+
+import cmath
+import functools
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import drawn, load_graph
+from lombardi.drawing import (
+    LombardiDrawing,
+    _arcs_overlap_on_support,
+    _support_noise,
+    draw_medial,
+    verify,
+)
+from lombardi.geometry import (
+    INF,
+    Arc,
+    Circle,
+    Line,
+    arc_intersections,
+    arc_through,
+    is_inf,
+    line_through,
+    same_support,
+)
+
+SUBCUBIC = [
+    "k4", "cube", "dodecahedron", "frucht", "tutte", "truncated_icosahedron",
+    "two_k4e", "double_claw", "two_blocks_bridge", "irregular69",
+]
+MEDIAL = ["k4", "octahedron", "cube", "dodecahedron", "frucht", "tutte", "truncated_icosahedron"]
+
+
+def all_pairs(d: LombardiDrawing, tol_geom: float = 1e-9) -> tuple[list, list]:
+    """(crossings, coincident) by testing every pair: verify's loops
+    before the sweep."""
+    pos = d.positions
+    vals = list(pos.values())
+    scale = max(1.0, max(abs(z - vals[0]) for z in vals)) if vals else 1.0
+    tol_pt = tol_geom * scale
+    match_tol = max(1e-6 * scale, 10 * tol_pt)
+    crossings = []
+    tags = list(d.arcs)
+    for i in range(len(tags)):
+        for j in range(i + 1, len(tags)):
+            t1, t2 = tags[i], tags[j]
+            a1, a2 = d.arcs[t1], d.arcs[t2]
+            shared = set(d.edges[t1]) & set(d.edges[t2])
+            shared_pts = [pos[v] for v in shared]
+            if same_support(a1.support, a2.support, 1e-9):
+                if _arcs_overlap_on_support(a1, a2, match_tol):
+                    crossings.append((t1, t2))
+                continue
+            exclude = max(match_tol, _support_noise(a1, a2))
+            for x in arc_intersections(a1, a2, tol=tol_pt):
+                if is_inf(x):
+                    continue
+                if any(abs(x - s) <= exclude for s in shared_pts):
+                    continue
+                crossings.append((t1, t2))
+                break
+    coincident = []
+    names = list(pos)
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            if abs(pos[names[i]] - pos[names[j]]) <= tol_pt:
+                coincident.append((names[i], names[j]))
+    return crossings, coincident
+
+
+def assert_agrees(d: LombardiDrawing, tol_geom: float = 1e-9) -> list:
+    rep = verify(d, tol_geom=tol_geom)
+    crossings, coincident = all_pairs(d, tol_geom)
+    assert rep.crossings == crossings
+    assert rep.coincident == coincident
+    return crossings
+
+
+def similar(d: LombardiDrawing, s: complex, t: complex) -> LombardiDrawing:
+    """The drawing under z -> s*z + t, mapped exactly on every support."""
+
+    def f(z):
+        return z if is_inf(z) else s * z + t
+
+    def support(x):
+        if isinstance(x, Circle):
+            return Circle(f(x.center), abs(s) * x.radius)
+        n = x.normal * s / abs(s)
+        return Line(n / abs(n), (n.conjugate() * f(x.foot())).real / abs(n))
+
+    arcs = {k: Arc(support(a.support), f(a.p), f(a.q), f(a.witness)) for k, a in d.arcs.items()}
+    return LombardiDrawing({v: f(z) for v, z in d.positions.items()}, arcs, dict(d.edges))
+
+
+def from_arcs(arcs: list[Arc], extra: list[complex] = ()) -> LombardiDrawing:
+    """A drawing with one vertex per distinct finite endpoint (plus
+    ``extra`` points); an arc end at INF is tied to the arc's other end."""
+    names: dict = {}
+
+    def name(z):
+        return names.setdefault(z, f"v{len(names)}")
+
+    for z in extra:
+        name(z)
+    edges = {}
+    for i, a in enumerate(arcs):
+        ends = [name(z) for z in (a.p, a.q) if not is_inf(z)]
+        edges[i] = (ends[0], ends[-1])
+    return LombardiDrawing({v: z for z, v in names.items()}, dict(enumerate(arcs)), edges)
+
+
+@functools.cache
+def _medial(name: str) -> LombardiDrawing:
+    return draw_medial(load_graph(name))
+
+
+def _fixture_drawings():
+    for name in SUBCUBIC:
+        yield f"subcubic-{name}", drawn(name)[1]
+    for name in MEDIAL:
+        yield f"medial-{name}", _medial(name)
+
+
+def test_sweep_matches_all_pairs_on_fixture_drawings():
+    for label, d in _fixture_drawings():
+        assert assert_agrees(d) == [], label
+
+
+def test_sweep_matches_all_pairs_far_from_the_origin():
+    # the Line slack of Arc.contains grows with absolute coordinates, so
+    # these copies have crossings that a pad fixed by the drawing's size misses
+    found = 0
+    for label, d in _fixture_drawings():
+        far = 1e7 * cmath.exp(0.3j)
+        for copy in (similar(d, 1, 1e6), similar(d, 1e4, far - 1e4 * far)):
+            found += len(assert_agrees(copy))
+    assert found > 0
+
+
+def test_sweep_matches_all_pairs_on_huge_support_path():
+    radius = 4e9
+    for k in range(-30, 31):
+        phi = k / 10
+        c = Circle(-radius * cmath.exp(1j * phi), radius)
+        a, b, z = (c.point_at(phi + s / radius) for s in (-1.0, 0.0, 1.0))
+        ab = Arc(c, a, b, c.point_at(phi - 0.5 / radius))
+        bz = Arc(c, b, z, c.point_at(phi + 0.5 / radius))
+        assert assert_agrees(from_arcs([ab, bz])) == [], phi
+
+
+def test_sweep_matches_all_pairs_within_wide_slacks():
+    # a drawing 1e9 across makes the point tolerance about 1: a unit
+    # segment at the origin then contains every point of its line, and
+    # crosses an arc over that line 1e9 away
+    far = arc_through(1e9 - 1j, 1e9 + 1j, 1e9 + 0.5 + 0j)
+    assert assert_agrees(from_arcs([arc_through(-0.5 + 0j, 0.5 + 0j, 0j), far])) == [(0, 1)]
+    # a radius-4e9 arc in a drawing 100 across: Circle.contains accepts
+    # points 400 off the circle, so a segment 50 away crosses it
+    radius = 4e9
+    c = Circle(complex(0, -radius), radius)
+    arc = Arc(c, c.point_at(math.pi / 2 + 1 / radius), c.point_at(math.pi / 2 - 1 / radius), 0j)
+    seg = arc_through(-1 + 50j, 1 + 50j, 50j)
+    assert assert_agrees(from_arcs([arc, seg], [100 + 0j])) == [(0, 1)]
+    # supports equal within same_support's 1e-9 relative but 9e-4 apart
+    # overlap, at a tolerance far below that gap
+    big = [Circle(0j, 1e6), Circle(9e-4 + 0j, 1e6)]
+    arcs = [Arc(s, s.point_at(-1e-5), s.point_at(1e-5), s.point_at(k * 1e-6)) for k, s in enumerate(big)]
+    assert assert_agrees(from_arcs(arcs), tol_geom=1e-12) == [(0, 1)]
+
+
+@pytest.mark.parametrize("gap", [-1e-6, -1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-8, 1e-6])
+def test_sweep_matches_all_pairs_on_near_tangent_circles(gap):
+    arcs = []
+    for r2, sign in ((1.0, 1), (0.25, 1), (3.0, -1)):
+        # circle 2 touches the unit circle at 1 from outside (sign 1) or
+        # holds it (sign -1), moved outward by ``gap``
+        c2 = complex(1 + sign * r2 + gap, 0)
+        arcs.append(arc_through(cmath.exp(-0.5j), cmath.exp(0.5j), 1 + 0j))
+        arcs.append(arc_through(c2 + r2 * cmath.exp(2.5j), c2 + r2 * cmath.exp(-2.5j), c2 - sign * r2))
+    # a segment just touching the unit circle at -1
+    arcs.append(arc_through(complex(-1 - gap, -1), complex(-1 - gap, 1), complex(-1 - gap, 0)))
+    assert_agrees(from_arcs(arcs))
+
+
+def test_sweep_matches_all_pairs_on_rays_and_two_ray_arcs():
+    x_axis = line_through(0j, 1 + 0j)
+    diagonal = line_through(0j, 1 + 1j)
+    far = line_through(100 + 100j, 101 + 100j)
+    arcs = [
+        Arc(x_axis, -1 + 0j, 1 + 0j, INF),  # the x-axis outside [-1, 1]
+        Arc(diagonal, 2 + 2j, INF, 3 + 3j),  # a ray away from the origin
+        Arc(far, 100 + 100j, INF, 90 + 100j),  # a ray far from everything else
+        arc_through(5 - 1j, 5 + 1j, 6 + 0j),  # a small arc crossing the x-axis at 6
+        arc_through(-0.5 + 0.5j, 0.5 + 0.5j, 0.5j + 0.1),  # a segment missing every ray
+        arc_through(3 + 2.5j, 3 + 3.5j, 3 + 3j),  # a segment crossing the diagonal ray
+    ]
+    crossings = assert_agrees(from_arcs(arcs))
+    assert (0, 3) in crossings and (1, 5) in crossings
+
+
+_NUDGES = (0.0, 1e-10, -1e-10, 3e-9, -3e-9, 1e-7)
+_coord = st.builds(lambda k, e: k / 2 + e, st.integers(-4, 4), st.sampled_from(_NUDGES))
+_point = st.builds(complex, _coord, _coord)
+# short steps keep most arcs apart, so the sweep has pairs to prune
+_step = st.builds(lambda x, y: complex(x, y) / 4, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _arc_sets(draw):
+    scale = draw(st.sampled_from([1, 1e4, 1e9]))
+    shift = draw(st.sampled_from([0, 1e3, 1e6 * (1 + 1j)]))
+    arcs = []
+    for _ in range(draw(st.integers(2, 12))):
+        base = draw(_point)
+        far = draw(_point) if draw(st.integers(0, 2)) == 0 else base + draw(_step)
+        p, q, w = (scale * z + shift for z in (base, far, base + draw(_step)))
+        kind = draw(st.sampled_from(["arc"] * 6 + ["ray", "two-ray", "loose"]))
+        try:
+            if kind == "arc":
+                arcs.append(arc_through(p, q, w))
+            elif kind == "loose":  # a segment whose support misses its ends
+                line = line_through(p, q)
+                arcs.append(Arc(Line(line.normal, line.offset + scale / 8), p, q, (p + q) / 2))
+            elif kind == "ray":
+                arcs.append(Arc(line_through(p, w), p, INF, w))
+            else:
+                arcs.append(Arc(line_through(p, q), p, q, INF))
+        except ValueError:
+            continue  # coincident points, or two rounded together far from the origin
+    extra = [scale * z + shift for z in draw(st.lists(_point, max_size=4))]
+    return from_arcs(arcs, extra)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_arc_sets())
+def test_sweep_matches_all_pairs_on_random_arc_sets(d):
+    assert_agrees(d)
