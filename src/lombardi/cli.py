@@ -138,14 +138,14 @@ def emit_svg(d: LombardiDrawing) -> str:
 
 def _default_outer_face(g: PlanarGraph) -> int:
     """The face of maximum length; ties go to the face whose smallest
-    incident vertex name is lexicographically least, then lowest index."""
-    best = None
-    for i, walk in enumerate(g.faces()):
-        key = (-len(walk), min(str(dart[0]) for dart in walk), i)
-        if best is None or key < best[0]:
-            best = (key, i)
-    assert best is not None
-    return best[1]
+    incident vertex name is lexicographically least, then lowest index.
+    0 when the graph has no faces."""
+    faces = g.faces()
+    return min(
+        range(len(faces)),
+        key=lambda i: (-len(faces[i]), min(str(dart[0]) for dart in faces[i])),
+        default=0,
+    )
 
 
 def _artifact_paths(cfg: RunConfig) -> dict[str, Path]:

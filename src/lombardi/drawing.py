@@ -1222,6 +1222,8 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
     tolerance ``angle_tol``: DrawingError if it fails, else the report is
     kept as ``report`` on the returned drawing.
     """
+    if not g.vertices:
+        raise GraphError("input graph is empty")
     if not g.is_connected():
         raise GraphError("input graph is disconnected")
     for v in g.vertices:

@@ -206,9 +206,10 @@ class Mobius:
     conj: bool = False
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        if scale == 0 or abs(det) <= 1e-14 * scale * scale:
+        # relative to the rounding scale of ad - bc, so that translations
+        # and scalings of any size pass
+        ad, bc = self.a * self.d, self.b * self.c
+        if abs(ad - bc) <= 1e-14 * (abs(ad) + abs(bc)):
             raise ValueError("degenerate Moebius coefficients (det ~ 0)")
 
     # -- point action -------------------------------------------------

@@ -6,11 +6,20 @@ twice (at its two distinct endpoints); parallel edges carry distinct
 tags, self loops are not supported.  Faces are traced from the rotation
 system and Euler's formula certifies that the rotation system describes
 a sphere embedding.
+
+The structure checks run in near-linear time on one iterative DFS:
+bridges and cut vertices by lowpoints, 2-edge-cut classes by
+cycle-space sampling (``_two_cut_classes``), and 3-connectivity by the
+face criterion for plane graphs (``is_three_connected``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -73,6 +82,10 @@ class PlanarGraph:
         for v in self.vertices:
             for i in range(len(self.rot[v])):
                 yield (v, i)
+
+    def is_simple(self) -> bool:
+        """No two edges join the same pair of vertices."""
+        return len({frozenset(self.endpoints(t)) for t in self.edges}) == len(self.edges)
 
     def other_end(self, tag, v: str) -> str:
         u, w = self.endpoints(tag)
@@ -225,41 +238,46 @@ class PlanarGraph:
 
     # -- bridges and blocks -------------------------------------------------
 
-    def bridges(self) -> list:
-        """Edge tags whose removal disconnects the graph (DFS lowpoint)."""
+    def _dfs(self) -> tuple[dict, dict, dict, list]:
+        """Iterative DFS taking edges in rotation order.
+
+        Returns (discovery index, lowpoint, tree edge into each vertex or
+        None at a root, vertices in postorder); the lowpoint of v is the
+        least discovery index reachable from v's subtree by one non-tree
+        edge.  O(V + E).
+        """
         disc: dict[str, int] = {}
-        low: dict[str, int] = {}
-        out = []
-        time = 0
+        via: dict = {}
+        post: list[str] = []
         for root in self.vertices:
             if root in disc:
                 continue
-            disc[root] = low[root] = time
-            time += 1
-            stack = [(root, None, iter(self.rot[root]))]
+            disc[root], via[root] = len(disc), None
+            stack = [(root, iter(self.rot[root]))]
             while stack:
-                v, via_tag, it = stack[-1]
-                advanced = False
+                v, it = stack[-1]
                 for tag in it:
-                    if tag == via_tag:
-                        continue  # never re-traverse the entry edge itself
                     w = self.other_end(tag, v)
-                    if w in disc:
-                        low[v] = min(low[v], disc[w])
-                    else:
-                        disc[w] = low[w] = time
-                        time += 1
-                        stack.append((w, tag, iter(self.rot[w])))
-                        advanced = True
+                    if w not in disc:
+                        disc[w], via[w] = len(disc), tag
+                        stack.append((w, iter(self.rot[w])))
                         break
-                if not advanced:
+                else:
                     stack.pop()
-                    if stack:
-                        pv = stack[-1][0]
-                        low[pv] = min(low[pv], low[v])
-                        if low[v] > disc[pv]:
-                            out.append(via_tag)
-        return out
+                    post.append(v)
+        low = dict(disc)
+        for v in post:
+            for tag in self.rot[v]:
+                if tag != via[v]:
+                    w = self.other_end(tag, v)
+                    low[v] = min(low[v], low[w] if via[w] == tag else disc[w])
+        return disc, low, via, post
+
+    def bridges(self) -> list:
+        """Edge tags whose removal disconnects the graph, in DFS postorder:
+        the tree edges into subtrees that no non-tree edge leaves."""
+        disc, low, via, post = self._dfs()
+        return [via[v] for v in post if via[v] is not None and low[v] == disc[v]]
 
     def suppress_degree_two(self):
         """Smooth all degree-2 vertices.
@@ -350,25 +368,39 @@ def parse(text: str) -> PlanarGraph:
 
 
 def is_three_connected(g: PlanarGraph) -> bool:
-    """Whether the (simple) graph is 3-connected (brute-force cutsets)."""
+    """Whether the simple plane graph ``g`` is 3-connected.
+
+    Graphs with fewer than 4 vertices, a vertex of degree < 3 or parallel
+    edges are rejected outright, and a lowpoint DFS rejects cut vertices.
+    What is left is decided by the face criterion for plane graphs: a
+    2-connected plane graph with minimum degree 3 is 3-connected exactly
+    when any two face boundaries share nothing, one vertex, or one edge
+    lying on both.  (Two faces meeting in vertices u, v but no common edge
+    uv give a closed curve through both faces that meets the graph only
+    in u and v, so {u, v} separates; conversely the faces at a separating
+    vertex that switch between the sides all pass through the other one.)
+    Shared vertices are counted per face pair from one vertex -> faces
+    map: O(sum of squared degrees), linear at bounded degree.  Raises
+    GraphError if the rotation system is not a sphere embedding.
+    """
     vs = g.vertices
-    if len(vs) < 4:
+    if len(vs) < 4 or any(g.degree(v) < 3 for v in vs) or not g.is_simple():
         return False
-    if not g.is_connected():
+    disc, low, via, _ = g._dfs()
+    parent = {v: g.other_end(t, v) for v, t in via.items() if t is not None}
+    if len(parent) != len(vs) - 1 or sum(via[p] is None for p in parent.values()) != 1:
+        return False  # disconnected, or the DFS root is a cut vertex
+    if any(via[p] is not None and low[v] >= disc[p] for v, p in parent.items()):
         return False
-    for v in vs:
-        if g.degree(v) < 3:
-            return False
-    for t in g.edges:
-        u, w = g.endpoints(t)
-        if u == w:
-            return False
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            rest = [v for v in vs if v not in (vs[i], vs[j])]
-            if not g.subgraph(rest).is_connected():
-                return False
-    return True
+    g.check_planar()
+    faces_at: dict[str, list[int]] = {}
+    for i, walk in enumerate(g.faces()):
+        for v, _ in walk:
+            faces_at.setdefault(v, []).append(i)
+    shared = Counter(p for fs in faces_at.values() for p in itertools.combinations(fs, 2))
+    fo = g.face_of()
+    along_edge = {tuple(sorted(fo[d] for d in g.darts_of(t))) for t in g.edges}
+    return all(k < 2 or (k == 2 and p in along_edge) for p, k in shared.items())
 
 
 def serialize(g: PlanarGraph) -> str:
@@ -397,33 +429,33 @@ class SpqrTree:
 
 
 def _two_cut_classes(g: PlanarGraph) -> list[list]:
-    """Equivalence classes of edges under membership in common 2-edge-cuts."""
-    parent: dict = {t: t for t in g.edges}
+    """Classes of edges under membership in common 2-edge-cuts of the
+    2-edge-connected graph ``g``, by cycle-space sampling (Pritchard &
+    Thurimella, *Fast computation of small cuts via cycle space
+    sampling*, ACM TALG 2011).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    in_cut = set()
-    for e in g.edges:
-        ge = g.without_edges([e])
-        for f in ge.bridges():
-            union(e, f)
-            in_cut.add(e)
-            in_cut.add(f)
-    groups: dict = {}
-    for t in in_cut:
-        groups.setdefault(find(t), []).append(t)
-    classes = [sorted(v, key=repr) for v in groups.values()]
-    classes.sort(key=lambda c: repr(c[0]))
-    return classes
+    Every non-tree edge of one DFS gets a random 64-bit label and every
+    tree edge the XOR of the labels of the non-tree edges covering it,
+    summed bottom-up in postorder.  Two edges form a 2-edge-cut exactly
+    when they lie on the same cycles, so they get equal labels; edges of
+    different classes collide with probability about 2^-64, and ``_split``
+    raises on a class that does not cut the graph into a cycle.  The
+    labels come from a fixed seed.  Each class is sorted by ``repr``, and
+    the classes by ``repr`` of their first edge.  O(V + E).
+    """
+    _, _, via, post = g._dfs()
+    rng = random.Random(0)
+    tree = set(via.values())
+    label = {t: rng.getrandbits(64) for t in g.edges if t not in tree}
+    for v in post:
+        if via[v] is not None:
+            label[via[v]] = functools.reduce(
+                operator.xor, (label[t] for t in g.rot[v] if t != via[v]), 0
+            )
+    groups: dict[int, list] = {}
+    for t in g.edges:
+        groups.setdefault(label[t], []).append(t)
+    return sorted((c for c in groups.values() if len(c) > 1), key=lambda c: repr(c[0]))
 
 
 def _assert_cubic(g: PlanarGraph):
@@ -440,7 +472,9 @@ def spqr(g: PlanarGraph) -> SpqrTree:
     virtual edges), and every side is re-split with its virtual edge
     inserted in place of its class edge.  Leaves are P nodes (3-bonds)
     or R nodes (3-connected simple cubic skeletons).  Virtual edges are
-    tagged ("virt", 1), ("virt", 2), ... afresh in every call.
+    tagged ("virt", 1), ("virt", 2), ... afresh in every call.  Each
+    split finds its classes in O(V + E) (see ``_two_cut_classes``), so
+    the tree costs O(V + E) per level of nesting.
     """
     _assert_cubic(g)
     if g.bridges():
@@ -474,10 +508,8 @@ def _split(g: PlanarGraph, tree: SpqrTree, virt_ids: Iterator[int]) -> None:
             tree.nodes.append(SpqrNode("P", g))
         else:
             # must be simple and 3-connected here
-            for t in g.edges:
-                u, w = g.endpoints(t)
-                if sum(1 for s in g.edges if set(g.endpoints(s)) == {u, w}) > 1:
-                    raise GraphError("unexpected parallel edges in 3-edge-connected skeleton")
+            if not g.is_simple():
+                raise GraphError("unexpected parallel edges in 3-edge-connected skeleton")
             tree.nodes.append(SpqrNode("R", g))
         return
     cls = classes[0]

@@ -232,6 +232,23 @@ def test_cli_rejects_unsupported_inputs(tmp_path):
     assert main([str(tmp_path / "nope.txt")]) == 2
 
 
+def test_cli_one_vertex_input_draws(tmp_path):
+    # no faces, so the default outer face falls back to 0
+    one = tmp_path / "one.txt"
+    one.write_text("a\n")
+    assert main([str(one), "--format", "both"]) == 0
+    assert len(json.loads((tmp_path / "one.json").read_text())["vertices"]) == 1
+
+
+@pytest.mark.parametrize("text", ["", "# nothing but a comment\n"])
+def test_cli_empty_input_is_unsupported(tmp_path, capsys, text):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(text)
+    assert main([str(empty)]) == 2
+    assert "unsupported input" in capsys.readouterr().err
+    assert not (tmp_path / "empty.svg").exists()
+
+
 def test_cli_medial_mode(tmp_path):
     inp = k4_input(tmp_path)
     rc = main([str(inp), "--mode", "medial", "--format", "svg"])

@@ -359,3 +359,12 @@ def test_degenerate_inputs_rejected():
         Triangle(0j, 1 + 0j, 2 + 0j)
     with pytest.raises(ValueError):
         Arc(Circle(0j, 1.0), 1 + 0j, 1 + 0j, 1j)
+
+
+def test_mobius_degeneracy_is_relative_to_the_determinant_terms():
+    # a translation far from the origin is a valid map
+    m = mobius_scale_translate(1, 3e7)
+    assert m(1j) == 3e7 + 1j
+    for coeffs in [(1, 2, 2, 4), (0, 0, 0, 0), (1e8, 1e8, 1e-8, 1e-8)]:
+        with pytest.raises(ValueError):
+            Mobius(*coeffs)
