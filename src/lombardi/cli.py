@@ -81,7 +81,7 @@ def _svg_bounds(d: LombardiDrawing) -> tuple[float, float, float, float]:
         return (0.0, 0.0, 1.0, 1.0)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    pad = 0.05 * (max(x1 - x0, y1 - y0) or 1.0)  # a lone vertex gets a unit canvas
     return (x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
 
 

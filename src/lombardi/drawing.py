@@ -8,12 +8,12 @@ circle packing of the dual, extends them to arbitrary subcubic planar
 graphs by SPQR-tree and bridge gluing, and draws medial graphs of
 polyhedral graphs from a primal-dual circle packing.  ``draw_subcubic``
 and ``draw_medial`` verify the drawing they return, once, at their
-``angle_tol``, and keep that report on it as ``report``; the
-construction steps do not verify, and only the retry loops (S-node
-``eps``, bridge ``t_sep``, stub halving) verify inside to pick their
-next try.  ``verify`` finds crossing candidates by a sort-and-sweep over
-padded arc bounding boxes, so a verification costs about E log E for
-E arcs rather than E^2 pair tests.
+``angle_tol``, and keep that report on it as ``report``.  That is the
+only verification of a draw: every construction step (packing
+read-off, SPQR and bridge gluing, stubs, subdivision) builds its result
+once, without retries, and returns it unverified.  ``verify`` finds crossing candidates by a sort-and-sweep
+over padded arc bounding boxes, so a verification costs about E log E
+for E arcs rather than E^2 pair tests.
 """
 
 from __future__ import annotations
@@ -390,9 +390,10 @@ def verify(
     return rep
 
 
-def _check(d: LombardiDrawing, g: PlanarGraph | None = None, tol_angle: float = 1e-6) -> LombardiDrawing:
-    """Verify ``d``, raise DrawingError if it fails, else keep the report on it."""
-    rep = verify(d, g, tol_angle=tol_angle)
+def _check(d: LombardiDrawing, g: PlanarGraph, angle_tol: float) -> LombardiDrawing:
+    """The gate of a draw: verify ``d`` against ``g``, raise DrawingError
+    if it fails, else keep the report on it."""
+    rep = verify(d, g, tol_angle=angle_tol)
     if not rep.passed:
         raise DrawingError(f"drawing failed verification: {rep.summary()}")
     d.report = rep
@@ -413,14 +414,6 @@ def transform(d: LombardiDrawing, m: Mobius) -> LombardiDrawing:
         positions[v] = img
     arcs = {t: m.apply_arc(a) for t, a in d.arcs.items()}
     return LombardiDrawing(positions, arcs, dict(d.edges), d.outer_face)
-
-
-_CONJ = Mobius(1, 0, 0, 1, conj=True)
-
-
-def mirror(d: LombardiDrawing) -> LombardiDrawing:
-    """Reflect the drawing across the real axis (reverses orientation)."""
-    return transform(d, _CONJ)
 
 
 def arc_with_tangent(p: complex, q: complex, t: complex) -> Arc:
@@ -652,18 +645,14 @@ def _is_virtual(tag) -> bool:
     return isinstance(tag, tuple) and len(tag) > 0 and tag[0] == "virt"
 
 
-def glue_s_node(
-    components: list[tuple[LombardiDrawing, object]],
-    cycle: PlanarGraph,
-    eps: float = 0.05,
-) -> LombardiDrawing:
+def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarGraph) -> LombardiDrawing:
     """Glue component drawings around an S-node cycle on the unit circle.
 
     Each component's virtual arc is expanded to a near-full circle and
     mapped onto the unit circle across a private angular sector; the
     virtual arcs are deleted and the cycle's real edges become the
     short unit-circle arcs joining consecutive components, continuing
-    the deleted arcs' tangents exactly.
+    the deleted arcs' tangents exactly.  Returned unverified.
     """
     if len(components) < 2:
         raise DrawingError("an S node has at least two virtual edges and components")
@@ -696,68 +685,41 @@ def glue_s_node(
     def unit(theta: float) -> complex:
         return cmath.exp(1j * theta)
 
-    last_err: Exception | None = None
-    for eps_try in (eps, eps / 4, eps / 16):
-        try:
-            positions: dict[str, complex] = {}
-            arcs: dict = {}
-            edges: dict = {}
-            for i in range(k):
-                t = tags[2 * i]
-                u_i, w_i = tails[2 * i], tails[2 * i + 1]
-                comp = comp_of[t]
-                if set(comp.edges[t]) != {u_i, w_i}:
-                    raise DrawingError(f"component for {t!r} has mismatched endpoints")
-                a_i, b_i = starts[i], starts[i] + widths[i]
-                placed = None
-                for use_mirror in (False, True):
-                    src = mirror(comp) if use_mirror else comp
-                    ex = expand_virtual_edge(src, t, eps_try)
-                    arc = ex.arcs[t]
-                    pu, pw = ex.positions[u_i], ex.positions[w_i]
-                    m = mobius_from_triples(
-                        (pu, arc.midpoint(), pw),
-                        (unit(a_i), -unit((a_i + b_i) / 2), unit(b_i)),
-                    )
-                    cand = transform(ex, m)
-                    # the body must stay in this component's angular
-                    # wedge (it may extend beyond the unit circle); the
-                    # final verification is the authoritative check
-                    ok = True
-                    for v, z in cand.positions.items():
-                        if v in (u_i, w_i):
-                            continue
-                        off = (cmath.phase(z) - a_i) % _TWO_PI
-                        if off > widths[i] + gap / 2:
-                            ok = False
-                            break
-                    if ok:
-                        placed = cand
-                        break
-                if placed is None:
-                    raise DrawingError(f"component for {t!r} overflows its sector")
-                for v, z in placed.positions.items():
-                    if v in positions and abs(positions[v] - z) > 1e-7:
-                        raise DrawingError(f"vertex {v!r} appears in two components")
-                    positions[v] = z
-                for tt, aa in placed.arcs.items():
-                    if tt == t:
-                        continue
-                    arcs[tt] = aa
-                    edges[tt] = placed.edges[tt]
-            circ = Circle(0j, 1.0)
-            for i in range(k):
-                r_tag = tags[2 * i + 1]
-                w_i = tails[2 * i + 1]
-                u_next = tails[(2 * i + 2) % n]
-                b_i = starts[i] + widths[i]
-                a_next = starts[(i + 1) % k] + (_TWO_PI if i == k - 1 else 0.0)
-                arcs[r_tag] = Arc(circ, positions[w_i], positions[u_next], unit((b_i + a_next) / 2))
-                edges[r_tag] = (w_i, u_next)
-            return _check(LombardiDrawing(positions, arcs, edges, None))
-        except DrawingError as err:
-            last_err = err
-    raise DrawingError(f"S-node gluing failed: {last_err}")
+    positions: dict[str, complex] = {}
+    arcs: dict = {}
+    edges: dict = {}
+    for i in range(k):
+        t = tags[2 * i]
+        u_i, w_i = tails[2 * i], tails[2 * i + 1]
+        comp = comp_of[t]
+        if set(comp.edges[t]) != {u_i, w_i}:
+            raise DrawingError(f"component for {t!r} has mismatched endpoints")
+        a_i, b_i = starts[i], starts[i] + widths[i]
+        ex = expand_virtual_edge(comp, t)
+        m = mobius_from_triples(
+            (ex.positions[u_i], ex.arcs[t].midpoint(), ex.positions[w_i]),
+            (unit(a_i), -unit((a_i + b_i) / 2), unit(b_i)),
+        )
+        placed = transform(ex, m)
+        for v, z in placed.positions.items():
+            if v in positions and abs(positions[v] - z) > 1e-7:
+                raise DrawingError(f"vertex {v!r} appears in two components")
+            positions[v] = z
+        for tt, aa in placed.arcs.items():
+            if tt == t:
+                continue
+            arcs[tt] = aa
+            edges[tt] = placed.edges[tt]
+    circ = Circle(0j, 1.0)
+    for i in range(k):
+        r_tag = tags[2 * i + 1]
+        w_i = tails[2 * i + 1]
+        u_next = tails[(2 * i + 2) % n]
+        b_i = starts[i] + widths[i]
+        a_next = starts[(i + 1) % k] + (_TWO_PI if i == k - 1 else 0.0)
+        arcs[r_tag] = Arc(circ, positions[w_i], positions[u_next], unit((b_i + a_next) / 2))
+        edges[r_tag] = (w_i, u_next)
+    return LombardiDrawing(positions, arcs, edges, None)
 
 
 def subdivide_arc(d: LombardiDrawing, e, interior: list[str]) -> LombardiDrawing:
@@ -804,7 +766,6 @@ def attach_bridge_stubs(
     k: int = 1,
     junction_names: list[str] | None = None,
     stub_tags: list | None = None,
-    stub_scale: float = 0.3,
 ) -> LombardiDrawing:
     """Replace edge ``e`` by a chain of arcs carrying bridge stubs.
 
@@ -814,7 +775,8 @@ def attach_bridge_stubs(
     spacing; the k+1 replacement arcs each meet A at 30 degrees, so
     consecutive arcs meet each other at 120 degrees, and a straight
     stub leaves each junction along the remaining trisector to a new
-    degree-1 vertex.  Stubs shrink by halves if they collide.
+    degree-1 vertex, 0.3 times as long as the junction's shorter
+    neighbouring chord.  Returned unverified.
     """
     if k == 0:
         return d
@@ -854,7 +816,7 @@ def attach_bridge_stubs(
     for i, name in enumerate(junction_names):
         z = pts[i + 1]
         positions[name] = z
-        length = stub_scale * min(abs(pts[i + 2] - z), abs(z - pts[i]))
+        length = 0.3 * min(abs(pts[i + 2] - z), abs(z - pts[i]))
         stubs.append((name, 1j * _forward_tangent(inset, z) * s, stub_tags[i], length))
     return _add_stubs(LombardiDrawing(positions, arcs, edges, d.outer_face), stubs)
 
@@ -885,15 +847,19 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge) -> LombardiDra
 
     Each side is inverted at its degree-1 bridge endpoint, sending its
     copy of the bridge to an exterior ray; the rays are aligned on the
-    x-axis pointing at each other and the bridge becomes the straight
-    segment between the two attachment vertices.
+    x-axis pointing at each other, each side scaled to unit extent with
+    its attachment vertex at -2 or 2, and the bridge becomes the straight
+    segment between the two attachment vertices.  Returned unverified.
     """
     if dA is dB:
         raise DrawingError("cannot glue a drawing to itself")
     if set(dA.positions) & set(dB.positions):
         raise DrawingError("block drawings share vertices")
-    sides = []
-    for d in (dA, dB):
+    positions: dict[str, complex] = {}
+    arcs: dict = {}
+    edges: dict = {}
+    anchors = []
+    for sign, d in ((1.0, dA), (-1.0, dB)):
         if bridge not in d.arcs:
             raise DrawingError(f"bridge {bridge!r} missing from a block drawing")
         u, w = d.edges[bridge]
@@ -930,32 +896,15 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge) -> LombardiDra
             + [abs(a.midpoint() - a_img) for a in body.arcs.values()]
             + [1e-9]
         )
-        sides.append((body, anchor, a_img, direction, extent))
-
-    last_err: Exception | None = None
-    for t_sep in (2.0, 4.0, 8.0):
-        positions: dict[str, complex] = {}
-        arcs: dict = {}
-        edges: dict = {}
-        anchors = []
-        for idx, (body, anchor, a_img, direction, extent) in enumerate(sides):
-            target_dir = 1.0 if idx == 0 else -1.0
-            target_pos = -t_sep if idx == 0 else t_sep
-            sc = target_dir / direction / extent
-            m = mobius_scale_translate(sc, target_pos - sc * a_img)
-            placed = transform(body, m)
-            positions.update(placed.positions)
-            arcs.update(placed.arcs)
-            edges.update(placed.edges)
-            anchors.append(anchor)
-        arcs[bridge] = segment(positions[anchors[0]], positions[anchors[1]])
-        edges[bridge] = (anchors[0], anchors[1])
-        out = LombardiDrawing(positions, arcs, edges, None)
-        try:
-            return _check(out)
-        except DrawingError as err:
-            last_err = err
-    raise DrawingError(f"bridge gluing failed to separate the blocks: {last_err}")
+        sc = sign / direction / extent
+        placed = transform(body, mobius_scale_translate(sc, -2.0 * sign - sc * a_img))
+        positions.update(placed.positions)
+        arcs.update(placed.arcs)
+        edges.update(placed.edges)
+        anchors.append(anchor)
+    arcs[bridge] = segment(positions[anchors[0]], positions[anchors[1]])
+    edges[bridge] = (anchors[0], anchors[1])
+    return LombardiDrawing(positions, arcs, edges, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,33 +951,20 @@ def _bare_cycle_drawing(piece: PlanarGraph) -> LombardiDrawing:
 
 
 def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float]]) -> LombardiDrawing:
-    """Attach straight degree-1 stubs jointly, shrinking on collision.
+    """Attach straight degree-1 stubs; returned unverified.
 
     ``stubs`` holds (vertex, unit direction, edge tag, length) entries;
-    the combined drawing must verify, with stub lengths halved together
-    as long as the only failures are collisions involving stubs.
+    each stub runs from its vertex to a new leaf ``("stub", tag, vertex)``.
     """
-    lengths = [L for (_, _, _, L) in stubs]
-    tags = [t for (_, _, t, _) in stubs]
-    for _ in range(12):
-        positions = dict(d.positions)
-        arcs = dict(d.arcs)
-        edges = dict(d.edges)
-        for (v, direction, tag, _), L in zip(stubs, lengths):
-            leaf = ("stub", tag, v)
-            positions[leaf] = d.positions[v] + L * direction
-            arcs[tag] = segment(d.positions[v], positions[leaf])
-            edges[tag] = (v, leaf)
-        out = LombardiDrawing(positions, arcs, edges, d.outer_face)
-        rep = verify(out)
-        if rep.passed:
-            return out
-        stub_only = rep.crossings and all(c[0] in tags or c[1] in tags for c in rep.crossings)
-        if stub_only and rep.angles_ok and rep.endpoint_ok and rep.distinct_ok:
-            lengths = [L / 2 for L in lengths]
-            continue
-        raise DrawingError(f"stub attachment failed: {rep.summary()}")
-    raise DrawingError("stubs could not avoid collisions")
+    positions = dict(d.positions)
+    arcs = dict(d.arcs)
+    edges = dict(d.edges)
+    for v, direction, tag, length in stubs:
+        leaf = ("stub", tag, v)
+        positions[leaf] = d.positions[v] + length * direction
+        arcs[tag] = segment(d.positions[v], positions[leaf])
+        edges[tag] = (v, leaf)
+    return LombardiDrawing(positions, arcs, edges, d.outer_face)
 
 
 def _teardrop_drawing(piece: PlanarGraph, hub: str, stub_tag) -> LombardiDrawing:
@@ -1187,19 +1123,7 @@ def _block_drawing(piece: PlanarGraph, bridge_at: dict, outer_face: int, **kw) -
             d = subdivide_arc(d, chain_tag, interior)
             continue
         stubs = [bridge_at[x][0] for x in bridged]
-        placed = None
-        last_err: Exception | None = None
-        for side in (1, -1):
-            try:
-                placed = attach_bridge_stubs(
-                    d, chain_tag, face=side, k=len(bridged), junction_names=bridged, stub_tags=stubs
-                )
-                break
-            except DrawingError as err:
-                last_err = err
-        if placed is None:
-            raise DrawingError(f"could not attach stubs on chain {chain_tag!r}: {last_err}")
-        d = placed
+        d = attach_bridge_stubs(d, chain_tag, k=len(bridged), junction_names=bridged, stub_tags=stubs)
         # restore the bridgeless interior vertices between the junctions
         bounds = [u] + bridged + [w]
         seq = [u] + interior + [w]

@@ -103,7 +103,8 @@ def optimize_min_radius(
     s*t - sum log(t - f_v(Y)) of the convex program in the module
     docstring, multiplying s by ``_MU`` whenever the iterate is near the
     central path, until the duality gap n/s is below ``_GAP_REL * t`` or
-    rounding stops the barrier from decreasing.  Returns the map and the
+    rounding stops the barrier from decreasing or leaves the Newton system
+    singular.  Returns the map and the
     objective of the best iterate by ``_min_radius``; ``history`` gets the
     objective at ``start``, then the best one so far after each step.
     """
@@ -135,9 +136,12 @@ def optimize_min_radius(
         # leaves the Schur complement (P, Q), which does not depend on s
         P += curv * (2 / sq - abs(y) ** 2 / sq**3) - abs(hyt) ** 2 / htt
         Q -= curv * y * y / sq**3 + hyt * hyt / htt
+        det = P * P - abs(Q) ** 2
+        if not det > 0:
+            break  # tiny slacks cancel the Schur complement to rounding: keep the best iterate
         while True:
             r = hyt * (gt + s) / htt - gy
-            dy = 2 * (P * r - Q * r.conjugate()) / (P * P - abs(Q) ** 2)
+            dy = 2 * (P * r - Q * r.conjugate()) / det
             dt = -(gt + s + (hyt.conjugate() * dy).real) / htt
             slope = (gy.conjugate() * dy).real + (gt + s) * dt  # minus the squared decrement
             if -slope > _CENTERED or n / s <= _GAP_REL * t:

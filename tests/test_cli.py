@@ -217,6 +217,11 @@ def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
     assert main(loose + ["--angle-tol", "1e-6"]) == 1
     assert "angle residual 1.1" in capsys.readouterr().err
     assert not (tmp_path / "cube.svg").exists() and not (tmp_path / "cube.json").exists()
+    # gluing and bridge stubs do not verify on their own, so the flag
+    # also sets the tolerance of a draw that glues
+    i69 = tmp_path / "i69.txt"
+    shutil.copy(FIXTURES / "irregular69.txt", i69)
+    assert main([str(i69), "--pack-tol", "1e-6", "--angle-tol", "1e-3", "--format", "both"]) == 0
 
 
 def test_cli_rejects_unsupported_inputs(tmp_path):
@@ -238,6 +243,27 @@ def test_cli_one_vertex_input_draws(tmp_path):
     one.write_text("a\n")
     assert main([str(one), "--format", "both"]) == 0
     assert len(json.loads((tmp_path / "one.json").read_text())["vertices"]) == 1
+    # a zero-extent drawing still gets a visible canvas, stroke and dot
+    svg = (tmp_path / "one.svg").read_text()
+    _, _, width, height = map(float, re.search(r'viewBox="([^"]*)"', svg).group(1).split())
+    stroke = float(re.search(r'stroke-width="([^"]*)"', svg).group(1))
+    dot = float(re.search(r'<circle [^>]* r="([^"]*)"', svg).group(1))
+    assert min(width, height, stroke, dot) > 0
+
+
+def test_cli_draws_an_outer_face_next_to_every_face(tmp_path, capsys):
+    # the default outer face, a 7-gon, touches every other face, so all
+    # seven circles it leaves inside are active at the optimum and the
+    # optimizer's Newton system becomes singular to rounding there
+    skel = tmp_path / "skel12.txt"
+    skel.write_text(
+        "v12 v28 v51 v35\nv18 v27 v60 v45\nv27 v45 v52 v18\nv28 v12 v52 v3\n"
+        "v3 v52 v51 v28\nv35 v60 v12 v59\nv45 v56 v27 v18\nv51 v56 v12 v3\n"
+        "v52 v28 v27 v3\nv56 v45 v59 v51\nv59 v35 v56 v60\nv60 v18 v35 v59\n"
+    )
+    assert main([str(skel), "--format", "json"]) == 0
+    residual = float(re.search(r"angle residual (\S+)", capsys.readouterr().out).group(1))
+    assert residual < 1e-9
 
 
 @pytest.mark.parametrize("text", ["", "# nothing but a comment\n"])
