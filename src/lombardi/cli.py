@@ -201,7 +201,7 @@ def run(cfg: RunConfig) -> int:
     except GraphError as err:
         print(f"error: unsupported input: {err}", file=sys.stderr)
         return 2
-    except (DrawingError, PackingError, ValueError) as err:
+    except (DrawingError, PackingError) as err:
         print(f"error: drawing failed: {err}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,26 @@ and ``draw_medial`` verify the drawing they return, once, at their
 ``angle_tol``, and keep that report on it as ``report``.  That is the
 only verification of a draw: every construction step (packing
 read-off, SPQR and bridge gluing, stubs, subdivision) builds its result
-once, without retries, and returns it unverified.  ``verify`` finds crossing candidates by a sort-and-sweep
-over padded arc bounding boxes, so a verification costs about E log E
-for E arcs rather than E^2 pair tests.
+once, without retries, and returns it unverified.  A geometric
+``ValueError`` inside a draw is re-raised as ``DrawingError``.
+``verify`` finds crossing candidates by a sort-and-sweep over padded
+arc bounding boxes, so a verification costs about E log E for E arcs
+rather than E^2 pair tests.
+
+Edge tags belong to the caller: a drawing of ``g`` carries exactly
+``g``'s tags, whatever hashable values they are, and ``draw_subcubic``
+builds no tag of its own.  Each chain of degree-2 vertices, each cycle
+and each stub takes its tags from the darts that ``graph`` walks: from
+``suppress_degree_two``'s chains, from a face walk of the cycle, and
+from the bridges.  Stub leaves, the only vertices a construction step
+invents, are named in ``_add_stubs`` alone, and ``glue_bridge`` removes
+them again.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +53,7 @@ from .geometry import (
     same_support,
     segment,
 )
-from .graph import GraphError, PlanarGraph, is_three_connected, spqr
+from .graph import GraphError, PlanarGraph, is_three_connected, is_virtual, spqr
 from .mobius_opt import (
     NormalizedPacking,
     apply_to_normalized,
@@ -641,10 +653,6 @@ def p_node_drawing(names: tuple[str, str] = ("a", "b"), tags: list | None = None
     return LombardiDrawing({u: a, w: b}, arcs, {t: (u, w) for t in tags}, None)
 
 
-def _is_virtual(tag) -> bool:
-    return isinstance(tag, tuple) and len(tag) > 0 and tag[0] == "virt"
-
-
 def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarGraph) -> LombardiDrawing:
     """Glue component drawings around an S-node cycle on the unit circle.
 
@@ -663,12 +671,12 @@ def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarG
     tags = [cycle.dart_tag(dd) for dd in walk]
     tails = [dd[0] for dd in walk]
     n = len(walk)
-    if set(t for t in tags if _is_virtual(t)) != set(comp_of):
+    if set(t for t in tags if is_virtual(t)) != set(comp_of):
         raise DrawingError("components do not match the cycle's virtual edges")
-    start = next(i for i, t in enumerate(tags) if _is_virtual(t))
+    start = next(i for i, t in enumerate(tags) if is_virtual(t))
     tags = tags[start:] + tags[:start]
     tails = tails[start:] + tails[:start]
-    if any(_is_virtual(tags[i]) != (i % 2 == 0) for i in range(n)):
+    if any(is_virtual(tags[i]) != (i % 2 == 0) for i in range(n)):
         raise DrawingError("S cycle does not alternate virtual and real edges")
     k = n // 2
 
@@ -722,134 +730,140 @@ def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarG
     return LombardiDrawing(positions, arcs, edges, None)
 
 
-def subdivide_arc(d: LombardiDrawing, e, interior: list[str]) -> LombardiDrawing:
-    """Split edge ``e`` into equal sub-arcs at new degree-2 vertices.
+def _lay_chain(d: LombardiDrawing, a: Arc, seq: list, tags: list) -> None:
+    """Lay the path ``seq`` along arc ``a`` into ``d``, in place.
 
-    The k interior vertices are placed at equal subtended angles along
-    the arc; every new vertex sees its two sub-arcs continue smoothly
-    at 180 degrees on the same support.  Returned unverified: the new
-    vertices and sub-arcs lie on the old arc.
+    ``a`` runs from seq[0] to seq[-1], which ``d`` already places; the
+    vertices between them go at equal subtended fractions along ``a``,
+    and the len(seq) - 1 sub-arcs, which continue each other smoothly at
+    180 degrees, carry ``tags`` in order.  A one-edge path is ``a`` itself.
     """
-    if not interior:
-        return d
-    if e not in d.arcs:
-        raise DrawingError(f"edge {e!r} is not in the drawing")
-    for x in interior:
-        if x in d.positions:
-            raise DrawingError(f"subdivision vertex {x!r} already exists")
-    u, w = d.edges[e]
-    scale = max(1.0, abs(d.positions[u]), abs(d.positions[w]))
-    a = _oriented(d.arcs[e], d.positions[u], 1e-6 * scale)
-    k = len(interior)
-    seq = [u] + list(interior) + [w]
-    pts = [d.positions[u]]
-    for j in range(1, k + 1):
-        pts.append(_arc_point(a, j / (k + 1)))
-    pts.append(d.positions[w])
+    if len(tags) != len(seq) - 1:
+        raise DrawingError("a chain needs one edge tag per edge")
+    k = len(seq) - 2
+    if k == 0:
+        d.arcs[tags[0]] = a
+        d.edges[tags[0]] = (seq[0], seq[1])
+        return
+    pts = [d.positions[seq[0]]] + [_arc_point(a, j / (k + 1)) for j in range(1, k + 1)]
+    pts.append(d.positions[seq[-1]])
+    d.positions.update(zip(seq[1:-1], pts[1:-1]))
+    for j, tag in enumerate(tags):
+        d.arcs[tag] = Arc(a.support, pts[j], pts[j + 1], _arc_point(a, (2 * j + 1) / (2 * (k + 1))))
+        d.edges[tag] = (seq[j], seq[j + 1])
+
+
+def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float]]) -> LombardiDrawing:
+    """Attach straight degree-1 stubs; returned unverified.
+
+    ``stubs`` holds (vertex, unit direction, edge tag, length) entries;
+    each stub runs from its vertex to a new leaf ``("stub", tag, vertex)``.
+    This is the one place that names stub leaves.
+    """
     positions = dict(d.positions)
-    for name, z in zip(interior, pts[1 : k + 1]):
-        positions[name] = z
-    arcs = {t: aa for t, aa in d.arcs.items() if t != e}
-    edges = {t: ee for t, ee in d.edges.items() if t != e}
-    for j in range(k + 1):
-        wit = _arc_point(a, (2 * j + 1) / (2 * (k + 1)))
-        tag = ("e",) + tuple(sorted((seq[j], seq[j + 1])))
-        arcs[tag] = Arc(a.support, pts[j], pts[j + 1], wit)
-        edges[tag] = (seq[j], seq[j + 1])
+    arcs = dict(d.arcs)
+    edges = dict(d.edges)
+    for v, direction, tag, length in stubs:
+        leaf = ("stub", tag, v)
+        positions[leaf] = d.positions[v] + length * direction
+        arcs[tag] = segment(d.positions[v], positions[leaf])
+        edges[tag] = (v, leaf)
     return LombardiDrawing(positions, arcs, edges, d.outer_face)
 
 
-def attach_bridge_stubs(
-    d: LombardiDrawing,
-    e,
-    face: int = 1,
-    k: int = 1,
-    junction_names: list[str] | None = None,
-    stub_tags: list | None = None,
-) -> LombardiDrawing:
-    """Replace edge ``e`` by a chain of arcs carrying bridge stubs.
-
-    An inset arc A through e's endpoints meets e at 30 degrees on the
-    chosen side (``face`` > 0 is the left of the arc directed from the
-    smaller endpoint).  k junction vertices sit on A at equal subtended
-    spacing; the k+1 replacement arcs each meet A at 30 degrees, so
-    consecutive arcs meet each other at 120 degrees, and a straight
-    stub leaves each junction along the remaining trisector to a new
-    degree-1 vertex, 0.3 times as long as the junction's shorter
-    neighbouring chord.  Returned unverified.
-    """
-    if k == 0:
-        return d
+def _without_edge(d: LombardiDrawing, e, new_vertices: list) -> LombardiDrawing:
+    """A copy of ``d`` without edge ``e``, checking that ``new_vertices``
+    are not in it yet."""
     if e not in d.arcs:
         raise DrawingError(f"edge {e!r} is not in the drawing")
-    if junction_names is None:
-        junction_names = [f"j{i}" for i in range(k)]
-    if stub_tags is None:
-        stub_tags = [("stub-edge", e, i) for i in range(k)]
-    if len(junction_names) != k or len(stub_tags) != k:
-        raise DrawingError("need one junction name and one stub tag per stub")
-    for x in junction_names:
+    for x in new_vertices:
         if x in d.positions:
-            raise DrawingError(f"junction vertex {x!r} already exists")
-    s = 1.0 if face > 0 else -1.0
+            raise DrawingError(f"vertex {x!r} already exists")
+    return LombardiDrawing(
+        dict(d.positions),
+        {t: a for t, a in d.arcs.items() if t != e},
+        {t: ee for t, ee in d.edges.items() if t != e},
+        d.outer_face,
+    )
+
+
+def subdivide_arc(d: LombardiDrawing, e, interior: list[str], tags: list) -> LombardiDrawing:
+    """Split edge ``e`` into equal sub-arcs at new degree-2 vertices.
+
+    The k interior vertices are placed at equal subtended angles along
+    the arc from e's first endpoint to its second, and the k+1 sub-arcs
+    between them carry ``tags`` in that order.  Every new vertex sees its
+    two sub-arcs continue smoothly at 180 degrees on the same support.
+    Returned unverified: the new vertices and sub-arcs lie on the old arc.
+    """
+    out = _without_edge(d, e, interior)
     u, w = d.edges[e]
+    scale = max(1.0, abs(d.positions[u]), abs(d.positions[w]))
+    _lay_chain(out, _oriented(d.arcs[e], d.positions[u], 1e-6 * scale), [u, *interior, w], tags)
+    return out
+
+
+def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dict) -> LombardiDrawing:
+    """Replace edge ``e`` by a chain whose vertices in ``stubs`` carry
+    bridge stubs.
+
+    The chain ``seq`` runs from e's first endpoint to its second through
+    new vertices, and ``tags`` are its edges' tags in that order.  An
+    inset arc A through e's endpoints meets e at 30 degrees on the left
+    of e directed from its first endpoint.  The k chain vertices in
+    ``stubs``, the junctions, sit on A at equal subtended spacing; the
+    k+1 arcs between consecutive junctions each meet A at 30 degrees, so
+    consecutive arcs meet each other at 120 degrees, and a straight stub
+    tagged ``stubs[v]`` leaves each junction v along the remaining
+    trisector to a new degree-1 vertex, 0.3 times as long as the
+    junction's shorter neighbouring chord.  The other chain vertices are
+    spread along the arcs between junctions as by ``subdivide_arc``.
+    Returned unverified.
+    """
+    out = _without_edge(d, e, seq[1:-1])
+    u, w = d.edges[e]
+    if (seq[0], seq[-1]) != (u, w):
+        raise DrawingError(f"chain does not run from {u!r} to {w!r}")
+    cuts = [0] + [i for i in range(1, len(seq) - 1) if seq[i] in stubs] + [len(seq) - 1]
+    k = len(cuts) - 2
     pu, pw = d.positions[u], d.positions[w]
     scale = max(1.0, abs(pu), abs(pw))
     a = _oriented(d.arcs[e], pu, 1e-6 * scale)
-    rot = cmath.exp(1j * math.pi / 6 * s)
-    t_u = a.tangent_direction(pu, tol=1e-6 * scale)
-    inset = arc_with_tangent(pu, pw, t_u * rot)
+    rot = cmath.exp(1j * math.pi / 6)
+    inset = arc_with_tangent(pu, pw, a.tangent_direction(pu, tol=1e-6 * scale) * rot)
     pts = [pu] + [_arc_point(inset, j / (k + 1)) for j in range(1, k + 1)] + [pw]
-    chain_arcs = []
-    for j in range(k + 1):
-        tang = _forward_tangent(inset, pts[j]) / rot
-        chain_arcs.append(arc_with_tangent(pts[j], pts[j + 1], tang))
-    seq = [u] + list(junction_names) + [w]
-    positions = dict(d.positions)
-    arcs = {t: aa for t, aa in d.arcs.items() if t != e}
-    edges = {t: ee for t, ee in d.edges.items() if t != e}
-    for j in range(k + 1):
-        tag = ("e",) + tuple(sorted((seq[j], seq[j + 1])))
-        arcs[tag] = chain_arcs[j]
-        edges[tag] = (seq[j], seq[j + 1])
-    stubs = []
-    for i, name in enumerate(junction_names):
-        z = pts[i + 1]
-        positions[name] = z
-        length = 0.3 * min(abs(pts[i + 2] - z), abs(z - pts[i]))
-        stubs.append((name, 1j * _forward_tangent(inset, z) * s, stub_tags[i], length))
-    return _add_stubs(LombardiDrawing(positions, arcs, edges, d.outer_face), stubs)
+    out.positions.update(zip((seq[i] for i in cuts[1:-1]), pts[1:-1]))
+    for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        arc = arc_with_tangent(pts[j], pts[j + 1], _forward_tangent(inset, pts[j]) / rot)
+        _lay_chain(out, arc, seq[lo : hi + 1], tags[lo:hi])
+    junction_stubs = []
+    for j, i in enumerate(cuts[1:-1], 1):
+        z = pts[j]
+        length = 0.3 * min(abs(pts[j + 1] - z), abs(z - pts[j - 1]))
+        junction_stubs.append((seq[i], 1j * _forward_tangent(inset, z), stubs[seq[i]], length))
+    return _add_stubs(out, junction_stubs)
 
 
-def claw_drawing(
-    center: str = "c",
-    leaves: tuple | list = ("l0", "l1", "l2"),
-    tags: list | None = None,
-) -> LombardiDrawing:
-    """A star K_{1,k}: k unit segments from the origin at 2*pi/k spacing,
-    the first pointing up.  Returned unverified."""
-    k = len(leaves)
-    if tags is None:
-        tags = [("e",) + tuple(sorted((center, x))) for x in leaves]
-    positions = {center: 0j}
-    arcs = {}
-    edges = {}
-    for i, (leaf, tag) in enumerate(zip(leaves, tags)):
-        z = cmath.exp(1j * (math.pi / 2 + i * _TWO_PI / k))
-        positions[leaf] = z
-        arcs[tag] = segment(0j, z)
-        edges[tag] = (center, leaf)
-    return LombardiDrawing(positions, arcs, edges, None)
+def claw_drawing(center: str, tags: list) -> LombardiDrawing:
+    """A vertex at the origin with one unit stub per tag, at 2*pi/k
+    spacing with the first pointing up.  Returned unverified."""
+    k = len(tags)
+    return _add_stubs(
+        LombardiDrawing({center: 0j}),
+        [(center, cmath.exp(1j * (math.pi / 2 + i * _TWO_PI / k)), t, 1.0) for i, t in enumerate(tags)],
+    )
 
 
-def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge) -> LombardiDrawing:
+def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge, anchors: tuple) -> LombardiDrawing:
     """Join two block drawings along their shared bridge edge.
 
-    Each side is inverted at its degree-1 bridge endpoint, sending its
-    copy of the bridge to an exterior ray; the rays are aligned on the
-    x-axis pointing at each other, each side scaled to unit extent with
-    its attachment vertex at -2 or 2, and the bridge becomes the straight
-    segment between the two attachment vertices.  Returned unverified.
+    ``anchors`` are the bridge's endpoints in dA and in dB; in each
+    drawing the bridge is a stub from its anchor to a degree-1 leaf.  Each
+    side is inverted at its leaf, sending its copy of the bridge to an
+    exterior ray; the rays are aligned on the x-axis pointing at each
+    other, each side scaled to unit extent with its anchor at -2 or 2,
+    and the bridge becomes the straight segment between the two anchors.
+    Returned unverified.
     """
     if dA is dB:
         raise DrawingError("cannot glue a drawing to itself")
@@ -858,20 +872,13 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge) -> LombardiDra
     positions: dict[str, complex] = {}
     arcs: dict = {}
     edges: dict = {}
-    anchors = []
-    for sign, d in ((1.0, dA), (-1.0, dB)):
+    for sign, d, anchor in ((1.0, dA, anchors[0]), (-1.0, dB, anchors[1])):
         if bridge not in d.arcs:
             raise DrawingError(f"bridge {bridge!r} missing from a block drawing")
         u, w = d.edges[bridge]
-        deg = {v: d.degree(v) for v in (u, w)}
-        if deg[w] == 1 and deg[u] != 1:
-            anchor, leaf = u, w
-        elif deg[u] == 1 and deg[w] != 1:
-            anchor, leaf = w, u
-        else:
-            # both degree 1 (a bare stub): the generated leaf is tagged
-            leaf = w if isinstance(w, tuple) and w and w[0] == "stub" else u
-            anchor = u if leaf == w else w
+        if anchor not in (u, w):
+            raise DrawingError(f"{anchor!r} is not an end of bridge {bridge!r}")
+        leaf = w if u == anchor else u
         z0 = d.positions[leaf]
         za = d.positions[anchor]
         r = abs(za - z0)
@@ -901,9 +908,8 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge) -> LombardiDra
         positions.update(placed.positions)
         arcs.update(placed.arcs)
         edges.update(placed.edges)
-        anchors.append(anchor)
     arcs[bridge] = segment(positions[anchors[0]], positions[anchors[1]])
-    edges[bridge] = (anchors[0], anchors[1])
+    edges[bridge] = tuple(anchors)
     return LombardiDrawing(positions, arcs, edges, None)
 
 
@@ -911,178 +917,118 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge) -> LombardiDra
 # General subcubic graphs
 
 
-def _cycle_order(piece: PlanarGraph) -> list[str]:
-    start = piece.vertices[0]
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [x for x in piece.neighbors(cur) if x != prev]
-        step = nxt[0] if nxt else prev
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return order
+def _cycle_drawing(piece: PlanarGraph, stub_of: dict) -> LombardiDrawing:
+    """Draw a cycle piece whose vertices in ``stub_of`` (the hubs) carry
+    a stub tagged ``stub_of[v]``; returned unverified.
+
+    The cycle is walked along its first face, from its first hub if it
+    has one: a circle without hubs, a teardrop with one, a polygon with
+    more.
+    """
+    walk = piece.faces()[0]
+    seq = [dd[0] for dd in walk]
+    tags = [piece.dart_tag(dd) for dd in walk]
+    i = next((i for i, v in enumerate(seq) if v in stub_of), 0)
+    seq = seq[i:] + seq[: i + 1]  # a closed walk: it ends where it starts
+    tags = tags[i:] + tags[:i]
+    hubs = [v for v in seq[:-1] if v in stub_of]
+    if not hubs:
+        return _bare_cycle_drawing(seq, tags)
+    if len(hubs) == 1:
+        return _teardrop_drawing(seq, tags, stub_of[hubs[0]])
+    return _polygon_cycle_drawing(seq, tags, stub_of)
 
 
-def _cycle_tag(piece: PlanarGraph, u: str, w: str):
-    for t in piece.rot[u]:
-        if piece.other_end(t, u) == w:
-            return t
-    raise GraphError(f"no edge between {u!r} and {w!r}")
-
-
-def _bare_cycle_drawing(piece: PlanarGraph) -> LombardiDrawing:
-    """A cycle on the unit circle with equally spaced vertices; unverified."""
-    order = _cycle_order(piece)
-    n = len(order)
+def _bare_cycle_drawing(seq: list, tags: list) -> LombardiDrawing:
+    """The closed walk ``seq`` on the unit circle with equally spaced
+    vertices."""
+    n = len(tags)
     circ = Circle(0j, 1.0)
-    positions = {v: cmath.exp(1j * _TWO_PI * i / n) for i, v in enumerate(order)}
+    positions = {v: cmath.exp(1j * _TWO_PI * i / n) for i, v in enumerate(seq[:-1])}
     arcs = {}
     edges = {}
-    for i, v in enumerate(order):
-        w = order[(i + 1) % n]
-        t = _cycle_tag(piece, v, w)
+    for i, t in enumerate(tags):
         wit = cmath.exp(1j * _TWO_PI * (i + 0.5) / n)
-        arcs[t] = Arc(circ, positions[v], positions[w], wit)
-        edges[t] = (v, w)
+        arcs[t] = Arc(circ, positions[seq[i]], positions[seq[i + 1]], wit)
+        edges[t] = (seq[i], seq[i + 1])
     return LombardiDrawing(positions, arcs, edges, None)
 
 
-def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float]]) -> LombardiDrawing:
-    """Attach straight degree-1 stubs; returned unverified.
-
-    ``stubs`` holds (vertex, unit direction, edge tag, length) entries;
-    each stub runs from its vertex to a new leaf ``("stub", tag, vertex)``.
-    """
-    positions = dict(d.positions)
-    arcs = dict(d.arcs)
-    edges = dict(d.edges)
-    for v, direction, tag, length in stubs:
-        leaf = ("stub", tag, v)
-        positions[leaf] = d.positions[v] + length * direction
-        arcs[tag] = segment(d.positions[v], positions[leaf])
-        edges[tag] = (v, leaf)
-    return LombardiDrawing(positions, arcs, edges, d.outer_face)
-
-
-def _teardrop_drawing(piece: PlanarGraph, hub: str, stub_tag) -> LombardiDrawing:
+def _teardrop_drawing(seq: list, tags: list, stub_tag) -> LombardiDrawing:
     """A cycle with exactly one stub-carrying vertex, drawn as a teardrop.
 
-    The hub sits at the origin with the stub pointing along -x and the
-    two cycle ends leaving at +-60 degrees; they wrap around a middle
-    circle whose top and bottom are the smooth junction vertices.
+    The closed walk ``seq`` starts and ends at the hub.  The hub sits at
+    the origin with the stub pointing along -x and the two cycle ends
+    leaving at +-60 degrees; they wrap around a middle circle whose top
+    and bottom are the smooth junction vertices, and the rest of the
+    cycle lies on that middle arc.
     """
-    order = _cycle_order(piece)
-    i = order.index(hub)
-    order = order[i:] + order[:i]
-    interior = order[1:]
-    if len(interior) < 2:
+    if len(seq) < 4:
         raise GraphError("a cycle block has at least three vertices")
+    hub, x1, xm = seq[0], seq[1], seq[-2]
     R = 1.0 / math.sqrt(3.0)
     ja = complex(math.sqrt(3.0) * R, R)
     jb = complex(math.sqrt(3.0) * R, -R)
     c1 = Circle(complex(math.sqrt(3.0) * R, -R), 2 * R)
     c2 = Circle(complex(math.sqrt(3.0) * R, 0.0), R)
     c3 = Circle(complex(math.sqrt(3.0) * R, R), 2 * R)
-    x1, xm = interior[0], interior[-1]
-    middle = interior[1:-1]
-    # the middle arc is a real edge only for a triangle; otherwise it is
-    # a placeholder later subdivided at the remaining cycle vertices
-    mid_tag = ("seg", x1, xm) if middle else _cycle_tag(piece, x1, xm)
-    positions = {hub: 0j, x1: ja, xm: jb}
     arcs = {
-        _cycle_tag(piece, hub, x1): Arc(c1, 0j, ja, c1.center + 2 * R * cmath.exp(2j * math.pi / 3)),
-        mid_tag: Arc(c2, ja, jb, c2.center + R),
-        _cycle_tag(piece, xm, hub): Arc(c3, jb, 0j, c3.center + 2 * R * cmath.exp(-2j * math.pi / 3)),
+        tags[0]: Arc(c1, 0j, ja, c1.center + 2 * R * cmath.exp(2j * math.pi / 3)),
+        tags[-1]: Arc(c3, jb, 0j, c3.center + 2 * R * cmath.exp(-2j * math.pi / 3)),
     }
-    edges = {
-        _cycle_tag(piece, hub, x1): (hub, x1),
-        mid_tag: (x1, xm),
-        _cycle_tag(piece, xm, hub): (xm, hub),
-    }
-    d = LombardiDrawing(positions, arcs, edges, None)
-    d = _add_stubs(d, [(hub, -1.0 + 0j, stub_tag, 0.3 * abs(ja))])
-    if middle:
-        d = subdivide_arc(d, mid_tag, middle)
-    return d
+    d = LombardiDrawing({hub: 0j, x1: ja, xm: jb}, arcs, {tags[0]: (hub, x1), tags[-1]: (xm, hub)})
+    _lay_chain(d, Arc(c2, ja, jb, c2.center + R), seq[1:-1], tags[1:-1])
+    return _add_stubs(d, [(hub, -1.0 + 0j, stub_tag, 0.3 * abs(ja))])
 
 
-def _polygon_cycle_drawing(piece: PlanarGraph, hubs: list[str], stub_tags: dict) -> LombardiDrawing:
+def _polygon_cycle_drawing(seq: list, tags: list, stub_of: dict) -> LombardiDrawing:
     """A cycle with k >= 2 stub vertices, drawn around a regular k-gon.
 
-    Stub vertices sit on the unit circle with radial stubs; the cycle
-    arcs between them leave each vertex at 120 degrees from the radial
-    direction, giving the 120/120/120 split everywhere.
+    The closed walk ``seq`` starts and ends at a hub.  Hubs sit on the
+    unit circle with radial stubs; the cycle arcs between consecutive
+    hubs leave each hub at 120 degrees from the radial direction, giving
+    the 120/120/120 split everywhere, and the vertices between two hubs
+    lie on their arc.
     """
-    order = _cycle_order(piece)
-    hub_set = set(hubs)
-    i0 = next(i for i, v in enumerate(order) if v in hub_set)
-    order = order[i0:] + order[:i0]
-    hub_seq = [v for v in order if v in hub_set]
-    k = len(hub_seq)
-    hub_pos = {v: cmath.exp(1j * _TWO_PI * j / k) for j, v in enumerate(hub_seq)}
-    # split the cycle order into segments between consecutive hubs
-    segments = []  # (hub_from, [interior...], hub_to)
-    cuts = [i for i, v in enumerate(order) if v in hub_set]
-    for a, b in zip(cuts, cuts[1:] + [len(order)]):
-        seg = order[a:b]
-        nxt = order[(b) % len(order)]
-        segments.append((seg[0], seg[1:], nxt))
-    positions = {v: hub_pos[v] for v in hub_seq}
-    arcs = {}
-    edges = {}
-    pending = []  # (tag, interior names) to subdivide afterwards
-    for hub_from, inner, hub_to in segments:
-        p, q = hub_pos[hub_from], hub_pos[hub_to]
-        tang = p * cmath.exp(2j * math.pi / 3)
-        a = arc_with_tangent(p, q, tang)
-        if inner:
-            tag = ("seg", hub_from, hub_to)
-        else:
-            tag = _cycle_tag(piece, hub_from, hub_to)
-        arcs[tag] = a
-        edges[tag] = (hub_from, hub_to)
-        if inner:
-            pending.append((tag, inner))
-    d = LombardiDrawing(positions, arcs, edges, None)
+    cuts = [i for i, v in enumerate(seq) if v in stub_of]
+    hubs = [seq[i] for i in cuts[:-1]]
+    k = len(hubs)
+    d = LombardiDrawing({v: cmath.exp(1j * _TWO_PI * j / k) for j, v in enumerate(hubs)})
+    hub_pos = dict(d.positions)
+    for lo, hi in zip(cuts, cuts[1:]):
+        p, q = hub_pos[seq[lo]], hub_pos[seq[hi]]
+        _lay_chain(d, arc_with_tangent(p, q, p * cmath.exp(2j * math.pi / 3)), seq[lo : hi + 1], tags[lo:hi])
     stubs = []
-    for j, v in enumerate(hub_seq):
-        chord = abs(hub_pos[v] - hub_pos[hub_seq[(j + 1) % k]])
-        stubs.append((v, hub_pos[v] / abs(hub_pos[v]), stub_tags[v], 0.3 * max(chord, 0.5)))
-    d = _add_stubs(d, stubs)
-    for tag, inner in pending:
-        d = subdivide_arc(d, tag, inner)
-    return d
+    for j, v in enumerate(hubs):
+        chord = abs(hub_pos[v] - hub_pos[hubs[(j + 1) % k]])
+        stubs.append((v, hub_pos[v] / abs(hub_pos[v]), stub_of[v], 0.3 * max(chord, 0.5)))
+    return _add_stubs(d, stubs)
 
 
 def _spqr_block_drawing(h: PlanarGraph, outer_face: int, **kw) -> LombardiDrawing:
-    """Draw a 2-edge-connected cubic multigraph via its SPQR tree."""
+    """Draw a 2-edge-connected cubic multigraph via its SPQR tree.
+
+    P and R nodes are drawn on their own and glued at the S nodes; an R
+    node gets ``outer_face`` only when it is the tree's only node.
+    """
     tree = spqr(h)
-    if len(tree.nodes) == 1:
-        node = tree.nodes[0]
-        if node.kind == "P":
-            u = node.skeleton.vertices[0]
-            w = node.skeleton.other_end(node.skeleton.rot[u][0], u)
-            return p_node_drawing((u, w), list(node.skeleton.rot[u]))
-        return draw_3connected(node.skeleton, outer_face=outer_face, **kw)
+    only = len(tree.nodes) == 1
     cluster_of: dict[int, int] = {}
     drawings: dict[int, LombardiDrawing] = {}
     for i, node in enumerate(tree.nodes):
         if node.kind == "S":
             continue
+        sk = node.skeleton
         if node.kind == "P":
-            u = node.skeleton.vertices[0]
-            w = node.skeleton.other_end(node.skeleton.rot[u][0], u)
-            drawings[i] = p_node_drawing((u, w), list(node.skeleton.rot[u]))
+            u = sk.vertices[0]
+            drawings[i] = p_node_drawing((u, sk.other_end(sk.rot[u][0], u)), list(sk.rot[u]))
         else:
-            drawings[i] = draw_3connected(node.skeleton, outer_face=0, **kw)
+            drawings[i] = draw_3connected(sk, outer_face=outer_face if only else 0, **kw)
         cluster_of[i] = i
     for i, node in enumerate(tree.nodes):
         if node.kind != "S":
             continue
-        virts = [t for t in node.skeleton.edges if _is_virtual(t)]
+        virts = [t for t in node.skeleton.edges if is_virtual(t)]
         comps = []
         roots = []
         for t in virts:
@@ -1107,44 +1053,54 @@ def _spqr_block_drawing(h: PlanarGraph, outer_face: int, **kw) -> LombardiDrawin
     return drawings[roots.pop()]
 
 
-def _block_drawing(piece: PlanarGraph, bridge_at: dict, outer_face: int, **kw) -> LombardiDrawing:
-    """Draw one bridgeless block, with stubs for its bridge attachments."""
+def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int, **kw) -> LombardiDrawing:
+    """Draw one bridgeless block whose vertices in ``stub_of`` carry a
+    stub tagged ``stub_of[v]`` for their bridge."""
     h, chains = piece.suppress_degree_two()
-    pristine = not chains and not any(bridge_at.get(v) for v in piece.vertices)
-    d = _spqr_block_drawing(h, outer_face if pristine else 0, **kw)
-    for chain_tag, (u, interior, w) in chains.items():
+    d = _spqr_block_drawing(h, outer_face if not chains and not stub_of else 0, **kw)
+    for chain_tag, (seq, tags) in chains.items():
         # junctions are laid out from the drawing's first edge endpoint;
         # flip the chain if the drawing stores the edge the other way
-        if d.edges[chain_tag] == (w, u):
-            u, w = w, u
-            interior = list(reversed(interior))
-        bridged = [x for x in interior if bridge_at.get(x)]
-        if not bridged:
-            d = subdivide_arc(d, chain_tag, interior)
-            continue
-        stubs = [bridge_at[x][0] for x in bridged]
-        d = attach_bridge_stubs(d, chain_tag, k=len(bridged), junction_names=bridged, stub_tags=stubs)
-        # restore the bridgeless interior vertices between the junctions
-        bounds = [u] + bridged + [w]
-        seq = [u] + interior + [w]
-        for a, b in zip(bounds, bounds[1:]):
-            lo, hi = seq.index(a), seq.index(b)
-            between = seq[lo + 1 : hi]
-            if between:
-                d = subdivide_arc(d, ("e",) + tuple(sorted((a, b))), between)
+        if d.edges[chain_tag] != (seq[0], seq[-1]):
+            seq, tags = seq[::-1], tags[::-1]
+        stubs = {x: stub_of[x] for x in seq[1:-1] if x in stub_of}
+        if stubs:
+            d = attach_bridge_stubs(d, chain_tag, seq, tags, stubs)
+        else:
+            d = subdivide_arc(d, chain_tag, seq[1:-1], tags)
     return d
 
 
+def _drawing_errors(draw):
+    """Re-raise a geometry ``ValueError`` escaping ``draw`` as
+    DrawingError; a GraphError (bad input) passes unchanged."""
+
+    @functools.wraps(draw)
+    def wrapped(*args, **kw):
+        try:
+            return draw(*args, **kw)
+        except GraphError:
+            raise
+        except ValueError as err:
+            raise DrawingError(str(err)) from err
+
+    return wrapped
+
+
+@_drawing_errors
 def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, **kw) -> LombardiDrawing:
     """Planar Lombardi drawing of any connected planar graph of max degree 3.
 
     Bridges are deleted and each remaining 2-edge-connected piece is
-    drawn on its own (SPQR gluing for blocks, circles and teardrops for
-    cycles, claws for isolated vertices, with stubs marking bridge
-    attachments); the pieces are then joined back along the bridges.
-    Only the joined drawing is verified, against ``g`` with angle
-    tolerance ``angle_tol``: DrawingError if it fails, else the report is
-    kept as ``report`` on the returned drawing.
+    drawn on its own (SPQR gluing for blocks, circles, teardrops and
+    polygons for cycles, a lone vertex for a piece of one vertex, with
+    stubs marking bridge attachments); the pieces are then joined back
+    along the bridges.
+    The drawing carries ``g``'s own vertex names and edge tags.  Only the
+    joined drawing is verified, against ``g`` with angle tolerance
+    ``angle_tol``: DrawingError if it fails (also for a geometric
+    ValueError on the way), else the report is kept as ``report`` on the
+    returned drawing.
     """
     if not g.vertices:
         raise GraphError("input graph is empty")
@@ -1154,7 +1110,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
         if g.degree(v) > 3:
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)} > 3")
     if len(g.vertices) == 1:
-        return _check(LombardiDrawing({g.vertices[0]: 0j}, {}, {}, None), g, angle_tol)
+        return _check(LombardiDrawing({g.vertices[0]: 0j}), g, angle_tol)
 
     bridges = set(g.bridges())
     core = g.without_edges(bridges)
@@ -1167,23 +1123,15 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
         for v in comp:
             piece_of[v] = idx
         if len(comp) == 1:
-            v = comp[0]
-            bs = bridge_at[v]
-            piece_drawings[idx] = claw_drawing(v, [("stub", t, v) for t in bs], bs)
+            piece_drawings[idx] = claw_drawing(comp[0], bridge_at[comp[0]])
             continue
         piece = core.subgraph(comp)
+        # a vertex on a piece of two or more vertices has at most one bridge
+        stub_of = {v: bridge_at[v][0] for v in comp if bridge_at[v]}
         if all(piece.degree(v) == 2 for v in comp):
-            hubs = [v for v in comp if bridge_at[v]]
-            if not hubs:
-                piece_drawings[idx] = _bare_cycle_drawing(piece)
-            elif len(hubs) == 1:
-                piece_drawings[idx] = _teardrop_drawing(piece, hubs[0], bridge_at[hubs[0]][0])
-            else:
-                piece_drawings[idx] = _polygon_cycle_drawing(
-                    piece, hubs, {v: bridge_at[v][0] for v in hubs}
-                )
+            piece_drawings[idx] = _cycle_drawing(piece, stub_of)
         else:
-            piece_drawings[idx] = _block_drawing(piece, bridge_at, outer_face, **kw)
+            piece_drawings[idx] = _block_drawing(piece, stub_of, outer_face, **kw)
 
     # join the pieces along the bridges, always merging the two smallest
     # eligible clusters first: gluing transforms both sides, and a
@@ -1203,8 +1151,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
         ra, rb = cluster_of[piece_of[u]], cluster_of[piece_of[w]]
         if ra == rb:
             raise DrawingError("bridge endpoints in the same glued cluster")
-        merged = glue_bridge(piece_drawings[ra], piece_drawings[rb], t)
-        piece_drawings[ra] = merged
+        piece_drawings[ra] = glue_bridge(piece_drawings[ra], piece_drawings[rb], t, (u, w))
         for i, r in list(cluster_of.items()):
             if r == rb:
                 cluster_of[i] = ra
@@ -1218,6 +1165,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
 # Medial graphs of polyhedral graphs
 
 
+@_drawing_errors
 def draw_medial(
     g: PlanarGraph, pack_tol: float = 1e-10, pack_max_iter: int = 10**6, angle_tol: float = 1e-6
 ) -> LombardiDrawing:
@@ -1229,7 +1177,8 @@ def draw_medial(
     is the bisector arc of its vertex-face lune, meeting both circles
     at 45 degrees so that the four arc-ends at each degree-4 vertex are
     spaced at 90 degrees.  The drawing is verified against the medial
-    graph with angle tolerance ``angle_tol`` before it is returned, as in
+    graph with angle tolerance ``angle_tol`` before it is returned, and a
+    geometric ValueError is re-raised as DrawingError, as in
     ``draw_subcubic``.
     """
     if not is_three_connected(g):

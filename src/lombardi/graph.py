@@ -283,10 +283,11 @@ class PlanarGraph:
         """Smooth all degree-2 vertices.
 
         Returns (smoothed graph, chains) where ``chains`` maps each new
-        chain tag to (u, [interior vertices from u to w], w).  Vertices of
-        other degrees keep their rotation, with each chain occupying the
-        slot of its first edge.  A cycle made only of degree-2 vertices is
-        an error.
+        chain tag to (vertices, tags): the chain's vertices from one end u
+        to the other end w, and the tags of its edges in the same order.
+        Vertices of other degrees keep their rotation, with each chain
+        occupying the slot of its first edge.  A cycle made only of
+        degree-2 vertices is an error.
         """
         anchors = [v for v in self.vertices if self.degree(v) != 2]
         if not anchors:
@@ -299,28 +300,23 @@ class PlanarGraph:
                 d = (a, i)
                 if d in seen_darts:
                     continue
-                interior = []
+                seq, tags = [a], [self.dart_tag(d)]
                 cur = d
-                while True:
-                    w = self.head(cur)
-                    if self.degree(w) != 2:
-                        break
-                    interior.append(w)
-                    wt = self.twin(cur)
-                    # leave w through its other slot
-                    cur = (w, 1 - wt[1])
+                while self.degree(self.head(cur)) == 2:
+                    w, j = self.twin(cur)
+                    cur = (w, 1 - j)  # leave w through its other slot
+                    seq.append(w)
+                    tags.append(self.dart_tag(cur))
                 end = self.twin(cur)  # dart at the far anchor
+                seq.append(end[0])
                 seen_darts.add(d)
                 seen_darts.add(end)
-                if not interior:
-                    new_tag_at[d] = self.dart_tag(d)
-                    new_tag_at[end] = self.dart_tag(end)
+                if len(seq) == 2:
+                    new_tag_at[d] = new_tag_at[end] = tags[0]
                     continue
                 key = ("chain",) + tuple(sorted([d, end]))
-                new_tag_at[d] = key
-                new_tag_at[end] = key
-                if key not in chains:
-                    chains[key] = (a, interior, end[0])
+                new_tag_at[d] = new_tag_at[end] = key
+                chains[key] = (seq, tags)
         rot = {a: [new_tag_at[(a, i)] for i in range(self.degree(a))] for a in anchors}
         return PlanarGraph(rot), chains
 
@@ -458,6 +454,11 @@ def _two_cut_classes(g: PlanarGraph) -> list[list]:
     return sorted((c for c in groups.values() if len(c) > 1), key=lambda c: repr(c[0]))
 
 
+def is_virtual(tag) -> bool:
+    """Whether ``tag`` names a virtual edge of an SPQR skeleton."""
+    return isinstance(tag, tuple) and len(tag) > 0 and tag[0] == "virt"
+
+
 def _assert_cubic(g: PlanarGraph):
     for v in g.vertices:
         if g.degree(v) != 3:
@@ -472,11 +473,14 @@ def spqr(g: PlanarGraph) -> SpqrTree:
     virtual edges), and every side is re-split with its virtual edge
     inserted in place of its class edge.  Leaves are P nodes (3-bonds)
     or R nodes (3-connected simple cubic skeletons).  Virtual edges are
-    tagged ("virt", 1), ("virt", 2), ... afresh in every call.  Each
+    tagged ("virt", 1), ("virt", 2), ... afresh in every call (see
+    ``is_virtual``), so no input edge may carry such a tag.  Each
     split finds its classes in O(V + E) (see ``_two_cut_classes``), so
     the tree costs O(V + E) per level of nesting.
     """
     _assert_cubic(g)
+    if any(is_virtual(t) for t in g.edges):
+        raise GraphError("edge tags ('virt', ...) are reserved for SPQR skeletons")
     if g.bridges():
         raise GraphError("graph is not 2-edge-connected")
     tree = SpqrTree()
@@ -487,7 +491,7 @@ def spqr(g: PlanarGraph) -> SpqrTree:
     where: dict = {}
     for i, n in enumerate(tree.nodes):
         for t in n.skeleton.edges:
-            if isinstance(t, tuple) and t and t[0] == "virt":
+            if is_virtual(t):
                 where.setdefault(t, []).append(i)
     for t, idxs in where.items():
         if len(idxs) != 2:
@@ -513,9 +517,8 @@ def _split(g: PlanarGraph, tree: SpqrTree, virt_ids: Iterator[int]) -> None:
             tree.nodes.append(SpqrNode("R", g))
         return
     cls = classes[0]
-    for t in cls:
-        if isinstance(t, tuple) and t and t[0] == "virt":
-            raise GraphError("SPQR structure violated: virtual edge inside a cut class")
+    if any(is_virtual(t) for t in cls):
+        raise GraphError("SPQR structure violated: virtual edge inside a cut class")
     # components of g minus the class
     rest = g.without_edges(cls)
     comps = rest.connected_components()
@@ -579,6 +582,6 @@ def recompose_edges(tree: SpqrTree) -> list:
     out = []
     for n in tree.nodes:
         for t in n.skeleton.edges:
-            if not (isinstance(t, tuple) and t and t[0] == "virt"):
+            if not is_virtual(t):
                 out.append(t)
     return sorted(out, key=repr)

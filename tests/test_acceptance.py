@@ -35,7 +35,7 @@ from lombardi.drawing import (
     verify,
 )
 from lombardi.geometry import Mobius, Triangle, is_inf, isodynamic_points
-from lombardi.graph import parse, recompose_edges, spqr
+from lombardi.graph import is_virtual, parse, recompose_edges, spqr
 from lombardi.mobius_opt import NormalizedPacking, normalize_outer, optimize_min_radius
 from lombardi.packing import pack_and_layout
 
@@ -130,7 +130,7 @@ def test_criterion_4_series_glued_blocks_and_tree_structure():
             ok = ok and all(sk.degree(v) == 2 for v in sk.vertices)
             ok = ok and len(sk.edges) % 2 == 0
             for v in sk.vertices:
-                virt = [isinstance(t, tuple) and t and t[0] == "virt" for t in sk.rot[v]]
+                virt = [is_virtual(t) for t in sk.rot[v]]
                 ok = ok and (virt[0] != virt[1])
         elif node.kind == "P":
             ok = ok and len(sk.vertices) == 2 and len(sk.edges) == 3

@@ -1,11 +1,13 @@
 """Drawing construction, verification, gluing, and JSON round trip."""
 
 import cmath
+import json
 import math
+import sys
 
 import pytest
 
-from conftest import drawn, load_graph, load_text
+from conftest import FIXTURES, drawn, load_graph, load_text
 from lombardi.drawing import (
     DrawingError,
     LombardiDrawing,
@@ -25,7 +27,11 @@ from lombardi.drawing import (
     verify,
 )
 from lombardi.geometry import Arc, Circle, Mobius, arc_through, segment
-from lombardi.graph import GraphError, parse
+from lombardi import graph
+from lombardi.graph import GraphError, PlanarGraph, parse
+
+sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+import run as bench  # noqa: E402
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
 
@@ -213,29 +219,37 @@ def test_subdivide_arc_keeps_positions():
     d = p_node_drawing()
     tag = next(iter(d.arcs))
     before = dict(d.positions)
-    d2 = subdivide_arc(d, tag, ["m1", "m2"])
+    d2 = subdivide_arc(d, tag, ["m1", "m2"], [7, "x", ("y", 1)])
     for v, z in before.items():
         assert d2.positions[v] == z
     assert "m1" in d2.positions and "m2" in d2.positions
     assert tag not in d2.arcs
+    # the sub-arcs carry the given tags, in order from the first endpoint
+    u, w = d.edges[tag]
+    assert set(d2.arcs) == set(d.arcs) - {tag} | {7, "x", ("y", 1)}
+    assert [d2.edges[t] for t in (7, "x", ("y", 1))] == [(u, "m1"), ("m1", "m2"), ("m2", w)]
     rep = verify(d2)
     assert rep.passed
     # subdivision points have degree 2 with smooth 180-degree continuation
     assert d2.degree("m1") == 2
+    with pytest.raises(DrawingError, match="one edge tag per edge"):
+        subdivide_arc(d, tag, ["m1"], [7])
 
 
 def test_claw_drawing_verifies():
-    d = claw_drawing()
+    d = claw_drawing("c", ["t0", 1, ("t", 2)])
     rep = verify(d)
     assert rep.passed
     degs = sorted(d.degree(v) for v in d.positions)
     assert degs == [1, 1, 1, 3]
+    # one stub per tag, each from the centre to its own leaf
+    assert set(d.arcs) == {"t0", 1, ("t", 2)}
+    assert all(d.edges[t][0] == "c" for t in d.arcs)
     # smaller stars: leaves at 2*pi/k spacing, the first straight up
     for k in (1, 2):
-        leaves = [f"l{i}" for i in range(k)]
-        d = claw_drawing("c", leaves)
+        d = claw_drawing("c", [f"t{i}" for i in range(k)])
         assert verify(d).passed
-        assert abs(d.positions["l0"] - 1j) < 1e-15
+        assert abs(d.positions[d.edges["t0"][1]] - 1j) < 1e-15
         assert sorted(d.degree(v) for v in d.positions) == [1] * k + [k]
 
 
@@ -243,7 +257,7 @@ def test_attach_bridge_stubs_on_chain():
     # replace one triangle edge by a chain carrying one bridge stub
     d = triangle_drawing()
     tag = ("e", "v0", "v1")
-    d2 = attach_bridge_stubs(d, tag, k=1, junction_names=["j"], stub_tags=[("b", "j")])
+    d2 = attach_bridge_stubs(d, tag, ["v0", "j", "v1"], [0, 1], {"j": ("b", "j")})
     assert "j" in d2.positions
     assert d2.degree("j") == 3
     # the stub ends at a fresh degree-1 vertex
@@ -252,20 +266,39 @@ def test_attach_bridge_stubs_on_chain():
     assert d2.degree(leaf) == 1
     rep = verify(d2)
     assert rep.passed, rep.summary()
+    # a longer chain: two junctions, with bridgeless vertices spread on
+    # the arcs next to and between them, each edge under its own tag
+    seq = ["v0", "p", "j1", "q", "r", "j2", "v1"]
+    tags = ["a", 1, ("t", 2), "b", 3, "c"]
+    d3 = attach_bridge_stubs(d, tag, seq, tags, {"j1": "s1", "j2": "s2"})
+    assert set(d3.arcs) == set(d.arcs) - {tag} | set(tags) | {"s1", "s2"}
+    assert [d3.edges[t] for t in tags] == list(zip(seq, seq[1:]))
+    assert [d3.degree(v) for v in seq[1:-1]] == [2, 3, 2, 2, 3]
+    rep = verify(d3)
+    assert rep.passed, rep.summary()
+    with pytest.raises(DrawingError, match="does not run"):
+        attach_bridge_stubs(d, tag, seq[::-1], tags[::-1], {"j1": "s1"})
 
 
 def test_glue_bridge_joins_two_claws():
     # each side carries the shared bridge edge as a stub to a degree-1
     # placeholder leaf; gluing replaces both stubs by one straight bridge
-    bridge = ("e", "c", "k")
-    dA = claw_drawing("c", ("u1", "u2", "sA"), tags=[("e", "c", "u1"), ("e", "c", "u2"), bridge])
-    dB = claw_drawing("k", ("w1", "w2", "sB"), tags=[("e", "k", "w1"), ("e", "k", "w2"), bridge])
-    d = glue_bridge(dA, dB, bridge)
-    assert set(d.edges[bridge]) == {"c", "k"}
-    assert "sA" not in d.positions and "sB" not in d.positions
+    bridge = 0
+    dA = claw_drawing("c", ["cu1", "cu2", bridge])
+    dB = claw_drawing("k", ["kw1", "kw2", bridge])
+    leaves = {dA.edges[bridge][1], dB.edges[bridge][1]}
+    d = glue_bridge(dA, dB, bridge, ("c", "k"))
+    assert d.edges[bridge] == ("c", "k")
+    assert not leaves & set(d.positions)
     assert d.degree("c") == 3 and d.degree("k") == 3
     rep = verify(d)
     assert rep.passed, rep.summary()
+    # a bare stub: both ends have degree 1, and the anchors say which end stays
+    d = glue_bridge(claw_drawing("a", [bridge]), claw_drawing("b", [bridge]), bridge, ("a", "b"))
+    assert d.positions.keys() == {"a", "b"} and d.edges == {bridge: ("a", "b")}
+    assert verify(d).passed
+    with pytest.raises(DrawingError, match="not an end"):
+        glue_bridge(dA, dB, bridge, ("k", "c"))
 
 
 def test_transform_and_mirror_preserve_verification():
@@ -342,6 +375,73 @@ def test_draw_subcubic_fixtures(name):
     rep = verify(d, g)
     assert rep.passed, f"{name}: {rep.summary()}"
     assert rep.max_angle_residual < 1e-6
+
+
+# edge tags other than parse()'s: the drawing must carry the caller's own
+TAG_MAPS = {"int": lambda i: i, "str": lambda i: f"edge{i}", "tuple": lambda i: ("x", i)}
+CHAINS = bench.build_family(graph, "chains", 0)  # the benchmark's inputs at family seed 0
+
+
+def _drawable_inputs() -> dict:
+    """Every subcubic fixture, and every bridgeless chains input."""
+    out = {}
+    for path in sorted(FIXTURES.glob("*.txt")):
+        g = parse(path.read_text())
+        if max(g.degree(v) for v in g.vertices) <= 3:
+            out[path.stem] = g
+    for name, text in CHAINS.items():
+        g = parse(text)
+        if name not in out and not g.bridges():
+            out[f"chains-{name}"] = g
+    return out
+
+
+DRAWABLE = _drawable_inputs()
+
+
+def retagged(g: PlanarGraph, tag_of) -> PlanarGraph:
+    """``g`` with its k-th edge (in ``g.edges`` order) tagged ``tag_of(k)``."""
+    index = {t: k for k, t in enumerate(g.edges)}
+    return PlanarGraph({v: [tag_of(index[t]) for t in g.rot[v]] for v in g.vertices})
+
+
+@pytest.mark.parametrize("tags", sorted(TAG_MAPS))
+@pytest.mark.parametrize("name", sorted(DRAWABLE))
+def test_draw_subcubic_keeps_the_callers_edge_tags(name, tags):
+    g = retagged(DRAWABLE[name], TAG_MAPS[tags])
+    d = draw_subcubic(g)
+    assert set(d.arcs) == set(d.edges) == set(g.edges)
+    assert all(set(d.edges[t]) == set(g.endpoints(t)) for t in g.edges)
+    assert verify(d, g).passed
+    back = from_json(json.loads(json.dumps(to_json(d))))
+    assert back.edges == d.edges and back.arcs == d.arcs and back.positions == d.positions
+
+
+@pytest.mark.parametrize(
+    "rot",
+    [
+        {"a": [1, 2, 3], "b": [3, 2, 4], "x": [1, 4]},
+        {"a": [1, 2, 5], "b": [1, 2, 6], "p": [5], "q": [6]},
+    ],
+    ids=["two-parallel-edges-and-a-path", "digon-with-two-pendants"],
+)
+def test_draw_subcubic_multigraph(rot):
+    g = PlanarGraph(rot)
+    g.check_planar()
+    d = draw_subcubic(g)
+    assert set(d.arcs) == set(g.edges)
+    rep = verify(d, g)
+    assert rep.passed, rep.summary()
+
+
+def test_draw_subcubic_raises_drawing_error_for_geometry_failures():
+    # k4_x8 still fails in bridge gluing (a degenerate Moebius map); that
+    # is a failed draw, not a raw ValueError, while bad input stays a
+    # GraphError (itself a ValueError)
+    with pytest.raises(DrawingError, match="degenerate Moebius"):
+        draw_subcubic(parse(CHAINS["k4_x8"]))
+    with pytest.raises(GraphError):
+        draw_subcubic(load_graph("g18"))
 
 
 @pytest.mark.parametrize("name", ["cube", "dodecahedron", "truncated_icosahedron"])

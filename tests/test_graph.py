@@ -5,7 +5,9 @@ import pytest
 from conftest import load_graph, load_text
 from lombardi.graph import (
     GraphError,
+    PlanarGraph,
     is_three_connected,
+    is_virtual,
     parse,
     recompose_edges,
     serialize,
@@ -136,10 +138,14 @@ def test_suppress_degree_two_restores_chain():
     assert sorted(sm.vertices) == ["a", "b", "c", "d"]
     assert all(sm.degree(v) == 3 for v in sm.vertices)
     assert len(chains) == 1
-    (tag, (u, interior, w)) = next(iter(chains.items()))
-    assert {u, w} == {"a", "b"}
-    assert interior in (["p", "q"], ["q", "p"])
-    assert interior == (["p", "q"] if u == "a" else ["q", "p"])
+    (tag, (seq, tags)) = next(iter(chains.items()))
+    assert seq in (["a", "p", "q", "b"], ["b", "q", "p", "a"])
+    # the chain's own edge tags, in the order of its vertices
+    assert tags == [("e",) + tuple(sorted(uw)) for uw in zip(seq, seq[1:])]
+    # any hashable tags come back as they are, also on parallel edges
+    sm, chains = PlanarGraph({"a": [1, 2, 3], "b": [3, 2, 4], "x": [1, 4]}).suppress_degree_two()
+    assert set(sm.edges) == {2, 3, *chains}
+    assert list(chains.values()) == [(["a", "x", "b"], [1, 4])]
 
 
 def test_suppress_rejects_pure_cycle():
@@ -179,10 +185,6 @@ def test_spqr_of_two_k4e():
     assert recompose_edges(tree) == sorted(g.edges, key=repr)
 
 
-def _is_virtual(tag) -> bool:
-    return isinstance(tag, tuple) and len(tag) > 0 and tag[0] == "virt"
-
-
 @pytest.mark.parametrize("name", ["two_k4e", "irregular69"])
 def test_spqr_structural_assertions(name):
     """Every tree edge has exactly one S endpoint; S skeletons are even
@@ -207,7 +209,7 @@ def test_spqr_structural_assertions(name):
             # walk the cycle and check alternation
             for v in sk.vertices:
                 tags = sk.rot[v]
-                assert _is_virtual(tags[0]) != _is_virtual(tags[1])
+                assert is_virtual(tags[0]) != is_virtual(tags[1])
         elif node.kind == "P":
             assert len(sk.vertices) == 2
             assert len(sk.edges) == 3
@@ -221,7 +223,7 @@ def test_spqr_virtual_tags_do_not_depend_on_earlier_calls():
 
     def virtual_tags():
         tree = spqr(g)
-        return [sorted((t for t in n.skeleton.edges if _is_virtual(t)), key=repr) for n in tree.nodes]
+        return [sorted((t for t in n.skeleton.edges if is_virtual(t)), key=repr) for n in tree.nodes]
 
     first = virtual_tags()
     assert any(first)
@@ -233,6 +235,10 @@ def test_spqr_rejects_bridged_or_noncubic():
         spqr(load_graph("two_blocks_bridge"))
     with pytest.raises(GraphError):
         spqr(parse("a b c\nb c a\nc a b\n"))
+    # an input edge may not carry a tag of the skeletons' virtual edges
+    k4 = parse(K4_TEXT)
+    with pytest.raises(GraphError, match="reserved"):
+        spqr(PlanarGraph({v: [("virt", k4.edges.index(t)) for t in k4.rot[v]] for v in k4.vertices}))
 
 
 def test_fixture_degrees():
