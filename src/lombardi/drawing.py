@@ -5,17 +5,18 @@ circular arc (straight segments are arcs of Line supports) so that the
 arc-ends around each vertex are equally spaced at 2*pi/deg.  This
 module builds such drawings for 3-connected cubic planar graphs from a
 circle packing of the dual, extends them to arbitrary subcubic planar
-graphs by SPQR-tree and bridge gluing, and draws medial graphs of
-polyhedral graphs from a primal-dual circle packing.  ``draw_subcubic``
-and ``draw_medial`` verify the drawing they return, once, at their
-``angle_tol``, and keep that report on it as ``report``.  That is the
-only verification of a draw: every construction step (packing
-read-off, SPQR and bridge gluing, stubs, subdivision) builds its result
-once, without retries, and returns it unverified.  A geometric
-``ValueError`` inside a draw is re-raised as ``DrawingError``.
-``verify`` finds crossing candidates by a sort-and-sweep over padded
-arc bounding boxes, so a verification costs about E log E for E arcs
-rather than E^2 pair tests.
+graphs by gluing along the nested SPQR decomposition (each S node's
+sides drawn whole before it glues them) and along bridges, and draws
+medial graphs of polyhedral graphs from a primal-dual circle packing.
+``draw_subcubic`` and ``draw_medial`` verify the drawing they return,
+once, at their ``angle_tol``, and keep that report on it as
+``report``.  That is the only verification of a draw: every
+construction step (packing read-off, SPQR and bridge gluing, stubs,
+subdivision) builds its result once, without retries, and returns it
+unverified.  A geometric ``ValueError`` inside a draw is re-raised as
+``DrawingError``.  ``verify`` finds crossing candidates by a
+sort-and-sweep over padded arc bounding boxes, so a verification costs
+about E log E for E arcs rather than E^2 pair tests.
 
 Edge tags belong to the caller: a drawing of ``g`` carries exactly
 ``g``'s tags, whatever hashable values they are, and ``draw_subcubic``
@@ -53,7 +54,7 @@ from .geometry import (
     same_support,
     segment,
 )
-from .graph import GraphError, PlanarGraph, is_three_connected, is_virtual, spqr
+from .graph import GraphError, PlanarGraph, SpqrNode, is_three_connected, is_virtual, spqr
 from .mobius_opt import (
     NormalizedPacking,
     apply_to_normalized,
@@ -653,25 +654,24 @@ def p_node_drawing(names: tuple[str, str] = ("a", "b"), tags: list | None = None
     return LombardiDrawing({u: a, w: b}, arcs, {t: (u, w) for t in tags}, None)
 
 
-def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarGraph) -> LombardiDrawing:
-    """Glue component drawings around an S-node cycle on the unit circle.
+def glue_s_node(sides: dict, cycle: PlanarGraph) -> LombardiDrawing:
+    """Glue side drawings around an S-node cycle on the unit circle.
 
-    Each component's virtual arc is expanded to a near-full circle and
-    mapped onto the unit circle across a private angular sector; the
-    virtual arcs are deleted and the cycle's real edges become the
-    short unit-circle arcs joining consecutive components, continuing
-    the deleted arcs' tangents exactly.  Returned unverified.
+    ``sides`` maps each virtual edge of ``cycle`` to the drawing of the
+    side across it, in which that edge is drawn.  Each side's virtual
+    arc is expanded to a near-full circle and mapped onto the unit
+    circle across a private angular sector; the virtual arcs are deleted
+    and the cycle's real edges become the short unit-circle arcs joining
+    consecutive sides, continuing the deleted arcs' tangents exactly.
+    Returned unverified.
     """
-    if len(components) < 2:
+    if len(sides) < 2:
         raise DrawingError("an S node has at least two virtual edges and components")
-    comp_of = {t: d for d, t in components}
-    if len(comp_of) != len(components):
-        raise DrawingError("duplicate virtual tags among components")
     walk = cycle.faces()[0]
     tags = [cycle.dart_tag(dd) for dd in walk]
     tails = [dd[0] for dd in walk]
     n = len(walk)
-    if set(t for t in tags if is_virtual(t)) != set(comp_of):
+    if set(t for t in tags if is_virtual(t)) != set(sides):
         raise DrawingError("components do not match the cycle's virtual edges")
     start = next(i for i, t in enumerate(tags) if is_virtual(t))
     tags = tags[start:] + tags[:start]
@@ -680,7 +680,7 @@ def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarG
         raise DrawingError("S cycle does not alternate virtual and real edges")
     k = n // 2
 
-    weights = [max(1, len(comp_of[tags[2 * i]].arcs)) for i in range(k)]
+    weights = [max(1, len(sides[tags[2 * i]].arcs)) for i in range(k)]
     total = float(sum(weights))
     gap = 0.1 * _TWO_PI / k
     widths = [0.9 * _TWO_PI * wt / total for wt in weights]
@@ -699,7 +699,7 @@ def glue_s_node(components: list[tuple[LombardiDrawing, object]], cycle: PlanarG
     for i in range(k):
         t = tags[2 * i]
         u_i, w_i = tails[2 * i], tails[2 * i + 1]
-        comp = comp_of[t]
+        comp = sides[t]
         if set(comp.edges[t]) != {u_i, w_i}:
             raise DrawingError(f"component for {t!r} has mismatched endpoints")
         a_i, b_i = starts[i], starts[i] + widths[i]
@@ -1005,59 +1005,25 @@ def _polygon_cycle_drawing(seq: list, tags: list, stub_of: dict) -> LombardiDraw
     return _add_stubs(d, stubs)
 
 
-def _spqr_block_drawing(h: PlanarGraph, outer_face: int, **kw) -> LombardiDrawing:
-    """Draw a 2-edge-connected cubic multigraph via its SPQR tree.
-
-    P and R nodes are drawn on their own and glued at the S nodes; an R
-    node gets ``outer_face`` only when it is the tree's only node.
-    """
-    tree = spqr(h)
-    only = len(tree.nodes) == 1
-    cluster_of: dict[int, int] = {}
-    drawings: dict[int, LombardiDrawing] = {}
-    for i, node in enumerate(tree.nodes):
-        if node.kind == "S":
-            continue
-        sk = node.skeleton
-        if node.kind == "P":
-            u = sk.vertices[0]
-            drawings[i] = p_node_drawing((u, sk.other_end(sk.rot[u][0], u)), list(sk.rot[u]))
-        else:
-            drawings[i] = draw_3connected(sk, outer_face=outer_face if only else 0, **kw)
-        cluster_of[i] = i
-    for i, node in enumerate(tree.nodes):
-        if node.kind != "S":
-            continue
-        virts = [t for t in node.skeleton.edges if is_virtual(t)]
-        comps = []
-        roots = []
-        for t in virts:
-            s_idx, other = tree.links[t]
-            if s_idx != i:
-                raise GraphError("SPQR link bookkeeping error")
-            root = cluster_of[other]
-            comps.append((drawings[root], t))
-            roots.append(root)
-        if len(set(roots)) != len(roots):
-            raise DrawingError("SPQR tree cycle detected during gluing")
-        merged = glue_s_node(comps, node.skeleton)
-        new_root = roots[0]
-        drawings[new_root] = merged
-        for n_idx, r in list(cluster_of.items()):
-            if r in roots:
-                cluster_of[n_idx] = new_root
-        cluster_of[i] = new_root
-    roots = set(cluster_of.values())
-    if len(roots) != 1:
-        raise DrawingError("SPQR gluing left multiple clusters")
-    return drawings[roots.pop()]
+def _spqr_drawing(node: SpqrNode, outer_face: int, **kw) -> LombardiDrawing:
+    """Draw the SPQR decomposition rooted at ``node``: a P node as the
+    canonical bond, an R node by ``draw_3connected`` and an S node by
+    gluing the drawings of its sides.  Only the root's R node gets
+    ``outer_face``."""
+    sk = node.skeleton
+    if node.kind == "P":
+        u = sk.vertices[0]
+        return p_node_drawing((u, sk.other_end(sk.rot[u][0], u)), list(sk.rot[u]))
+    if node.kind == "R":
+        return draw_3connected(sk, outer_face=outer_face, **kw)
+    return glue_s_node({t: _spqr_drawing(side, 0, **kw) for t, side in node.sides.items()}, sk)
 
 
 def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int, **kw) -> LombardiDrawing:
     """Draw one bridgeless block whose vertices in ``stub_of`` carry a
     stub tagged ``stub_of[v]`` for their bridge."""
     h, chains = piece.suppress_degree_two()
-    d = _spqr_block_drawing(h, outer_face if not chains and not stub_of else 0, **kw)
+    d = _spqr_drawing(spqr(h), outer_face if not chains and not stub_of else 0, **kw)
     for chain_tag, (seq, tags) in chains.items():
         # junctions are laid out from the drawing's first edge endpoint;
         # flip the chain if the drawing stores the edge the other way

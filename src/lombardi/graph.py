@@ -412,16 +412,17 @@ def serialize(g: PlanarGraph) -> str:
 
 @dataclass
 class SpqrNode:
-    kind: str  # 'S', 'P' or 'R'
+    """A node of the nested SPQR decomposition.
+
+    ``kind`` is 'S', 'P' or 'R'.  An S node's skeleton is a cycle and
+    ``sides`` maps each virtual edge of that cycle to the decomposition of
+    the side across it, in whose skeletons the virtual edge is an ordinary
+    edge; P and R nodes have no sides.
+    """
+
+    kind: str
     skeleton: PlanarGraph
-    index: int = -1
-
-
-@dataclass
-class SpqrTree:
-    nodes: list[SpqrNode] = field(default_factory=list)
-    # tree edges: virtual tag -> (node index, node index); the S side first
-    links: dict = field(default_factory=dict)
+    sides: dict = field(default_factory=dict)
 
 
 def _two_cut_classes(g: PlanarGraph) -> list[list]:
@@ -465,57 +466,37 @@ def _assert_cubic(g: PlanarGraph):
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)}, expected 3")
 
 
-def spqr(g: PlanarGraph) -> SpqrTree:
-    """SPQR tree of a 2-edge-connected cubic planar multigraph.
+def spqr(g: PlanarGraph) -> SpqrNode:
+    """SPQR decomposition of a 2-edge-connected cubic planar multigraph.
 
     Splits recursively along maximal 2-edge-cut classes: each class
     yields an S node (an even cycle alternating real class edges and
     virtual edges), and every side is re-split with its virtual edge
     inserted in place of its class edge.  Leaves are P nodes (3-bonds)
-    or R nodes (3-connected simple cubic skeletons).  Virtual edges are
+    or R nodes (3-connected simple cubic skeletons).  Returns the root;
+    the nesting is kept in the S nodes' ``sides``.  Virtual edges are
     tagged ("virt", 1), ("virt", 2), ... afresh in every call (see
     ``is_virtual``), so no input edge may carry such a tag.  Each
     split finds its classes in O(V + E) (see ``_two_cut_classes``), so
-    the tree costs O(V + E) per level of nesting.
+    the decomposition costs O(V + E) per level of nesting.
     """
     _assert_cubic(g)
     if any(is_virtual(t) for t in g.edges):
         raise GraphError("edge tags ('virt', ...) are reserved for SPQR skeletons")
     if g.bridges():
         raise GraphError("graph is not 2-edge-connected")
-    tree = SpqrTree()
-    _split(g, tree, itertools.count(1))
-    for i, n in enumerate(tree.nodes):
-        n.index = i
-    # pair virtual tags into tree links
-    where: dict = {}
-    for i, n in enumerate(tree.nodes):
-        for t in n.skeleton.edges:
-            if is_virtual(t):
-                where.setdefault(t, []).append(i)
-    for t, idxs in where.items():
-        if len(idxs) != 2:
-            raise GraphError(f"virtual edge {t!r} appears in {len(idxs)} skeletons")
-        a, b = idxs
-        if tree.nodes[b].kind == "S" and tree.nodes[a].kind != "S":
-            a, b = b, a
-        if tree.nodes[a].kind != "S" or tree.nodes[b].kind == "S":
-            raise GraphError("SPQR structure violated: tree edge without exactly one S endpoint")
-        tree.links[t] = (a, b)
-    return tree
+    return _split(g, itertools.count(1))
 
 
-def _split(g: PlanarGraph, tree: SpqrTree, virt_ids: Iterator[int]) -> None:
+def _split(g: PlanarGraph, virt_ids: Iterator[int]) -> SpqrNode:
     classes = _two_cut_classes(g)
     if not classes:
         if len(g.vertices) == 2:
-            tree.nodes.append(SpqrNode("P", g))
-        else:
-            # must be simple and 3-connected here
-            if not g.is_simple():
-                raise GraphError("unexpected parallel edges in 3-edge-connected skeleton")
-            tree.nodes.append(SpqrNode("R", g))
-        return
+            return SpqrNode("P", g)
+        # must be simple and 3-connected here
+        if not g.is_simple():
+            raise GraphError("unexpected parallel edges in 3-edge-connected skeleton")
+        return SpqrNode("R", g)
     cls = classes[0]
     if any(is_virtual(t) for t in cls):
         raise GraphError("SPQR structure violated: virtual edge inside a cut class")
@@ -535,19 +516,18 @@ def _split(g: PlanarGraph, tree: SpqrTree, virt_ids: Iterator[int]) -> None:
         if len(lst) != 2:
             raise GraphError("cut class component with attachment count != 2")
     # walk the cycle of components and class edges
-    order = []  # list of (comp index, entry vertex, exit vertex, exit tag)
     start_tag = cls[0]
     tag = start_tag
     u, w = g.endpoints(tag)
     cur, entry = comp_of[w], w
     s_cycle = []  # alternating: real tag, virtual tag, ...
     s_rot: dict[str, list] = {}
-    virt_of_comp: dict[int, tuple] = {}
+    virt_of_comp: dict[int, tuple] = {}  # component -> its virtual tag
     while True:
         (t1, v1), (t2, v2) = touch[cur]
         out_tag, out_v = (t2, v2) if t1 == tag else (t1, v1)
         vt = ("virt", next(virt_ids))
-        virt_of_comp[cur] = (vt, entry, out_v)
+        virt_of_comp[cur] = vt
         # S cycle vertices entry/out_v joined by the virtual edge
         s_rot.setdefault(entry, []).append(tag)
         s_rot[entry].append(vt)
@@ -562,26 +542,14 @@ def _split(g: PlanarGraph, tree: SpqrTree, virt_ids: Iterator[int]) -> None:
         cur, entry = nxt, nentry
     if len(s_cycle) != 2 * len(cls):
         raise GraphError("cut class components do not form a single cycle")
-    s_rot = {v: tags for v, tags in s_rot.items()}
-    tree.nodes.append(SpqrNode("S", PlanarGraph(s_rot)))
+    node = SpqrNode("S", PlanarGraph(s_rot))
     # recurse on each side with its virtual edge spliced in
     for ci, comp in enumerate(comps):
-        vt, a, b = virt_of_comp[ci]
-        sub = rest.subgraph(comp)
+        vt, sub = virt_of_comp[ci], rest.subgraph(comp)
         # the virtual edge takes the rotation slot freed by the class edge
         # at each attachment vertex (slots shift down after edge removal)
         (ta, va), (tb, vb) = touch[ci]
         slot_a = sum(1 for t in g.rot[va][: g.rot[va].index(ta)] if t not in cls)
         slot_b = sum(1 for t in g.rot[vb][: g.rot[vb].index(tb)] if t not in cls)
-        sub2 = sub.with_edge(vt, va, slot_a, vb, slot_b)
-        _split(sub2, tree, virt_ids)
-
-
-def recompose_edges(tree: SpqrTree) -> list:
-    """Multiset of real edge tags across all skeletons (for validation)."""
-    out = []
-    for n in tree.nodes:
-        for t in n.skeleton.edges:
-            if not is_virtual(t):
-                out.append(t)
-    return sorted(out, key=repr)
+        node.sides[vt] = _split(sub.with_edge(vt, va, slot_a, vb, slot_b), virt_ids)
+    return node

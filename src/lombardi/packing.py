@@ -234,56 +234,39 @@ def layout_centers(
     walk = faces[outer_face]
     d0 = walk[0]
     u0, v0 = d0[0], g.head(d0)
-    seed: dict[str, complex] = {}
-    seed[u0] = complex(-radii[u0], 0.0)
-    seed[v0] = seed[u0] + length(radii, u0, v0)
-
-    # try both face orientations; keep the one with consistent edge lengths
-    def run(sign: float) -> dict[str, complex] | None:
-        pos = dict(seed)
-        pending = [i for i in range(len(faces)) if i != outer_face]
-        progress = True
-        while pending and progress:
-            progress = False
-            rest = []
-            for fi in pending:
-                vs = [d[0] for d in faces[fi]]
-                if all(v in pos for v in vs):
-                    continue
-                done = False
-                for r in range(3):
-                    a, b, c = vs[r % 3], vs[(r + 1) % 3], vs[(r + 2) % 3]
-                    if a in pos and b in pos and c not in pos:
-                        alpha = _angle(
-                            length(radii, a, c),
-                            length(radii, a, b),
-                            length(radii, b, c),
-                        )
-                        dab = pos[b] - pos[a]
-                        dab /= abs(dab)
-                        pos[c] = pos[a] + length(radii, a, c) * dab * cmath.exp(1j * sign * alpha)
-                        done = True
-                        break
-                if done:
+    pos = {u0: complex(-radii[u0], 0.0)}
+    pos[v0] = pos[u0] + length(radii, u0, v0)
+    pending = [i for i in range(len(faces)) if i != outer_face]
+    progress = True
+    while pending and progress:
+        progress = False
+        rest = []
+        for fi in pending:
+            vs = [d[0] for d in faces[fi]]
+            if all(v in pos for v in vs):
+                continue
+            for r in range(3):
+                a, b, c = vs[r % 3], vs[(r + 1) % 3], vs[(r + 2) % 3]
+                if a in pos and b in pos and c not in pos:
+                    alpha = _angle(
+                        length(radii, a, c),
+                        length(radii, a, b),
+                        length(radii, b, c),
+                    )
+                    dab = pos[b] - pos[a]
+                    dab /= abs(dab)
+                    pos[c] = pos[a] + length(radii, a, c) * dab * cmath.exp(1j * alpha)
                     progress = True
-                else:
-                    rest.append(fi)
-            pending = rest
-        if pending:
-            return None
-        scale = max(radii.values())
-        for t in g.edges:
-            x, y = g.endpoints(t)
-            if abs(abs(pos[x] - pos[y]) - length(radii, x, y)) > 1e-6 * scale:
-                return None
-        return pos
-
-    for sign in (1.0, -1.0):
-        pos = run(sign)
-        if pos is not None:
-            break
-    else:
-        raise PackingError("layout failed: no orientation yields consistent edge lengths")
+                    break
+            else:
+                rest.append(fi)
+        pending = rest
+    scale = max(radii.values())
+    if pending or any(
+        abs(abs(pos[x] - pos[y]) - length(radii, x, y)) > 1e-6 * scale
+        for x, y in map(g.endpoints, g.edges)
+    ):
+        raise PackingError("layout failed: inconsistent edge lengths")
 
     circles = {v: Circle(pos[v], radii[v]) for v in g.vertices if radii[v] > 0}
     tangency = {}
@@ -293,7 +276,7 @@ def layout_centers(
             x, y = g.endpoints(t)
             d = pos[y] - pos[x]
             tangency[t] = pos[x] + radii[x] * d / abs(d)
-    return CirclePacking(circles=circles, tangency=tangency, outer_face=outer_face, centers=dict(pos))
+    return CirclePacking(circles=circles, tangency=tangency, outer_face=outer_face, centers=pos)
 
 
 def pack_and_layout(
@@ -397,7 +380,6 @@ def primal_dual_pack(
     g: PlanarGraph,
     tol: float = 1e-10,
     max_iter: int = 1000000,
-    outer_face: int = 0,
 ) -> PrimalDualPacking:
     """Simultaneous orthogonal circle packing of a polyhedral graph and its dual.
 
@@ -407,10 +389,10 @@ def primal_dual_pack(
     2*pi (four right angles) and their centers are exactly the points
     where an edge's four circles meet.
 
-    The boundary is a "hub" triple: the three vertex circles of a
-    triangular face (the designated outer face if it is one), or dually
-    the three face circles around a degree-3 vertex; one of the two
-    always exists in a 3-connected planar graph.  The triple is pinned
+    The boundary is a "hub" triple: the three vertex circles of the
+    first triangular face, or dually the three face circles around the
+    first degree-3 vertex; one of the two always exists in a
+    3-connected planar graph.  The triple is pinned
     at radius 1, every other circle closes up at 2*pi -- including the
     hub itself, whose circle is laid out last by trilateration from its
     already-placed neighbors.
@@ -419,19 +401,16 @@ def primal_dual_pack(
     faces = g.faces()
     fidx = g.face_of()
     hub, triple = None, None
-    if len(faces[outer_face]) == 3:
-        hub, triple = fname[outer_face], g.face_vertices(outer_face)
+    for i, walk in enumerate(faces):
+        if len(walk) == 3:
+            hub, triple = fname[i], g.face_vertices(i)
+            break
     else:
-        for i, walk in enumerate(faces):
-            if len(walk) == 3:
-                hub, triple = fname[i], g.face_vertices(i)
+        for v in g.vertices:
+            if g.degree(v) == 3:
+                hub = v
+                triple = [fname[fidx[(v, s)]] for s in range(3)]
                 break
-        else:
-            for v in g.vertices:
-                if g.degree(v) == 3:
-                    hub = v
-                    triple = [fname[fidx[(v, s)]] for s in range(3)]
-                    break
     if hub is None:
         raise GraphError("no triangular face and no degree-3 vertex")
     boundary = {xname[t]: 0.0 for t in g.edges}

@@ -5,9 +5,10 @@ Tolerances are pinned here and must not be loosened.  Criteria:
  2. perfect 2*pi/3 angular resolution on the six cubic fixtures (1e-6,
     60-vertex fixture in < 10 s)
  3. zero arc crossings on every drawn fixture
- 4. the series-glued two-block fixture draws and its decomposition tree
-    satisfies the structural assertions (one cycle node per tree edge,
-    even alternating cycles, 3-bonds, 3-regular rigid skeletons)
+ 4. the series-glued two-block fixture draws and its SPQR decomposition
+    satisfies the structural assertions (each virtual edge joins one
+    cycle node to one bond or rigid node, even alternating cycles,
+    3-bonds, simple 3-connected cubic rigid skeletons)
  5. fixtures with degree-1 and degree-2 vertices draw, with 180-degree
     smooth continuations at degree-2 vertices (1e-6)
  6. medial drawings: cube -> cuboctahedron (12 vertices at 90 degrees,
@@ -27,7 +28,7 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, drawn, load_graph
+from conftest import FIXTURES, drawn, load_graph, spqr_problems
 from lombardi.drawing import (
     draw_medial,
     drawing_from_packing,
@@ -35,7 +36,7 @@ from lombardi.drawing import (
     verify,
 )
 from lombardi.geometry import Mobius, Triangle, is_inf, isodynamic_points
-from lombardi.graph import is_virtual, parse, recompose_edges, spqr
+from lombardi.graph import parse, spqr
 from lombardi.mobius_opt import NormalizedPacking, normalize_outer, optimize_min_radius
 from lombardi.packing import pack_and_layout
 
@@ -118,25 +119,7 @@ def test_criterion_4_series_glued_blocks_and_tree_structure():
     g, d, _ = drawn("two_k4e")
     rep = verify(d, g)
     h, _ = g.suppress_degree_two()
-    tree = spqr(h)
-    ok = rep.passed
-    # every tree edge has exactly one S endpoint
-    for tag, (i, j) in tree.links.items():
-        kinds = {tree.nodes[i].kind, tree.nodes[j].kind}
-        ok = ok and ("S" in kinds and kinds != {"S"})
-    for node in tree.nodes:
-        sk = node.skeleton
-        if node.kind == "S":
-            ok = ok and all(sk.degree(v) == 2 for v in sk.vertices)
-            ok = ok and len(sk.edges) % 2 == 0
-            for v in sk.vertices:
-                virt = [is_virtual(t) for t in sk.rot[v]]
-                ok = ok and (virt[0] != virt[1])
-        elif node.kind == "P":
-            ok = ok and len(sk.vertices) == 2 and len(sk.edges) == 3
-        else:
-            ok = ok and all(sk.degree(v) == 3 for v in sk.vertices)
-    ok = ok and recompose_edges(tree) == sorted(h.edges, key=repr)
+    ok = rep.passed and not spqr_problems(h, spqr(h))
     report(4, "series-glued blocks + tree structure", ok, rep.summary())
 
 

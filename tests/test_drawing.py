@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, drawn, load_graph, load_text
+from conftest import FIXTURES, drawn, k4_gadgets, load_graph, load_text
 from lombardi.drawing import (
     DrawingError,
     LombardiDrawing,
@@ -343,6 +343,11 @@ def sector_overflow_text() -> str:
         ("a b\nb a c\nc b d\nd c\n", 4),  # path
         ("a b f\nb a c\nc b d\nd c e\ne d f\nf e a\n", 6),  # 6-cycle
         pytest.param(sector_overflow_text(), 28, id="sector-overflow"),
+        # S nodes nested in S nodes' sides; (108, 16) failed the gate with
+        # angle residual 1.8e-4 when inner S nodes re-expanded the whole
+        # assembly instead of gluing sides drawn whole
+        pytest.param(k4_gadgets(0, 8), 36, id="gadgets-0-8"),
+        pytest.param(k4_gadgets(108, 16), 68, id="gadgets-108-16"),
     ],
 )
 def test_draw_subcubic_small(text, nv):

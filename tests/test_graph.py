@@ -2,14 +2,13 @@
 
 import pytest
 
-from conftest import load_graph, load_text
+from conftest import k4_gadgets, load_graph, load_text, spqr_nodes, spqr_problems
 from lombardi.graph import (
     GraphError,
     PlanarGraph,
     is_three_connected,
     is_virtual,
     parse,
-    recompose_edges,
     serialize,
     spqr,
 )
@@ -168,28 +167,27 @@ def test_is_three_connected():
 
 
 def test_spqr_of_k4_single_r_node():
-    tree = spqr(parse(K4_TEXT))
-    assert len(tree.nodes) == 1
-    assert tree.nodes[0].kind == "R"
-    assert tree.links == {}
-    assert recompose_edges(tree) == sorted(parse(K4_TEXT).edges, key=repr)
+    g = parse(K4_TEXT)
+    root = spqr(g)
+    assert root.kind == "R"
+    assert root.sides == {}
+    assert spqr_problems(g, root) == []
 
 
 def test_spqr_of_two_k4e():
     g, _ = load_graph("two_k4e").suppress_degree_two()
-    tree = spqr(g)
-    kinds = sorted(n.kind for n in tree.nodes)
-    assert kinds == ["R", "R", "S"]
-    assert len(tree.links) == 2
+    root = spqr(g)
+    assert sorted(n.kind for n in spqr_nodes(root)) == ["R", "R", "S"]
+    assert root.kind == "S" and len(root.sides) == 2
     # real edges across skeletons reproduce the original edge multiset
-    assert recompose_edges(tree) == sorted(g.edges, key=repr)
+    assert spqr_problems(g, root) == []
 
 
 @pytest.mark.parametrize("name", ["two_k4e", "irregular69"])
 def test_spqr_structural_assertions(name):
-    """Every tree edge has exactly one S endpoint; S skeletons are even
-    cycles alternating virtual and real edges; P skeletons are 3-bonds;
-    R skeletons are 3-regular."""
+    """Each virtual edge joins one S node to one P or R node; S
+    skeletons are even cycles alternating virtual and real edges; P
+    skeletons are 3-bonds; R skeletons are simple 3-connected cubic."""
     g = load_graph(name)
     # restrict to a 2-edge-connected cubic piece: drop bridges and
     # degree<3 vertices, keep the largest component, smooth degree-2
@@ -197,33 +195,29 @@ def test_spqr_structural_assertions(name):
     comp = max(h.connected_components(), key=len)
     h = h.subgraph(comp)
     h, _ = h.suppress_degree_two()
-    tree = spqr(h)
-    for tag, (i, j) in tree.links.items():
-        kinds = {tree.nodes[i].kind, tree.nodes[j].kind}
-        assert "S" in kinds and kinds != {"S"}
-    for node in tree.nodes:
-        sk = node.skeleton
-        if node.kind == "S":
-            assert all(sk.degree(v) == 2 for v in sk.vertices)
-            assert len(sk.edges) % 2 == 0
-            # walk the cycle and check alternation
-            for v in sk.vertices:
-                tags = sk.rot[v]
-                assert is_virtual(tags[0]) != is_virtual(tags[1])
-        elif node.kind == "P":
-            assert len(sk.vertices) == 2
-            assert len(sk.edges) == 3
-        else:
-            assert node.kind == "R"
-            assert all(sk.degree(v) == 3 for v in sk.vertices)
+    assert spqr_problems(h, spqr(h)) == []
+
+
+def test_spqr_nests_s_nodes():
+    """K4 with gadgets spliced into gadgets: S nodes inside the sides of
+    other S nodes, three deep."""
+
+    def s_depth(node) -> int:
+        below = max((s_depth(side) for side in node.sides.values()), default=0)
+        return below + (node.kind == "S")
+
+    g = parse(k4_gadgets(0, 8))
+    root = spqr(g)
+    assert s_depth(root) == 3
+    assert spqr_problems(g, root) == []
 
 
 def test_spqr_virtual_tags_do_not_depend_on_earlier_calls():
     g, _ = load_graph("two_k4e").suppress_degree_two()
 
     def virtual_tags():
-        tree = spqr(g)
-        return [sorted((t for t in n.skeleton.edges if is_virtual(t)), key=repr) for n in tree.nodes]
+        nodes = spqr_nodes(spqr(g))
+        return [sorted((t for t in n.skeleton.edges if is_virtual(t)), key=repr) for n in nodes]
 
     first = virtual_tags()
     assert any(first)

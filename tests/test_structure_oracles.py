@@ -249,8 +249,8 @@ def test_spqr_makes_one_bridge_search_and_no_edge_removals(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(PlanarGraph, name, counted)
-    tree = spqr(g)
-    assert [n.kind for n in tree.nodes] == ["R"]
+    root = spqr(g)
+    assert (root.kind, root.sides) == ("R", {})
     assert calls == {"without_edges": 0, "bridges": 1}
 
 
