@@ -156,13 +156,11 @@ def _line_coord_interval(arc: Arc, frame: Line | None = None) -> tuple[float, fl
     line: Line = frame if frame is not None else arc.support  # type: ignore[assignment]
     if is_inf(arc.p) or is_inf(arc.q):
         return None
-    d = line.direction
-    f = line.foot()
-    t1 = (d.conjugate() * (arc.p - f)).real
-    t2 = (d.conjugate() * (arc.q - f)).real
+    t1 = line.coord(arc.p)
+    t2 = line.coord(arc.q)
     lo, hi = min(t1, t2), max(t1, t2)
     if not is_inf(arc.witness):
-        tw = (d.conjugate() * (arc.witness - f)).real
+        tw = line.coord(arc.witness)
         if not (lo - 1e-12 <= tw <= hi + 1e-12):
             return None  # complement (two-ray) arc: unbounded
     return lo, hi
@@ -233,8 +231,8 @@ def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
         if tol >= 0.2:
             return None
         d, f = s.direction, s.foot()
-        t1, t2 = sorted((d.conjugate() * (z - f)).real for z in (a.p, a.q))
-        tw = (d.conjugate() * (a.witness - f)).real
+        t1, t2 = sorted(s.coord(z) for z in (a.p, a.q))
+        tw = s.coord(a.witness)
         size = max(1.0, abs(a.p), abs(a.q), abs(a.witness))
         size += max(abs(s.signed_distance(a.p)), abs(s.signed_distance(a.q)))
         # the other arc's frame moves the witness against the ends by at
@@ -583,51 +581,22 @@ def draw_3connected(
 # SPQR gluing operations
 
 
-def expand_virtual_edge(d: LombardiDrawing, e, eps: float = 0.05) -> LombardiDrawing:
-    """Invert the drawing so edge ``e`` subtends >= 2*pi*(1-eps).
+def expand_virtual_edge(d: LombardiDrawing, e, u, a: float, b: float) -> LombardiDrawing:
+    """Map the side ``d`` so its virtual edge ``e`` runs outside the sector [a, b].
 
-    The inversion is centered at distance eps*len(e) from the arc's
-    midpoint, on the side away from the rest of the drawing, which
-    sends the arc to a near-full circle with the remaining geometry
-    inside it near the gap.
+    The one anti-Moebius map sending ``u`` to exp(i*a), the arc's
+    midpoint to -exp(i*(a+b)/2) and the edge's other endpoint to
+    exp(i*b) carries the arc onto the unit circle, around the long way
+    from a to b; the side is transformed by it once.
     """
-    if eps <= 0:
-        raise DrawingError("expansion parameter must be positive")
     if e not in d.arcs:
         raise DrawingError(f"edge {e!r} is not in the drawing")
-    a = d.arcs[e]
-    chord = abs(a.p - a.q)
-    m0 = a.midpoint()
-    if isinstance(a.support, Circle):
-        n = (m0 - a.support.center) / abs(m0 - a.support.center)
-    else:
-        n = a.support.normal
-    # put the center on the side opposite most of the drawing
-    inside = outside = 0
-    u, w = d.edges[e]
-    for v, z in d.positions.items():
-        if v in (u, w):
-            continue
-        if a.support.strictly_inside(z):
-            inside += 1
-        else:
-            outside += 1
-    side_in = a.support.strictly_inside(m0 + n * chord * 1e-3)
-    body_inside = inside >= outside
-    if body_inside == side_in:
-        n = -n
-    # a straight edge of length L inverted from distance delta leaves a
-    # gap of about 8*delta/L, so the nominal eps*L offset can fall just
-    # short of the 2*pi*(1-eps) target; halve the offset until it holds
-    delta = eps * chord
-    for _ in range(8):
-        z0 = m0 + n * delta
-        out = transform(d, inversion(Circle(z0, chord)))
-        arc = out.arcs[e]
-        if isinstance(arc.support, Circle) and arc.subtended_angle() >= _TWO_PI * (1 - eps) - 1e-9:
-            return out
-        delta /= 2
-    raise DrawingError("expanded arc does not subtend enough of its circle")
+    p, q = d.edges[e]
+    w = q if p == u else p
+    src = (d.positions[u], d.arcs[e].midpoint(), d.positions[w])
+    dst = (cmath.exp(1j * a), -cmath.exp(1j * (a + b) / 2), cmath.exp(1j * b))
+    m = mobius_from_triples(tuple(z.conjugate() for z in src), dst)
+    return transform(d, m.compose(Mobius(1, 0, 0, 1, conj=True)))
 
 
 def p_node_drawing(names: tuple[str, str] = ("a", "b"), tags: list | None = None) -> LombardiDrawing:
@@ -658,10 +627,11 @@ def glue_s_node(sides: dict, cycle: PlanarGraph) -> LombardiDrawing:
     """Glue side drawings around an S-node cycle on the unit circle.
 
     ``sides`` maps each virtual edge of ``cycle`` to the drawing of the
-    side across it, in which that edge is drawn.  Each side's virtual
-    arc is expanded to a near-full circle and mapped onto the unit
-    circle across a private angular sector; the virtual arcs are deleted
-    and the cycle's real edges become the short unit-circle arcs joining
+    side across it, in which that edge is drawn.  Each side gets a
+    private angular sector and is placed by one anti-Moebius map
+    (``expand_virtual_edge``), which sends its virtual arc onto the unit
+    circle outside that sector.  The virtual arcs are deleted and the
+    cycle's real edges become the short unit-circle arcs joining
     consecutive sides, continuing the deleted arcs' tangents exactly.
     Returned unverified.
     """
@@ -702,13 +672,7 @@ def glue_s_node(sides: dict, cycle: PlanarGraph) -> LombardiDrawing:
         comp = sides[t]
         if set(comp.edges[t]) != {u_i, w_i}:
             raise DrawingError(f"component for {t!r} has mismatched endpoints")
-        a_i, b_i = starts[i], starts[i] + widths[i]
-        ex = expand_virtual_edge(comp, t)
-        m = mobius_from_triples(
-            (ex.positions[u_i], ex.arcs[t].midpoint(), ex.positions[w_i]),
-            (unit(a_i), -unit((a_i + b_i) / 2), unit(b_i)),
-        )
-        placed = transform(ex, m)
+        placed = expand_virtual_edge(comp, t, u_i, starts[i], starts[i] + widths[i])
         for v, z in placed.positions.items():
             if v in positions and abs(positions[v] - z) > 1e-7:
                 raise DrawingError(f"vertex {v!r} appears in two components")

@@ -86,10 +86,10 @@ class Circle:
             return False
         return abs(abs(p - self.center) - self.radius) <= tol * max(self.radius, 1.0)
 
-    def strictly_inside(self, p: Point, tol: float = 0.0) -> bool:
+    def strictly_inside(self, p: Point) -> bool:
         if is_inf(p):
             return False
-        return abs(p - self.center) < self.radius - tol
+        return abs(p - self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,21 @@ class Line:
     def signed_distance(self, z: complex) -> float:
         return (self.normal.conjugate() * z).real - self.offset
 
+    def coord(self, z: complex) -> float:
+        """Signed coordinate of ``z``'s projection along ``direction``, from ``foot``."""
+        return (self.direction.conjugate() * (z - self.foot())).real
+
     def contains(self, p: Point, tol: float = GEOM_TOL) -> bool:
         if is_inf(p):
             return True  # every line passes through infinity
         scale = max(1.0, abs(p))
         return abs(self.signed_distance(p)) <= tol * scale
 
-    def strictly_inside(self, p: Point, tol: float = 0.0) -> bool:
+    def strictly_inside(self, p: Point) -> bool:
         # "interior" of a line: the half plane on the side the normal points away from
         if is_inf(p):
             return False
-        return self.signed_distance(p) < -tol
+        return self.signed_distance(p) < 0
 
 
 GeneralizedCircle = Union[Circle, Line]
@@ -442,12 +446,7 @@ class Arc:
             return False
         if is_inf(x):
             return is_inf(self.p) or is_inf(self.q) or is_inf(self.witness)
-        d = line.direction
-        f = line.foot()
-
-        def coord(z: complex) -> float:
-            return (d.conjugate() * (z - f)).real
-
+        coord = line.coord
         tx = coord(x)
         scale = max((abs(v) for v in (self.p, self.q, self.witness, x) if not is_inf(v)), default=1.0)
         eps = tol * max(scale, 1.0)
@@ -494,11 +493,7 @@ class Arc:
             return t if at_p else -t  # into the arc from whichever end
         line = self.support
         d = line.direction
-        f = line.foot()
-
-        def coord(z: Point) -> float:
-            return (d.conjugate() * (z - f)).real  # type: ignore[operand]
-
+        coord = line.coord
         other = self.q if at_p else self.p
         if is_inf(other):
             w = self.witness
@@ -693,10 +688,6 @@ def isodynamic_points(t: Triangle) -> tuple[Point, Point]:
 # Lune bisector
 
 
-def _inside(support: GeneralizedCircle, z: complex) -> bool:
-    return support.strictly_inside(z)
-
-
 def lune_bisector(
     c1: GeneralizedCircle,
     c2: GeneralizedCircle,
@@ -739,7 +730,7 @@ def lune_bisector(
             w = minv.apply(u)
             if is_inf(w):
                 continue
-            if _inside(c1, w) == side1 and _inside(c2, w) == side2:
+            if c1.strictly_inside(w) == side1 and c2.strictly_inside(w) == side2:
                 return arc_through(q1, q2, w)
     raise ValueError("lune_bisector: no candidate lies inside the lune")
 

@@ -46,23 +46,39 @@ def fixtures_dir() -> pathlib.Path:
     return FIXTURES
 
 
-def k4_gadgets(seed: int, k: int) -> str:
+def _k4_with_gadgets(k: int, pick) -> str:
     """K4 with ``k`` edges replaced, one after another, by a K4-minus-an-edge
     gadget on a 2-edge-cut, as rotation-system text.
 
-    Edge uw (picked by ``random.Random(seed)`` among the current edges)
-    becomes u-a and b-w with the gadget a, b, c, d (named g<i>_a ...) between
-    them; a gadget placed inside an earlier one nests S nodes.
+    ``pick(rot, i)`` chooses the edge uw for gadget i from the current
+    rotation ``rot``; uw becomes u-a and b-w with the gadget a, b, c, d
+    (named g<i>_a ...) between them.
     """
     rot = {"p": ["q", "r", "s"], "q": ["p", "s", "r"], "r": ["p", "q", "s"], "s": ["p", "r", "q"]}
-    rng = random.Random(seed)
     for i in range(k):
-        u, w = rng.choice(sorted({tuple(sorted((v, x))) for v in rot for x in rot[v]}))
+        u, w = pick(rot, i)
         a, b, c, d = (f"g{i}_{x}" for x in "abcd")
         rot[u][rot[u].index(w)] = a
         rot[w][rot[w].index(u)] = b
         rot.update({a: [u, c, d], b: [w, d, c], c: [a, b, d], d: [a, c, b]})
     return "".join(" ".join([v] + nbrs) + "\n" for v, nbrs in rot.items())
+
+
+def k4_gadgets(seed: int, k: int) -> str:
+    """K4 with ``k`` gadgets, each on an edge picked by
+    ``random.Random(seed)`` among the current edges; a gadget placed
+    inside an earlier one nests S nodes."""
+    rng = random.Random(seed)
+    return _k4_with_gadgets(
+        k, lambda rot, i: rng.choice(sorted({tuple(sorted((v, x))) for v in rot for x in rot[v]}))
+    )
+
+
+def nested_gadgets(depth: int) -> str:
+    """K4 with ``depth`` gadgets nested as deep as they go: gadget 0 on
+    edge r-s and gadget i on the c-d edge of gadget i-1, so every S node
+    lies in a side of the previous one."""
+    return _k4_with_gadgets(depth, lambda rot, i: (f"g{i - 1}_c", f"g{i - 1}_d") if i else ("r", "s"))
 
 
 def spqr_nodes(node) -> list:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, drawn, k4_gadgets, load_graph, load_text
+from conftest import FIXTURES, drawn, k4_gadgets, load_graph, load_text, nested_gadgets
 from lombardi.drawing import (
     DrawingError,
     LombardiDrawing,
@@ -204,15 +204,33 @@ def test_p_node_drawing_verifies():
 
 
 def test_expand_virtual_edge():
-    tags = ["t0", "t1", ("virt", 999)]
-    d = p_node_drawing(tags=tags)
-    d2 = expand_virtual_edge(d, ("virt", 999))
-    # the virtual edge's arc now subtends almost the full circle on the
-    # other side, leaving room to splice a component in
-    a = d2.arcs[("virt", 999)]
-    assert a.subtended_angle() > 2 * math.pi * 0.9
-    rep = verify(d2)
-    assert rep.passed
+    virt = ("virt", 999)
+    d = p_node_drawing(tags=["t0", "t1", virt])
+    a, b = 0.3, 1.5
+    d2 = expand_virtual_edge(d, virt, "a", a, b)
+    # the virtual arc goes around the unit circle the long way from a to b
+    arc = d2.arcs[virt]
+    assert isinstance(arc.support, Circle)
+    assert abs(arc.support.center) < 1e-12 and arc.support.radius == pytest.approx(1.0, abs=1e-12)
+    assert arc.subtended_angle() == pytest.approx(2 * math.pi - (b - a), abs=1e-12)
+    # u, the arc's midpoint and w land on the three targets
+    assert abs(d2.positions["a"] - cmath.exp(1j * a)) < 1e-12
+    assert abs(arc.midpoint() - (-cmath.exp(1j * (a + b) / 2))) < 1e-12
+    assert abs(d2.positions["b"] - cmath.exp(1j * b)) < 1e-12
+
+    # the map reverses orientation: the turn between two arc-ends at u flips
+    def turn(dd: LombardiDrawing) -> float:
+        z = dd.positions["a"]
+        return cmath.phase(dd.arcs["t1"].tangent_direction(z) / dd.arcs["t0"].tangent_direction(z))
+
+    assert turn(d2) == pytest.approx(-turn(d), abs=1e-12)
+    # the bond is symmetric, so the other two arcs have their midpoints on
+    # the ray at angle (a + b) / 2, one inside the unit circle, one outside
+    mids = sorted((d2.arcs[t].midpoint() for t in ("t0", "t1")), key=abs)
+    for m in mids:
+        assert cmath.phase(m) == pytest.approx((a + b) / 2, abs=1e-12)
+    assert abs(mids[0]) < 1 < abs(mids[1])
+    assert verify(d2).passed
 
 
 def test_subdivide_arc_keeps_positions():
@@ -348,6 +366,9 @@ def sector_overflow_text() -> str:
         # assembly instead of gluing sides drawn whole
         pytest.param(k4_gadgets(0, 8), 36, id="gadgets-0-8"),
         pytest.param(k4_gadgets(108, 16), 68, id="gadgets-108-16"),
+        # every S node in a side of the previous one: the smallest vertex
+        # gap over the diameter falls from 1e-1 at depth 1 to 1.5e-9 at 10
+        *(pytest.param(nested_gadgets(k), 4 + 4 * k, id=f"nested-{k}") for k in range(1, 11)),
     ],
 )
 def test_draw_subcubic_small(text, nv):
