@@ -10,7 +10,10 @@ hyperboloid coordinates: with the map's parameter w = Y / (1 + S),
 S = sqrt(1 + |Y|^2), circle (c, r) has reciprocal image radius
 a*S - <b, Y> + gamma, where a = (1 + |c|^2 - r^2) / (2r), b = c / r and
 gamma = (1 - |c|^2 + r^2) / (2r), strictly convex in Y.  So the
-optimizer minimizes t subject to t >= each of these, by Newton.
+optimizer minimizes t subject to t >= each of these, by Newton.  Each
+iterate is scored by its closed-form image radii, computed with the
+arithmetic of ``Mobius.apply_circle`` but without building the image
+circles; a test pins the two to agree exactly.
 """
 
 from __future__ import annotations
@@ -75,9 +78,31 @@ def disk_automorphism(w: complex) -> Mobius:
 
 
 def _min_radius(p: NormalizedPacking, w: complex) -> float:
+    """Smallest interior radius under ``disk_automorphism(w)``, -inf for a line.
+
+    Each image radius is taken in closed form on floats, with the
+    expressions of ``Mobius.apply_circle`` in the same order (pole
+    p = -d/c, k = |(b*c - a*d)/c^2|, radius k * (r / ||m - p|^2 - r^2|)
+    for the circle (m, r)), so the value is bit for bit what mapping
+    every circle would give; the exactness test in
+    ``tests/test_mobius_opt.py`` pins that.
+    """
     m = disk_automorphism(w)
-    imgs = [m.apply_circle(p.circles[v]) for v in p.interior_names()]
-    return min((c.radius if isinstance(c, Circle) else -math.inf for c in imgs), default=math.inf)
+    circles = [p.circles[v] for v in p.interior_names()]
+    if m.c == 0:
+        return min((c.radius for c in circles), default=math.inf)
+    pole = -m.d / m.c
+    k = abs((m.b * m.c - m.a * m.d) / (m.c * m.c))
+    radii = []
+    for c in circles:
+        if abs(abs(pole - c.center) - c.radius) <= 1e-9 * max(c.radius, 1.0):
+            radii.append(-math.inf)  # the support passes through the pole: a line
+            continue
+        rad = k * (c.radius / abs(abs(c.center - pole) ** 2 - c.radius**2))
+        if not rad > 0:
+            raise ValueError(f"circle radius must be positive, got {rad}")
+        radii.append(rad)
+    return min(radii, default=math.inf)
 
 
 _GAP_REL = 1e-13  # stop once the duality gap n/s is below _GAP_REL * t

@@ -11,6 +11,7 @@ from lombardi.graph import parse
 from lombardi.mobius_opt import (
     NormalizedPacking,
     _hyperboloid_coefficients,
+    _min_radius,
     apply_to_normalized,
     disk_automorphism,
     normalize_outer,
@@ -91,6 +92,29 @@ def test_hyperboloid_closed_form_matches_image_radius():
             assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize(
+    "name", ["k4", "cube", "frucht", "dodecahedron", "tutte", "truncated_icosahedron"]
+)
+def test_min_radius_is_apply_circle_exactly(name):
+    # _min_radius repeats apply_circle's arithmetic on floats; the two
+    # copies must agree bit for bit, or the optimizer's choice of iterate
+    # and its returned objective would drift from the map it returns
+    norm = normalized(load_graph(name))
+    rng = random.Random(name)
+    for _ in range(500):
+        w = (1 - 10 ** rng.uniform(-6, 0)) * cmath.exp(2j * math.pi * rng.random())
+        assert _min_radius(norm, w) == objective(norm, w), w
+    assert _min_radius(norm, 0j) == objective(norm, 0j) == min(
+        norm.circles[v].radius for v in norm.interior_names()
+    )
+    # toward the point where an interior circle touches the unit circle,
+    # the pole lands on that circle and its image is a line
+    v = max(norm.interior_names(), key=lambda v: abs(norm.circles[v].center) + norm.circles[v].radius)
+    c = norm.circles[v].center
+    w = (1 - 1e-12) * c / abs(c)
+    assert _min_radius(norm, w) == objective(norm, w) == -math.inf
+
+
 def test_optimizer_matches_grid_search_oracle():
     inputs = {"k4": k4_normalized()}
     for name in ("cube", "frucht", "dodecahedron"):
@@ -109,7 +133,7 @@ def test_optimizer_matches_grid_search_oracle():
         assert obj >= best - 1e-4, name  # optimizer at least as good as the grid
         # and the optimizer's claimed objective matches a recomputation
         vals = [m.apply_circle(norm.circles[v]).radius for v in norm.interior_names()]
-        assert abs(min(vals) - obj) < 1e-12, name
+        assert min(vals) == obj, name
 
 
 def test_optimizer_beats_every_nearby_probe():
