@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .drawing import (
+    ANGLE_TOL,
     DrawingError,
     LombardiDrawing,
     draw_medial,
@@ -38,9 +39,7 @@ class RunConfig:
     mode: str = "subcubic"  # subcubic | medial
     format: str = "svg"  # svg | json | both
     outer_face: int | None = None
-    pack_tol: float = 1e-10
-    pack_max_iter: int = 10**6
-    angle_tol: float = 1e-6
+    angle_tol: float = ANGLE_TOL
     verify_only: bool = False
     output: str | None = None
 
@@ -49,11 +48,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("svg", "json", "both"):
             raise ValueError(f"unknown format {self.format!r}")
-        for knob in ("pack_tol", "angle_tol"):
-            if not 0 < getattr(self, knob) < math.inf:
-                raise ValueError(f"{knob} must be positive and finite")
-        if self.pack_max_iter < 1:
-            raise ValueError("pack_max_iter must be at least 1")
+        if not 0 < self.angle_tol < math.inf:
+            raise ValueError("angle_tol must be positive and finite")
 
 
 def _num(x: float) -> str:
@@ -186,18 +182,10 @@ def run(cfg: RunConfig) -> int:
 
     try:
         if cfg.mode == "medial":
-            d = draw_medial(
-                g, pack_tol=cfg.pack_tol, pack_max_iter=cfg.pack_max_iter, angle_tol=cfg.angle_tol
-            )
+            d = draw_medial(g, angle_tol=cfg.angle_tol)
         else:
             outer = cfg.outer_face if cfg.outer_face is not None else _default_outer_face(g)
-            d = draw_subcubic(
-                g,
-                outer_face=outer,
-                pack_tol=cfg.pack_tol,
-                pack_max_iter=cfg.pack_max_iter,
-                angle_tol=cfg.angle_tol,
-            )
+            d = draw_subcubic(g, outer_face=outer, angle_tol=cfg.angle_tol)
     except GraphError as err:
         print(f"error: unsupported input: {err}", file=sys.stderr)
         return 2
@@ -222,14 +210,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "and of medial graphs of polyhedral graphs.",
     )
     p.add_argument("input", help="rotation-system text file (or drawing JSON with --verify-only)")
-    p.add_argument("--mode", choices=("subcubic", "medial"), default="subcubic")
-    p.add_argument("--format", choices=("svg", "json", "both"), default="svg")
-    p.add_argument("--outer-face", type=int, default=None, help="outer face index (default: longest face)")
-    p.add_argument("--pack-tol", type=float, default=1e-10)
-    p.add_argument("--pack-max-iter", type=int, default=10**6)
-    p.add_argument("--angle-tol", type=float, default=1e-6)
+    p.add_argument("--mode", choices=("subcubic", "medial"), default=RunConfig.mode)
+    p.add_argument("--format", choices=("svg", "json", "both"), default=RunConfig.format)
+    p.add_argument(
+        "--outer-face", type=int, default=RunConfig.outer_face, help="outer face index (default: longest face)"
+    )
+    p.add_argument("--angle-tol", type=float, default=RunConfig.angle_tol)
     p.add_argument("--verify-only", action="store_true", help="re-verify a drawing JSON dump")
-    p.add_argument("--output", default=None, help="artifact path base (default: beside the input)")
+    p.add_argument("--output", default=RunConfig.output, help="artifact path base (default: beside the input)")
     return p
 
 

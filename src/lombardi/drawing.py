@@ -61,9 +61,10 @@ from .mobius_opt import (
     normalize_outer,
     optimize_min_radius,
 )
-from .packing import CirclePacking, pack_and_layout, primal_dual_pack
+from .packing import pack_and_layout, primal_dual_pack
 
 _TWO_PI = 2.0 * math.pi
+ANGLE_TOL = 1e-6  # the default gate: largest angular-spacing residual, in radians
 
 
 class DrawingError(RuntimeError):
@@ -80,10 +81,11 @@ class LombardiDrawing:
 
     ``edges`` maps each edge tag to its (u, w) endpoint names; the arc
     stored under the same tag runs between those vertices' positions
-    (in either orientation).  ``outer_face`` is an optional face index
-    of the source graph's embedding.  ``report`` is the verification
-    report of the gate that passed the drawing (``draw_subcubic``,
-    ``draw_medial``), None if it was not gated; it is not serialized.
+    (in either orientation).  ``outer_face`` is the index of the source
+    graph's face that the draw put outermost on request, else None.
+    ``report`` is the verification report of the gate that passed the
+    drawing (``draw_subcubic``, ``draw_medial``), None if it was not
+    gated; it is not serialized.
     """
 
     positions: dict[str, complex]
@@ -291,7 +293,7 @@ def _arcs_cross(d: LombardiDrawing, t1, t2, match_tol: float, tol_pt: float) -> 
 def verify(
     d: LombardiDrawing,
     g: PlanarGraph | None = None,
-    tol_angle: float = 1e-6,
+    tol_angle: float = ANGLE_TOL,
     tol_geom: float = 1e-9,
 ) -> VerificationReport:
     """Check the Lombardi drawing invariants and report residuals.
@@ -489,11 +491,7 @@ def _forward_tangent(a: Arc, z: complex) -> complex:
 
 
 def drawing_from_packing(
-    g: PlanarGraph,
-    packing: NormalizedPacking | CirclePacking,
-    face_name: dict,
-    outer_face: int = 0,
-    outer_name: str | None = None,
+    g: PlanarGraph, packing: NormalizedPacking, face_name: dict, outer_face: int = 0
 ) -> LombardiDrawing:
     """Read a Lombardi drawing of cubic ``g`` off a packing of its dual.
 
@@ -503,10 +501,7 @@ def drawing_from_packing(
     in the cusp between the circles.  Each edge becomes the arc through
     its endpoints and the tangency point of its two adjacent faces.
     """
-    circles = packing.circles
-    tangency = packing.tangency
-    if outer_name is None:
-        outer_name = getattr(packing, "outer", None)
+    circles, tangency, outer = packing.circles, packing.tangency, packing.outer
     positions: dict[str, complex] = {}
     for v in g.vertices:
         if g.degree(v) != 3:
@@ -528,7 +523,7 @@ def drawing_from_packing(
                 inside = abs(z - c.center) < c.radius * (1 - 1e-9)
                 # the cusp is outside every packing circle, except the
                 # inverted outer circle whose face side is its inside
-                if inside != (n == outer_name):
+                if inside != (n == outer):
                     ok = False
                     break
             if ok:
@@ -545,12 +540,7 @@ def drawing_from_packing(
     return LombardiDrawing(positions, arcs, edges, outer_face)
 
 
-def draw_3connected(
-    g: PlanarGraph,
-    outer_face: int = 0,
-    pack_tol: float = 1e-10,
-    pack_max_iter: int = 10**6,
-) -> LombardiDrawing:
+def draw_3connected(g: PlanarGraph, outer_face: int = 0) -> LombardiDrawing:
     """Planar Lombardi drawing of a 3-connected cubic planar graph.
 
     Pipeline: pack the dual triangulation, turn it inside out so the
@@ -566,12 +556,7 @@ def draw_3connected(
     if not 0 <= outer_face < len(faces):
         raise GraphError(f"outer face index {outer_face} out of range")
     dualg, face_name = g.dual()
-    f0 = dualg.faces()[0]
-    if len(f0) != 3:
-        raise GraphError("dual of a cubic graph must be a triangulation")
-    boundary = {dart[0]: 1.0 for dart in f0}
-    packing = pack_and_layout(dualg, boundary, outer_face=0, tol=pack_tol, max_iter=pack_max_iter)
-    norm, _ = normalize_outer(packing, f"f{outer_face}")
+    norm, _ = normalize_outer(pack_and_layout(dualg), f"f{outer_face}")
     m, _ = optimize_min_radius(norm)
     norm = apply_to_normalized(norm, m)
     return drawing_from_packing(g, norm, face_name, outer_face)
@@ -599,15 +584,13 @@ def expand_virtual_edge(d: LombardiDrawing, e, u, a: float, b: float) -> Lombard
     return transform(d, m.compose(Mobius(1, 0, 0, 1, conj=True)))
 
 
-def p_node_drawing(names: tuple[str, str] = ("a", "b"), tags: list | None = None) -> LombardiDrawing:
+def p_node_drawing(names: tuple[str, str], tags: list) -> LombardiDrawing:
     """Canonical drawing of the two-vertex three-edge bond graph.
 
-    Vertices at -1 and 1; the first tag is the straight middle segment
-    and the other two are mirror-image arcs leaving at +-120 degrees.
-    Valid by construction, so returned unverified.
+    Vertices ``names`` at -1 and 1; the first tag is the straight middle
+    segment and the other two are mirror-image arcs leaving at +-120
+    degrees.  Valid by construction, so returned unverified.
     """
-    if tags is None:
-        tags = ["m", "u", "l"]
     if len(tags) != 3 or len(set(tags)) != 3:
         raise DrawingError("a bond drawing needs three distinct edge tags")
     a, b = -1 + 0j, 1 + 0j
@@ -969,25 +952,31 @@ def _polygon_cycle_drawing(seq: list, tags: list, stub_of: dict) -> LombardiDraw
     return _add_stubs(d, stubs)
 
 
-def _spqr_drawing(node: SpqrNode, outer_face: int, **kw) -> LombardiDrawing:
+def _spqr_drawing(node: SpqrNode, outer_face: int | None) -> LombardiDrawing:
     """Draw the SPQR decomposition rooted at ``node``: a P node as the
     canonical bond, an R node by ``draw_3connected`` and an S node by
-    gluing the drawings of its sides.  Only the root's R node gets
-    ``outer_face``."""
+    gluing the drawings of its sides.  An R node given an ``outer_face``
+    (only ever the root) draws that face outermost and is labelled with
+    it; other R nodes draw face 0 outermost, unlabelled, as is every
+    other drawing."""
     sk = node.skeleton
     if node.kind == "P":
         u = sk.vertices[0]
         return p_node_drawing((u, sk.other_end(sk.rot[u][0], u)), list(sk.rot[u]))
     if node.kind == "R":
-        return draw_3connected(sk, outer_face=outer_face, **kw)
-    return glue_s_node({t: _spqr_drawing(side, 0, **kw) for t, side in node.sides.items()}, sk)
+        d = draw_3connected(sk, outer_face=outer_face or 0)
+        d.outer_face = outer_face
+        return d
+    return glue_s_node({t: _spqr_drawing(side, None) for t, side in node.sides.items()}, sk)
 
 
-def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int, **kw) -> LombardiDrawing:
+def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int) -> LombardiDrawing:
     """Draw one bridgeless block whose vertices in ``stub_of`` carry a
-    stub tagged ``stub_of[v]`` for their bridge."""
+    stub tagged ``stub_of[v]`` for their bridge.  ``outer_face``, a face
+    of ``piece``, reaches an R node at the root only when the block has
+    no stubs and no chains, as its faces are then that node's faces."""
     h, chains = piece.suppress_degree_two()
-    d = _spqr_drawing(spqr(h), outer_face if not chains and not stub_of else 0, **kw)
+    d = _spqr_drawing(spqr(h), None if chains or stub_of else outer_face)
     for chain_tag, (seq, tags) in chains.items():
         # junctions are laid out from the drawing's first edge endpoint;
         # flip the chain if the drawing stores the edge the other way
@@ -1018,7 +1007,7 @@ def _drawing_errors(draw):
 
 
 @_drawing_errors
-def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, **kw) -> LombardiDrawing:
+def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = ANGLE_TOL) -> LombardiDrawing:
     """Planar Lombardi drawing of any connected planar graph of max degree 3.
 
     Bridges are deleted and each remaining 2-edge-connected piece is
@@ -1026,11 +1015,14 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
     polygons for cycles, a lone vertex for a piece of one vertex, with
     stubs marking bridge attachments); the pieces are then joined back
     along the bridges.
-    The drawing carries ``g``'s own vertex names and edge tags.  Only the
-    joined drawing is verified, against ``g`` with angle tolerance
-    ``angle_tol``: DrawingError if it fails (also for a geometric
-    ValueError on the way), else the report is kept as ``report`` on the
-    returned drawing.
+    The drawing carries ``g``'s own vertex names and edge tags.  Face
+    ``outer_face`` of ``g`` (GraphError when there is no such face; a
+    lone vertex has one, the plane) is drawn outermost only when ``g`` is
+    3-connected and cubic, and only then is the drawing labelled with it;
+    otherwise its ``outer_face`` is None.  Only the joined drawing is
+    verified, against ``g`` with angle tolerance ``angle_tol``:
+    DrawingError if it fails (also for a geometric ValueError on the
+    way), else the report is kept as ``report`` on the returned drawing.
     """
     if not g.vertices:
         raise GraphError("input graph is empty")
@@ -1039,6 +1031,8 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
     for v in g.vertices:
         if g.degree(v) > 3:
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)} > 3")
+    if not 0 <= outer_face < max(1, len(g.faces())):
+        raise GraphError(f"outer face index {outer_face} out of range")
     if len(g.vertices) == 1:
         return _check(LombardiDrawing({g.vertices[0]: 0j}), g, angle_tol)
 
@@ -1061,7 +1055,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
         if all(piece.degree(v) == 2 for v in comp):
             piece_drawings[idx] = _cycle_drawing(piece, stub_of)
         else:
-            piece_drawings[idx] = _block_drawing(piece, stub_of, outer_face, **kw)
+            piece_drawings[idx] = _block_drawing(piece, stub_of, outer_face)
 
     # join the pieces along the bridges, always merging the two smallest
     # eligible clusters first: gluing transforms both sides, and a
@@ -1075,7 +1069,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
             ra, rb = cluster_of[piece_of[u]], cluster_of[piece_of[w]]
             return max(len(piece_drawings[ra].arcs), len(piece_drawings[rb].arcs))
 
-        t = min(todo, key=lambda x: (_cost(x), repr(x)))
+        t = min(todo, key=_cost)  # ties: the first in g.edges, sorted by repr
         todo.remove(t)
         u, w = g.endpoints(t)
         ra, rb = cluster_of[piece_of[u]], cluster_of[piece_of[w]]
@@ -1085,10 +1079,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
         for i, r in list(cluster_of.items()):
             if r == rb:
                 cluster_of[i] = ra
-    final = piece_drawings[cluster_of[piece_of[g.vertices[0]]]]
-    if not bridges and len(comps) == 1:
-        final.outer_face = outer_face
-    return _check(final, g, angle_tol)
+    return _check(piece_drawings[cluster_of[piece_of[g.vertices[0]]]], g, angle_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,9 +1087,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = 1e-6, 
 
 
 @_drawing_errors
-def draw_medial(
-    g: PlanarGraph, pack_tol: float = 1e-10, pack_max_iter: int = 10**6, angle_tol: float = 1e-6
-) -> LombardiDrawing:
+def draw_medial(g: PlanarGraph, angle_tol: float = ANGLE_TOL) -> LombardiDrawing:
     """Lombardi drawing of the medial graph of a 3-connected planar graph.
 
     A primal-dual circle packing puts one vertex circle per vertex and
@@ -1113,7 +1102,7 @@ def draw_medial(
     """
     if not is_three_connected(g):
         raise GraphError("medial drawings require a 3-connected (polyhedral) input graph")
-    pdp = primal_dual_pack(g, tol=pack_tol, max_iter=pack_max_iter)
+    pdp = primal_dual_pack(g)
     med, mname = g.medial()
     positions = {mname[t]: pdp.crossing[t] for t in g.edges}
     arcs = {}

@@ -53,12 +53,10 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def dual_packing(name: str, tol: float = 1e-10):
+def dual_packing(name: str):
     g = load_graph(name)
     dualg, _ = g.dual()
-    f0 = dualg.faces()[0]
-    boundary = {d[0]: 1.0 for d in f0}
-    return g, dualg, pack_and_layout(dualg, boundary, outer_face=0, tol=tol)
+    return g, dualg, pack_and_layout(dualg)
 
 
 _norm_cache: dict = {}
@@ -220,10 +218,7 @@ def test_criterion_8_mobius_invariance():
     # transforming the drawing
     g = load_graph("k4")
     dualg, face_name = g.dual()
-    f0 = dualg.faces()[0]
-    boundary = {dd[0]: 1.0 for dd in f0}
-    p = pack_and_layout(dualg, boundary, outer_face=0)
-    norm, _ = normalize_outer(p, "f0")
+    norm, _ = normalize_outer(pack_and_layout(dualg), "f0")
     d_base = drawing_from_packing(g, norm, face_name, 0)
     m = Mobius(1.0, 0.15 + 0.1j, -0.08 + 0.05j, 1.1)  # keeps everything finite
     circles = {v: m.apply_circle(c) for v, c in norm.circles.items()}

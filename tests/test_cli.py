@@ -206,22 +206,17 @@ def test_cli_verify_only_rejects_non_finite_drawing(tmp_path, capsys):
 
 
 def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
-    # a loose packing leaves the cube an angle residual of about 1.2e-6
-    cube = tmp_path / "cube.txt"
-    shutil.copy(FIXTURES / "cube.txt", cube)
-    loose = [str(cube), "--pack-tol", "1e-6", "--format", "both"]
-    assert main(loose + ["--angle-tol", "1e-5"]) == 0
-    assert "angle residual 1.1" in capsys.readouterr().out
-    for ext in ("svg", "json"):
-        (tmp_path / f"cube.{ext}").unlink()
-    assert main(loose + ["--angle-tol", "1e-6"]) == 1
-    assert "angle residual 1.1" in capsys.readouterr().err
-    assert not (tmp_path / "cube.svg").exists() and not (tmp_path / "cube.json").exists()
-    # gluing and bridge stubs do not verify on their own, so the flag
-    # also sets the tolerance of a draw that glues
+    # irregular69 glues blocks and attaches bridge stubs, none of which
+    # verify on their own, and leaves an angle residual of about 8.4e-8
     i69 = tmp_path / "i69.txt"
     shutil.copy(FIXTURES / "irregular69.txt", i69)
-    assert main([str(i69), "--pack-tol", "1e-6", "--angle-tol", "1e-3", "--format", "both"]) == 0
+    flags = [str(i69), "--format", "both"]
+    assert main(flags + ["--angle-tol", "1e-8"]) == 1
+    assert "angle residual 8.37" in capsys.readouterr().err
+    assert not (tmp_path / "i69.svg").exists() and not (tmp_path / "i69.json").exists()
+    for extra in ([], ["--angle-tol", "1e-3"]):
+        assert main(flags + extra) == 0
+        assert "angle residual 8.37" in capsys.readouterr().out
 
 
 def test_cli_rejects_unsupported_inputs(tmp_path):
@@ -286,8 +281,17 @@ def test_cli_medial_mode(tmp_path):
 
 def test_cli_outer_face_flag(tmp_path):
     inp = k4_input(tmp_path)
-    assert main([str(inp), "--outer-face", "2"]) == 0
+    assert main([str(inp), "--outer-face", "2", "--format", "json"]) == 0
+    assert json.loads((tmp_path / "k4.json").read_text())["outer_face"] == 2
     assert main([str(inp), "--outer-face", "99", "--output", str(tmp_path / "x.svg")]) == 2
+    # an input that is not 3-connected is range-checked too, and its
+    # drawing is not labelled with a face it was not drawn around
+    two = tmp_path / "two_k4e.txt"
+    shutil.copy(FIXTURES / "two_k4e.txt", two)
+    assert main([str(two), "--outer-face", "99", "--format", "json"]) == 2
+    assert not (tmp_path / "two_k4e.json").exists()
+    assert main([str(two), "--outer-face", "5", "--format", "json"]) == 0
+    assert json.loads((tmp_path / "two_k4e.json").read_text())["outer_face"] is None
 
 
 def test_runconfig_validation():
@@ -295,15 +299,16 @@ def test_runconfig_validation():
         RunConfig("x.txt", mode="bogus")
     with pytest.raises(ValueError):
         RunConfig("x.txt", format="png")
-    with pytest.raises(ValueError):
-        RunConfig("x.txt", angle_tol=-1.0)
-    for knob in ("pack_tol", "angle_tol"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                RunConfig("x.txt", **{knob: bad})
-    for bad in (0, -5):
+    for bad in (-1.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            RunConfig("x.txt", pack_max_iter=bad)
+            RunConfig("x.txt", angle_tol=bad)
     k4 = str(FIXTURES / "k4.txt")
-    assert main([k4, "--pack-tol", "nan"]) == 2
-    assert main([k4, "--pack-max-iter", "-5"]) == 2
+    assert main([k4, "--angle-tol", "nan"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--pack-tol", "--pack-max-iter"])
+def test_cli_packing_has_no_flags(flag):
+    # the packing stop is fixed in the packing module
+    with pytest.raises(SystemExit) as exc:
+        main([str(FIXTURES / "k4.txt"), flag, "1"])
+    assert exc.value.code == 2

@@ -194,7 +194,7 @@ def test_draw_3connected_rejects_bad_input():
 
 
 def test_p_node_drawing_verifies():
-    d = p_node_drawing()
+    d = p_node_drawing(("a", "b"), ["m", "u", "l"])
     assert len(d.arcs) == 3
     g = None
     rep = verify(d)
@@ -205,7 +205,7 @@ def test_p_node_drawing_verifies():
 
 def test_expand_virtual_edge():
     virt = ("virt", 999)
-    d = p_node_drawing(tags=["t0", "t1", virt])
+    d = p_node_drawing(("a", "b"), ["t0", "t1", virt])
     a, b = 0.3, 1.5
     d2 = expand_virtual_edge(d, virt, "a", a, b)
     # the virtual arc goes around the unit circle the long way from a to b
@@ -234,7 +234,7 @@ def test_expand_virtual_edge():
 
 
 def test_subdivide_arc_keeps_positions():
-    d = p_node_drawing()
+    d = p_node_drawing(("a", "b"), ["m", "u", "l"])
     tag = next(iter(d.arcs))
     before = dict(d.positions)
     d2 = subdivide_arc(d, tag, ["m1", "m2"], [7, "x", ("y", 1)])
@@ -393,6 +393,26 @@ def test_draw_subcubic_rejects_bad_degree_or_disconnection():
         draw_subcubic(load_graph("g18"))  # 4-regular
     with pytest.raises(GraphError):
         draw_subcubic(parse("a b\nb a\nc d\nd c\n"))  # disconnected
+
+
+def test_draw_subcubic_outer_face():
+    # a 3-connected cubic graph is drawn around the requested face, as
+    # draw_3connected draws it, and labelled with it
+    cube = load_graph("cube")
+    for k in range(len(cube.faces())):
+        d = draw_subcubic(cube, outer_face=k)
+        assert d.outer_face == k and d.positions == draw_3connected(cube, outer_face=k).positions
+    # two_k4e is not 3-connected: every request draws the same drawing,
+    # which carries no label
+    g = load_graph("two_k4e")
+    drawings = [draw_subcubic(g, outer_face=k) for k in range(len(g.faces()))]
+    assert all(d.positions == drawings[0].positions and d.outer_face is None for d in drawings)
+    # the index is checked against the faces of every input; a lone
+    # vertex has one face, the plane
+    for h, k in ((g, len(g.faces())), (cube, -1), (parse("a\n"), 1)):
+        with pytest.raises(GraphError, match="out of range"):
+            draw_subcubic(h, outer_face=k)
+    assert draw_subcubic(parse("a\n"), outer_face=0).outer_face is None
 
 
 @pytest.mark.parametrize("name", ["two_k4e", "double_claw", "two_blocks_bridge"])

@@ -24,10 +24,7 @@ K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
 
 def normalized(g) -> NormalizedPacking:
     dualg, _ = g.dual()
-    f0 = dualg.faces()[0]
-    boundary = {d[0]: 1.0 for d in f0}
-    p = pack_and_layout(dualg, boundary, outer_face=0)
-    norm, _ = normalize_outer(p, "f0")
+    norm, _ = normalize_outer(pack_and_layout(dualg), "f0")
     return norm
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import load_graph
+from lombardi import packing
 from lombardi.graph import parse
 from lombardi.packing import (
     PackingError,
@@ -36,12 +37,10 @@ def descartes_inner_radius(k1: float, k2: float, k3: float) -> float:
     return 1.0 / k4
 
 
-def k4_dual_packing(tol: float = 1e-10):
+def k4_dual_packing():
     g = parse(K4_TEXT)
     dualg, _ = g.dual()
-    f0 = dualg.faces()[0]
-    boundary = {d[0]: 1.0 for d in f0}
-    return dualg, pack_and_layout(dualg, boundary, outer_face=0, tol=tol)
+    return dualg, pack_and_layout(dualg)
 
 
 def test_k4_dual_interior_radius_descartes():
@@ -71,13 +70,21 @@ CUBIC_3CONNECTED = ["k4", "cube", "dodecahedron", "frucht", "tutte", "truncated_
 
 
 @pytest.mark.parametrize("name", CUBIC_3CONNECTED)
-def test_dual_packing_of_cubic_fixtures(name):
-    # Newton converges quadratically: a dozen steps reach a 1e-12 defect
+def test_dual_packing_of_cubic_fixtures(name, monkeypatch):
+    # Newton converges quadratically: a handful of steps, one linear solve
+    # each, reach the defect bound
+    steps = []
+    solve = packing._solve_laplacian
+
+    def counted(*args, **kw):
+        steps.append(1)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(packing, "_solve_laplacian", counted)
     g = load_graph(name)
     dualg, _ = g.dual()
-    f0 = dualg.faces()[0]
-    boundary = {d[0]: 1.0 for d in f0}
-    p = pack_and_layout(dualg, boundary, outer_face=0, tol=1e-12, max_iter=12)
+    p = pack_and_layout(dualg)
+    assert 0 < len(steps) <= 8, (name, len(steps))
     for t in dualg.edges:
         u, w = dualg.endpoints(t)
         cu, cw = p.circles[u], p.circles[w]
@@ -86,13 +93,18 @@ def test_dual_packing_of_cubic_fixtures(name):
     assert max(packing_defects(dualg, p).values()) < 1e-9, name
 
 
-def test_pack_nonconvergence_raises():
-    g = load_graph("dodecahedron")
-    dualg, _ = g.dual()
-    f0 = dualg.faces()[0]
-    boundary = {d[0]: 1.0 for d in f0}
-    with pytest.raises(PackingError):
-        pack_and_layout(dualg, boundary, outer_face=0, tol=1e-12, max_iter=1)
+def test_pack_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(packing, "_MAX_NEWTON_STEPS", 1)
+    dualg, _ = load_graph("dodecahedron").dual()
+    with pytest.raises(PackingError, match="did not converge within 1 Newton steps"):
+        pack_and_layout(dualg)
+
+
+def test_pack_stall_raises():
+    # g18 is not 3-connected, so it has no primal-dual packing: the
+    # residual stops falling after 28 steps, long before the step cap
+    with pytest.raises(PackingError, match="stalled"):
+        primal_dual_pack(load_graph("g18"))
 
 
 def test_kite_triangulation_of_k4():
@@ -128,7 +140,7 @@ def test_primal_dual_pack_k4_closed_form():
 @pytest.mark.parametrize("name", CUBIC_3CONNECTED + ["octahedron"])
 def test_primal_dual_orthogonality(name):
     g = load_graph(name) if name != "k4" else parse(K4_TEXT)
-    pdp = primal_dual_pack(g, max_iter=12)
+    pdp = primal_dual_pack(g)
     fo = g.face_of()
     for t in g.edges:
         u, w = g.endpoints(t)
@@ -155,6 +167,6 @@ def test_primal_dual_hub_is_recorded():
     g = parse(K4_TEXT)
     pdp = primal_dual_pack(g)
     # the puncture circle is one of the packed circles
-    assert pdp.hub in pdp.kite_packing.circles
+    assert pdp.hub in pdp.vertex_circles.keys() | pdp.face_circles.keys()
     # crossing points exist for every primal edge
     assert set(pdp.crossing) == set(g.edges)
