@@ -48,6 +48,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("svg", "json", "both"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.mode == "medial" and self.outer_face is not None:
+            raise ValueError("outer_face applies to subcubic mode only")
         if not 0 < self.angle_tol < math.inf:
             raise ValueError("angle_tol must be positive and finite")
 
@@ -213,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("subcubic", "medial"), default=RunConfig.mode)
     p.add_argument("--format", choices=("svg", "json", "both"), default=RunConfig.format)
     p.add_argument(
-        "--outer-face", type=int, default=RunConfig.outer_face, help="outer face index (default: longest face)"
+        "--outer-face", type=int, default=RunConfig.outer_face, help="outer face index in subcubic mode (default: longest face)"
     )
     p.add_argument("--angle-tol", type=float, default=RunConfig.angle_tol)
     p.add_argument("--verify-only", action="store_true", help="re-verify a drawing JSON dump")

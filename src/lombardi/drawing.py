@@ -547,7 +547,8 @@ def draw_3connected(g: PlanarGraph, outer_face: int = 0) -> LombardiDrawing:
     designated outer face's circle becomes the unit circle, optimize
     the smallest radius over disk automorphisms, then place vertices at
     isodynamic points and edges through tangency points.  The result
-    is not verified; ``draw_subcubic`` verifies what it returns.
+    is labelled with ``outer_face`` and is not verified;
+    ``draw_subcubic`` verifies what it returns.
     """
     for v in g.vertices:
         if g.degree(v) != 3:
@@ -955,17 +956,18 @@ def _polygon_cycle_drawing(seq: list, tags: list, stub_of: dict) -> LombardiDraw
 def _spqr_drawing(node: SpqrNode, outer_face: int | None) -> LombardiDrawing:
     """Draw the SPQR decomposition rooted at ``node``: a P node as the
     canonical bond, an R node by ``draw_3connected`` and an S node by
-    gluing the drawings of its sides.  An R node given an ``outer_face``
-    (only ever the root) draws that face outermost and is labelled with
-    it; other R nodes draw face 0 outermost, unlabelled, as is every
-    other drawing."""
+    gluing the drawings of its sides.  Only an R node given an
+    ``outer_face`` (only ever the root) draws that face outermost and is
+    labelled with it; every other drawing is unlabelled."""
     sk = node.skeleton
     if node.kind == "P":
         u = sk.vertices[0]
         return p_node_drawing((u, sk.other_end(sk.rot[u][0], u)), list(sk.rot[u]))
     if node.kind == "R":
-        d = draw_3connected(sk, outer_face=outer_face or 0)
-        d.outer_face = outer_face
+        if outer_face is not None:
+            return draw_3connected(sk, outer_face)
+        d = draw_3connected(sk)
+        d.outer_face = None  # face 0 is outermost, but no face was asked for
         return d
     return glue_s_node({t: _spqr_drawing(side, None) for t, side in node.sides.items()}, sk)
 

@@ -11,10 +11,9 @@ Jacobian is minus a weighted Laplacian and damped Newton converges
 quadratically; each step is solved by conjugate gradients.
 
 Every packing stops on one rule: success once the largest angle-sum
-defect is at most ``_DEFECT_TOL`` (1e-10 radians), and PackingError when
-a step cannot lower the residual ("stalled") or after
-``_MAX_NEWTON_STEPS`` (100) steps ("did not converge").  The fixtures
-and the scaled inputs of up to 540 vertices stop after 4-10 steps.
+defect is at most ``_DEFECT_TOL``, and PackingError when a step cannot
+lower the residual ("stalled") or after ``_MAX_NEWTON_STEPS`` steps
+("did not converge").
 
 Centers are then laid out by triangle-to-triangle propagation from a
 seed edge on the x-axis.

@@ -292,6 +292,10 @@ def test_cli_outer_face_flag(tmp_path):
     assert not (tmp_path / "two_k4e.json").exists()
     assert main([str(two), "--outer-face", "5", "--format", "json"]) == 0
     assert json.loads((tmp_path / "two_k4e.json").read_text())["outer_face"] is None
+    # medial mode picks its own outer face and refuses the flag
+    med = tmp_path / "medial.json"
+    assert main([str(inp), "--mode", "medial", "--outer-face", "0", "--format", "json", "--output", str(med)]) == 2
+    assert not med.exists()
 
 
 def test_runconfig_validation():
@@ -302,6 +306,8 @@ def test_runconfig_validation():
     for bad in (-1.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             RunConfig("x.txt", angle_tol=bad)
+    with pytest.raises(ValueError):
+        RunConfig("x.txt", mode="medial", outer_face=0)
     k4 = str(FIXTURES / "k4.txt")
     assert main([k4, "--angle-tol", "nan"]) == 2
 

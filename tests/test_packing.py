@@ -69,10 +69,9 @@ def test_k4_packing_tangencies_and_defects():
 CUBIC_3CONNECTED = ["k4", "cube", "dodecahedron", "frucht", "tutte", "truncated_icosahedron"]
 
 
-@pytest.mark.parametrize("name", CUBIC_3CONNECTED)
-def test_dual_packing_of_cubic_fixtures(name, monkeypatch):
-    # Newton converges quadratically: a handful of steps, one linear solve
-    # each, reach the defect bound
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """Records one entry per Newton step (each step makes one linear solve)."""
     steps = []
     solve = packing._solve_laplacian
 
@@ -81,10 +80,16 @@ def test_dual_packing_of_cubic_fixtures(name, monkeypatch):
         return solve(*args, **kw)
 
     monkeypatch.setattr(packing, "_solve_laplacian", counted)
+    return steps
+
+
+@pytest.mark.parametrize("name", CUBIC_3CONNECTED)
+def test_dual_packing_of_cubic_fixtures(name, newton_steps):
+    # Newton converges quadratically: a handful of steps reach the defect bound
     g = load_graph(name)
     dualg, _ = g.dual()
     p = pack_and_layout(dualg)
-    assert 0 < len(steps) <= 8, (name, len(steps))
+    assert 0 < len(newton_steps) <= 8, (name, len(newton_steps))
     for t in dualg.edges:
         u, w = dualg.endpoints(t)
         cu, cw = p.circles[u], p.circles[w]
@@ -138,9 +143,10 @@ def test_primal_dual_pack_k4_closed_form():
 
 
 @pytest.mark.parametrize("name", CUBIC_3CONNECTED + ["octahedron"])
-def test_primal_dual_orthogonality(name):
+def test_primal_dual_orthogonality(name, newton_steps):
     g = load_graph(name) if name != "k4" else parse(K4_TEXT)
     pdp = primal_dual_pack(g)
+    assert 0 < len(newton_steps) <= 12, (name, len(newton_steps))
     fo = g.face_of()
     for t in g.edges:
         u, w = g.endpoints(t)
