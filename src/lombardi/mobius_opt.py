@@ -6,20 +6,28 @@ it to the unit circle.  Among the Moebius maps that fix the unit circle,
 the optimizer then maximizes the smallest interior radius, a quasiconvex
 problem (Bern and Eppstein, Optimal Moebius transformations for
 information visualization and meshing, WADS 2001) that is convex in
-hyperboloid coordinates: with the map's parameter w = Y / (1 + S),
-S = sqrt(1 + |Y|^2), circle (c, r) has reciprocal image radius
-a*S - <b, Y> + gamma, where a = (1 + |c|^2 - r^2) / (2r), b = c / r and
-gamma = (1 - |c|^2 + r^2) / (2r), strictly convex in Y.  So the
-optimizer minimizes t subject to t >= each of these, by Newton.  Each
-iterate is scored by its closed-form image radii, computed with the
-arithmetic of ``Mobius.apply_circle`` but without building the image
-circles; a test pins the two to agree exactly.
+hyperboloid coordinates: with w = Y / (1 + S), S = sqrt(1 + |Y|^2),
+circle (c, r) has reciprocal image radius f(Y) = a*S - <b, Y> + gamma,
+a = (1 + |c|^2 - r^2) / (2r), b = c / r, gamma = (1 - |c|^2 + r^2) / (2r).
+
+The optimizer solves min_Y max_v f_v exactly through its dual.  For
+weights lambda on the simplex, (A, B, Gamma) = sum lambda_v (a_v, b_v,
+gamma_v) and rho = sqrt(A^2 - |B|^2), min_Y sum lambda_v f_v is
+g = rho + Gamma at Y = B / rho, i.e. w = B / (rho + A).  Every Y has
+max f_v >= g, so a Y whose worst circle exceeds g by at most 1e-14 g
+is certified optimal, and as Y is 2-D an optimal lambda needs at most
+three circles.  On a face with base circle k, eta(P, Q) = a_P a_Q -
+Re(conj(b_P) b_Q), D_i = P_i - P_k, H = [eta(D_i, D_j)], h =
+[eta(D_i, P_k)] and c = [gamma_i - gamma_k], the dual is stationary at
+rho^2 = (eta(P_k, P_k) - h'H^-1 h) / (1 - c'H^-1 c), lambda = -H^-1
+(h + rho c).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .geometry import Circle, Mobius, inversion, mobius_scale_translate
 from .packing import CirclePacking
@@ -105,12 +113,8 @@ def _min_radius(p: NormalizedPacking, w: complex) -> float:
     return min(radii, default=math.inf)
 
 
-_GAP_REL = 1e-13  # stop once the duality gap n/s is below _GAP_REL * t
-_MU = 10.0  # barrier weight growth factor
-_CENTERED = 0.25  # squared Newton decrement of a point close to the central path
-# objective values this close tie, and a tie goes to the later iterate:
-# at a smooth optimum _min_radius cannot tell apart iterates 1e-9 from it
-_TIE_REL = 1e-14
+_GAP_REL = 1e-14  # stop once no circle exceeds the dual value by this much of it
+_HOROCYCLE_REL = 1e-12  # a face with rho^2 below this times A^2 touches the unit circle
 
 
 def _hyperboloid_coefficients(c: Circle) -> tuple[float, complex, float]:
@@ -119,83 +123,78 @@ def _hyperboloid_coefficients(c: Circle) -> tuple[float, complex, float]:
     return (1 + q) / (2 * c.radius), c.center / c.radius, (1 - q) / (2 * c.radius)
 
 
+def _eta(p: tuple, q: tuple) -> float:
+    """The eta(P, Q) of the module docstring for two coefficient triples."""
+    return p[0] * q[0] - (p[1].conjugate() * q[1]).real
+
+
+def _face_max(coef: list, face: tuple) -> tuple[float, complex, complex] | None:
+    """The dual's maximum (g, Y, w) inside the simplex of ``face``, 1 to 3
+    indices into ``coef``, or None where a radicand is not positive, the
+    weights leave the open simplex or rho vanishes to rounding (the face
+    touches the unit circle, as a lone horocycle does).  The base is the
+    circle with the largest a, so the order of ``face`` does not matter.
+    """
+    *rest, k = sorted(face, key=lambda i: coef[i][0])
+    pk = coef[k]
+    d = [tuple(x - y for x, y in zip(coef[i], pk)) for i in rest]
+    hh = [[_eta(p, q) for q in d] for p in d]
+    det, adj = (hh[0][0], [[1.0]]) if d else (1.0, [])
+    if len(d) == 2:
+        (h00, h01), (_, h11) = hh
+        det, adj = h00 * h11 - h01 * h01, [[h11, -h01], [-h01, h00]]
+    h, c = [_eta(p, pk) for p in d], [p[2] for p in d]
+    adj_h, adj_c = ([sum(x * y for x, y in zip(row, v)) for row in adj] for v in (h, c))
+    num = det * _eta(pk, pk) - sum(x * y for x, y in zip(h, adj_h))
+    den = det - sum(x * y for x, y in zip(c, adj_c))
+    if not (det and den and num / den > 0):
+        return None
+    s = math.sqrt(num / den)
+    lam = [-(x + s * y) / det for x, y in zip(adj_h, adj_c)]
+    a, b, gamma = (pk[j] + sum(x * p[j] for x, p in zip(lam, d)) for j in range(3))
+    rho2 = a * a - abs(b) ** 2
+    if not (all(x > 0 for x in lam) and sum(lam) < 1 and rho2 > _HOROCYCLE_REL * a * a):
+        return None
+    rho = math.sqrt(rho2)
+    return rho + gamma, b / rho, b / (rho + a)
+
+
 def optimize_min_radius(
     p: NormalizedPacking, start: complex = 0j, history: list | None = None
 ) -> tuple[Mobius, float]:
     """Maximize the minimum interior radius over unit-disk automorphisms.
 
-    Damped Newton steps from ``start`` minimize the barrier
-    s*t - sum log(t - f_v(Y)) of the convex program in the module
-    docstring, multiplying s by ``_MU`` whenever the iterate is near the
-    central path, until the duality gap n/s is below ``_GAP_REL * t`` or
-    rounding stops the barrier from decreasing or leaves the Newton system
-    singular.  Returns the map and the
-    objective of the best iterate by ``_min_radius``; ``history`` gets the
-    objective at ``start``, then the best one so far after each step.
+    An active-set ascent on the dual from the support {the circle worst
+    at ``start``}.  Each round takes the support's best face; it stops
+    when no circle u outside the face has f_u(Y) - g > ``_GAP_REL`` * g
+    or when g does not rise, else the face plus u is the next support.
+    A lone horocycle has no face, so then u is the next worst at
+    ``start``.  Returns the last face's map and its ``_min_radius``;
+    ``history`` gets that at ``start``, then the best so far per round.
     """
     coef = [_hyperboloid_coefficients(p.circles[v]) for v in p.interior_names()]
-    n = len(coef)
     best_w, obj = start, _min_radius(p, start)
     history = [] if history is None else history
     history.append(obj)
-    y = 2 * start / (1 - abs(start) ** 2)
-    sq = math.sqrt(1 + abs(y) ** 2)
-    f = [a * sq - (b.conjugate() * y).real + g for a, b, g in coef]
-    t = 2 * max(f)
-    s = n / t
-    slack = [t - fv for fv in f]
+    y, g, face = 2 * start / (1 - abs(start) ** 2), -math.inf, ()
     while True:
-        # gradient (less s, in t) and Hessian of the barrier; a symmetric
-        # 2x2 block acts on complex z as (P*z + Q*conj(z)) / 2
-        gy, gt, hyt, htt, P, Q, curv = 0j, 0.0, 0j, 0.0, 0.0, 0j, 0.0
-        for (a, b, _), d in zip(coef, slack):
-            u = (a * y / sq - b) / d  # gradient of f_v over its slack
-            gy += u
-            gt -= 1 / d
-            hyt -= u / d
-            htt += 1 / d**2
-            P += abs(u) ** 2
-            Q += u * u
-            curv += a / d
-        # the Hessian of f_v is a * (I / S - Y Y^T / S^3); eliminating dt
-        # leaves the Schur complement (P, Q), which does not depend on s
-        P += curv * (2 / sq - abs(y) ** 2 / sq**3) - abs(hyt) ** 2 / htt
-        Q -= curv * y * y / sq**3 + hyt * hyt / htt
-        det = P * P - abs(Q) ** 2
-        if not det > 0:
-            break  # tiny slacks cancel the Schur complement to rounding: keep the best iterate
-        while True:
-            r = hyt * (gt + s) / htt - gy
-            dy = 2 * (P * r - Q * r.conjugate()) / det
-            dt = -(gt + s + (hyt.conjugate() * dy).real) / htt
-            slope = (gy.conjugate() * dy).real + (gt + s) * dt  # minus the squared decrement
-            if -slope > _CENTERED or n / s <= _GAP_REL * t:
-                break
-            s *= _MU
-        if -slope <= _CENTERED:
+        sq = math.sqrt(1 + abs(y) ** 2)
+        f = [a * sq - (b.conjugate() * y).real + gamma for a, b, gamma in coef]
+        u = max((v for v in range(len(f)) if v not in face), key=f.__getitem__, default=None)
+        if u is None or f[u] - g <= _GAP_REL * g:
             break
-        # backtrack until all slacks stay positive and the barrier decreases;
-        # slack changes avoid cancellation, so their rounding scales with the step
-        ydy, bdy = (y.conjugate() * dy).real, [(b.conjugate() * dy).real for _, b, _ in coef]
-        alpha = 1.0
-        for _ in range(60):
-            sq_new = math.sqrt(1 + abs(y + alpha * dy) ** 2)
-            dsq = alpha * (2 * ydy + alpha * abs(dy) ** 2) / (sq_new + sq)
-            change = [alpha * (dt + bd) - a * dsq for (a, _, _), bd in zip(coef, bdy)]
-            if all(d + c > 0 for d, c in zip(slack, change)):
-                dbar = s * alpha * dt - sum(math.log1p(c / d) for d, c in zip(slack, change))
-                if dbar <= 0.25 * alpha * slope:  # Armijo test on the barrier change
-                    break
-            alpha *= 0.5
-        else:
+        support = (*face, u)
+        faces = [
+            (r, s) for m in (1, 2, 3) for s in combinations(support, m) if (r := _face_max(coef, s))
+        ]
+        if not faces and not face:
+            face = support  # a horocycle alone: add the next circle worst at start
+            continue
+        (g_new, y, w), face = max(faces, key=lambda r: r[0][0], default=((g, y, best_w), face))
+        if not g_new > g:
             break
-        y, t, sq = y + alpha * dy, t + alpha * dt, sq_new
-        slack = [d + c for d, c in zip(slack, change)]
-        w = y / (1 + sq)
-        val = _min_radius(p, w)
-        if val >= history[-1] * (1 - _TIE_REL):
-            best_w, obj = w, val
-        history.append(max(history[-1], val))
+        g, best_w, obj = g_new, w, _min_radius(p, w)
+        history.append(max(history[-1], obj))
     return disk_automorphism(best_w), obj
 
 

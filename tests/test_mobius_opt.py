@@ -135,7 +135,7 @@ def test_optimizer_matches_grid_search_oracle():
 
 def test_optimizer_beats_every_nearby_probe():
     # k4 and frucht are where a loose stopping rule leaves the largest error
-    for name in ("k4", "frucht", "tutte", "truncated_icosahedron"):
+    for name in ("k4", "cube", "frucht", "dodecahedron", "tutte", "truncated_icosahedron"):
         norm = normalized(load_graph(name))
         m, obj = optimize_min_radius(norm)
         w = -m.b  # disk_automorphism(w) has b = -w
@@ -143,6 +143,38 @@ def test_optimizer_beats_every_nearby_probe():
             for k in range(48):
                 probe = objective(norm, w + rho * cmath.exp(2j * math.pi * k / 48))
                 assert probe <= obj * (1 + 1e-12), (name, rho, k)
+
+
+@pytest.mark.parametrize(
+    "name, active",
+    [
+        ("k4", 3),
+        ("cube", 1),
+        ("frucht", 3),
+        ("dodecahedron", 1),
+        ("tutte", 1),
+        ("truncated_icosahedron", 1),
+    ],
+)
+def test_optimizer_active_circles(name, active):
+    # at most three circles fix the optimum; on frucht two opposite
+    # circles fix it and a third reaches the same radius 1/6 there
+    norm = normalized(load_graph(name))
+    m, _ = optimize_min_radius(norm)
+    recip = [1 / m.apply_circle(norm.circles[v]).radius for v in norm.interior_names()]
+    assert sum(max(recip) - x <= 1e-12 * max(recip) for x in recip) == active
+
+
+@pytest.mark.parametrize("name", ["k4", "frucht", "truncated_icosahedron"])
+def test_optimizer_does_not_depend_on_circle_order(name):
+    norm = normalized(load_graph(name))
+    names = [norm.outer, *reversed(norm.interior_names())]
+    rev = NormalizedPacking({v: norm.circles[v] for v in names}, norm.tangency, norm.outer)
+    assert rev.interior_names() == norm.interior_names()[::-1]
+    m, obj = optimize_min_radius(norm)
+    m_rev, obj_rev = optimize_min_radius(rev)
+    assert abs(obj_rev - obj) <= 1e-14 * obj
+    assert abs(m_rev.b - m.b) <= 1e-12  # disk_automorphism(w) has b = -w
 
 
 def test_optimizer_keeps_the_symmetry_of_a_smooth_optimum():
