@@ -10,6 +10,11 @@ for tangencies, Bobenko-Springborn 2004 for overlap angles), so its
 Jacobian is minus a weighted Laplacian and damped Newton converges
 quadratically; each step is solved by conjugate gradients.
 
+A triangle with a corner pinned at radius 0 opposite a side crossing at
+pi/2 -- a flag kite of the primal-dual packing -- is a right triangle,
+solved in closed form by ``right_kite`` with one term per vertex-face
+side; every other triangle goes through the law of cosines.
+
 Every packing stops on one rule: success once the largest angle-sum
 defect is at most ``_DEFECT_TOL``, and PackingError when a step cannot
 lower the residual ("stalled") or after ``_MAX_NEWTON_STEPS`` steps
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .geometry import Circle
@@ -30,8 +36,9 @@ from .graph import GraphError, PlanarGraph
 
 _DEFECT_TOL = 1e-10  # largest angle-sum defect a packing may leave, in radians
 # far above the 4-10 steps the packings of the fixtures and scaled inputs
-# take, and above the 28 steps after which a packing with no solution
-# (the primal-dual packing of g18, which is not 3-connected) stalls
+# take, and above the 24 steps in which a packing with no solution (the
+# primal-dual packing of g18, which is not 3-connected) meets the defect
+# bound by shrinking circles to radius 3e-35, too small to lay out
 _MAX_NEWTON_STEPS = 100
 
 
@@ -104,27 +111,42 @@ def pack_triangulation(
     n = len(names)  # the unknowns come first; in ``pairs``, n is any pinned vertex
     names += [v for v in g.vertices if v in boundary]
     index = {v: i for i, v in enumerate(names)}
-    # per inner triangle in faces() order: its vertices, the overlap
-    # cosines of its sides ab, bc, ca, and each side's slot in ``pairs``
     slot: dict[tuple[int, int], int] = {}
     pairs: list[tuple[int, int]] = []
+
+    def side(i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        if key not in slot:
+            slot[key] = len(pairs)
+            pairs.append((min(key[0], n), min(key[1], n)))
+        return slot[key]
+
+    # per inner triangle in faces() order: its vertices, the overlap
+    # cosines of its sides ab, bc, ca, and each side's slot in ``pairs``;
+    # a right kite -- a corner pinned at radius 0 whose opposite side
+    # crosses at pi/2 -- is instead counted on that side in ``kites``
     tris = []
+    kites: dict[tuple[int, int], int] = {}  # side (a, b), a < b -> its right kites
     for walk in g.faces():
         vs = [index[d[0]] for d in walk]
         if min(vs) >= n:
             continue
         if len(walk) != 3:
             raise PackingError("packing requires a triangulation around every interior vertex")
-        sides = []
         for k in range(3):
-            key = tuple(sorted((vs[k], vs[(k + 1) % 3])))
-            if key not in slot:
-                slot[key] = len(pairs)
-                pairs.append((min(key[0], n), min(key[1], n)))
-            sides.append(slot[key])
-        tris.append((vs, [math.cos(ov.get(g.dart_tag(d), 0.0)) for d in walk], sides))
+            if boundary.get(walk[k][0]) == 0.0 and (
+                ov.get(g.dart_tag(walk[(k + 1) % 3])) == math.pi / 2
+            ):
+                ab = tuple(sorted((vs[(k + 1) % 3], vs[(k + 2) % 3])))
+                kites[ab] = kites.get(ab, 0) + 1
+                break
+        else:
+            sides = [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]
+            tris.append((vs, [math.cos(ov.get(g.dart_tag(d), 0.0)) for d in walk], sides))
+    kite_sides = [(a, b, m, side(a, b)) for (a, b), m in kites.items()]
+    system = (tris, kite_sides, n, len(pairs))
     radii = [boundary.get(v, 1.0) for v in names]
-    theta, weight = _angle_system(radii, tris, n, len(pairs))
+    theta, weight = _angle_system(radii, *system)
     norm = sum(x * x for x in theta)
     step = 0
     while True:
@@ -141,7 +163,7 @@ def pack_triangulation(
         for _ in range(60):
             try:  # a step may overflow a radius or flatten a triangle
                 trial = [r * math.exp(t * x) for r, x in zip(radii, d)] + radii[n:]
-                theta_t, weight_t = _angle_system(trial, tris, n, len(pairs))
+                theta_t, weight_t = _angle_system(trial, *system)
                 norm_t = sum(x * x for x in theta_t)
             except ArithmeticError:
                 norm_t = math.inf
@@ -153,16 +175,24 @@ def pack_triangulation(
         radii, theta, weight, norm = trial, theta_t, weight_t, norm_t
 
 
-def _angle_system(radii, tris, n, n_pairs):
+def _angle_system(radii, tris, kites, n, n_pairs):
     """Angle-sum defects of the n unknowns and the Jacobian's side weights.
 
     The Jacobian of the angle sums in log-radii is minus a weighted
     Laplacian: in each triangle, d(angle at a)/d(log r_b) = d(angle at
     b)/d(log r_a) = w_ab ≥ 0, and the angles do not change when all three
     radii are scaled together.
+
+    ``kites`` lists (a, b, m, slot): m right kites on side ab, each
+    solved in closed form by right_kite.
     """
     theta = [-2 * math.pi] * len(radii)
     weight = [0.0] * n_pairs
+    for a, b, m, s in kites:
+        angle_a, angle_b, w = right_kite(radii[a], radii[b])
+        theta[a] += m * angle_a
+        theta[b] += m * angle_b
+        weight[s] += m * w
     for (a, b, c), (cab, cbc, cca), (sab, sbc, sca) in tris:
         ra, rb, rc = radii[a], radii[b], radii[c]
         ab = math.sqrt(ra * ra + rb * rb + 2 * ra * rb * cab)
@@ -184,6 +214,18 @@ def _angle_system(radii, tris, n, n_pairs):
     return theta[:n], weight
 
 
+def right_kite(r_a: float, r_b: float) -> tuple[float, float, float]:
+    """Angles at a and b of a right kite (a, x, b), and its weight on side ab.
+
+    x is a point circle tangent to circles a and b, which cross at pi/2,
+    so the triangle of centers is right-angled at x with legs r_a and
+    r_b.  Its angles depend on r_b / r_a alone, and the only nonzero
+    Jacobian weight, d(angle at a)/d(log r_b), is r_a r_b / (r_a^2 +
+    r_b^2) (Bobenko-Springborn 2004).
+    """
+    return math.atan2(r_b, r_a), math.atan2(r_a, r_b), r_a * r_b / (r_a * r_a + r_b * r_b)
+
+
 def _solve_laplacian(pairs, weight, b, rtol):
     """Solve L x = b to relative residual rtol by Jacobi-preconditioned CG.
 
@@ -191,31 +233,34 @@ def _solve_laplacian(pairs, weight, b, rtol):
     restricted to the unknowns; index len(b) is a pinned vertex, held at 0.
     """
     n = len(b)
+    sides = [(i, j, w) for (i, j), w in zip(pairs, weight)]
     diag = [0.0] * (n + 1)
-    for (i, j), w in zip(pairs, weight):
+    for i, j, w in sides:
         diag[i] += w
         diag[j] += w
+    diag = diag[:n]
     x = [0.0] * (n + 1)
     r = list(b) + [0.0]
     z = [ri / di for ri, di in zip(b, diag)] + [0.0]
     p = z
-    rz = sum(ri * zi for ri, zi in zip(r, z))
-    stop = rtol * rtol * sum(bi * bi for bi in b)
+    rz = sum(map(operator.mul, r, z))
+    stop = rtol * rtol * sum(map(operator.mul, b, b))
     for _ in range(2 * n + 10):
         q = [0.0] * (n + 1)
-        for (i, j), w in zip(pairs, weight):
+        for i, j, w in sides:
             f = w * (p[i] - p[j])
             q[i] += f
             q[j] -= f
         q[n] = 0.0
-        alpha = rz / sum(pi * qi for pi, qi in zip(p, q))
+        alpha = rz / sum(map(operator.mul, p, q))
         x = [xi + alpha * pi for xi, pi in zip(x, p)]
         r = [ri - alpha * qi for ri, qi in zip(r, q)]
-        if sum(ri * ri for ri in r) <= stop:
+        if sum(map(operator.mul, r, r)) <= stop:
             break
-        z = [ri / di for ri, di in zip(r, diag[:n])] + [0.0]
-        rz, rz_old = sum(ri * zi for ri, zi in zip(r, z)), rz
-        p = [zi + rz / rz_old * pi for zi, pi in zip(z, p)]
+        z = [ri / di for ri, di in zip(r, diag)] + [0.0]
+        rz, rz_old = sum(map(operator.mul, r, z)), rz
+        beta = rz / rz_old
+        p = [zi + beta * pi for zi, pi in zip(z, p)]
     return x[:n]
 
 
@@ -259,6 +304,8 @@ def layout_centers(
                         length(radii, b, c),
                     )
                     dab = pos[b] - pos[a]
+                    if not dab:  # radii too far apart for one scale of floats
+                        raise PackingError("layout failed: coincident centers")
                     dab /= abs(dab)
                     pos[c] = pos[a] + length(radii, a, c) * dab * cmath.exp(1j * alpha)
                     progress = True

@@ -15,6 +15,7 @@ from lombardi.packing import (
     pack_and_layout,
     packing_defects,
     primal_dual_pack,
+    right_kite,
 )
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
@@ -105,11 +106,37 @@ def test_pack_nonconvergence_raises(monkeypatch):
         pack_and_layout(dualg)
 
 
-def test_pack_stall_raises():
-    # g18 is not 3-connected, so it has no primal-dual packing: the
-    # residual stops falling after 28 steps, long before the step cap
-    with pytest.raises(PackingError, match="stalled"):
+def test_pack_stall_raises(monkeypatch):
+    # with no defect small enough, Newton runs until rounding stops the
+    # residual from falling, long before the step cap
+    monkeypatch.setattr(packing, "_DEFECT_TOL", 0.0)
+    dualg, _ = load_graph("k4").dual()
+    with pytest.raises(PackingError, match="packing stalled after 5 Newton steps"):
+        pack_and_layout(dualg)
+
+
+def test_primal_dual_pack_without_solution_raises():
+    # g18 is not 3-connected, so it has no primal-dual packing: the angle
+    # sums close only as some circles shrink towards radius 0, too small
+    # to lay out beside the others
+    with pytest.raises(PackingError, match="layout failed"):
         primal_dual_pack(load_graph("g18"))
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 1.0, 7.0, 1e3, 1e6])
+def test_right_kite_matches_law_of_cosines(ratio):
+    r_v = 0.3
+    r_f = ratio * r_v
+    angle_v, angle_f, w = right_kite(r_v, r_f)
+    hyp = math.hypot(r_v, r_f)
+    assert abs(angle_v - packing._angle(r_v, hyp, r_f)) < 1e-9
+    assert abs(angle_f - packing._angle(r_f, hyp, r_v)) < 1e-9
+    # w = d(angle at v)/d(log r_f) = -d(angle at f)/d(log r_f); difference
+    # the smaller angle, whose rounding error is smallest
+    k, sign = (0, 1) if angle_v <= angle_f else (1, -1)
+    h = 1e-5
+    fd = (right_kite(r_v, r_f * math.exp(h))[k] - right_kite(r_v, r_f * math.exp(-h))[k]) / (2 * h)
+    assert abs(sign * fd - w) <= 1e-6 * w
 
 
 def test_kite_triangulation_of_k4():
@@ -147,6 +174,25 @@ def test_primal_dual_orthogonality(name, newton_steps):
     g = load_graph(name) if name != "k4" else parse(K4_TEXT)
     pdp = primal_dual_pack(g)
     assert 0 < len(newton_steps) <= 12, (name, len(newton_steps))
+    # oracle: law-of-cosines angle sums over the flag kites close at 2*pi
+    # at every circle but the three pinned at radius 1 beside the hub
+    kite, overlap, _, xname = kite_triangulation(g)
+    circles = {**pdp.vertex_circles, **pdp.face_circles}
+    pinned = set(kite.neighbors(pdp.hub)) - set(xname.values())
+    angle_sum = dict.fromkeys(set(circles) - pinned, 0.0)
+    for walk in kite.faces():
+        vs = [d[0] for d in walk]
+        rs = [circles[v].radius if v in circles else 0.0 for v in vs]
+        # side k joins vs[k] and vs[k + 1]
+        sides = [
+            edge_length(rs[k], rs[(k + 1) % 3], math.cos(overlap[kite.dart_tag(walk[k])]))
+            for k in range(3)
+        ]
+        for k, v in enumerate(vs):
+            if v in angle_sum:
+                angle_sum[v] += packing._angle(sides[k], sides[k - 1], sides[(k + 1) % 3])
+    assert len(angle_sum) == len(circles) - 3
+    assert max(abs(s - 2 * math.pi) for s in angle_sum.values()) < 1e-9, name
     fo = g.face_of()
     for t in g.edges:
         u, w = g.endpoints(t)
