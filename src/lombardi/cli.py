@@ -23,6 +23,7 @@ from .drawing import (
     draw_medial,
     draw_subcubic,
     from_json,
+    json_text,
     to_json,
     verify,
 )
@@ -200,7 +201,7 @@ def run(cfg: RunConfig) -> int:
         if kind == "svg":
             path.write_text(emit_svg(d))
         else:
-            path.write_text(json.dumps(to_json(d), indent=2) + "\n")
+            path.write_text(json_text(to_json(d)) + "\n")
         print(f"wrote {path}")
     return 0
 

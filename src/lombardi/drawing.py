@@ -26,14 +26,22 @@ and each stub takes its tags from the darts that ``graph`` walks: from
 from the bridges.  Stub leaves, the only vertices a construction step
 invents, are named in ``_add_stubs`` alone, and ``glue_bridge`` removes
 them again.
+
+``to_json`` turns a drawing into a dict and ``json_text`` writes that
+dict as exactly ``json.dumps(obj, indent=2)`` would, from fixed
+templates rather than through ``json``'s pure-Python encoder (CPython
+before 3.13 uses its C encoder only without ``indent``); the CLI writes
+``json_text(to_json(d))``.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .geometry import (
     Arc,
@@ -1039,7 +1047,9 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = ANGLE_
         return _check(LombardiDrawing({g.vertices[0]: 0j}), g, angle_tol)
 
     bridges = set(g.bridges())
-    core = g.without_edges(bridges)
+    # a PlanarGraph is not written to after construction (bar its face
+    # cache), so a bridgeless input and a lone piece are drawn uncopied
+    core = g.without_edges(bridges) if bridges else g
     comps = core.connected_components()
     bridge_at = {v: [t for t in g.rot[v] if t in bridges] for v in g.vertices}
 
@@ -1051,7 +1061,7 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = ANGLE_
         if len(comp) == 1:
             piece_drawings[idx] = claw_drawing(comp[0], bridge_at[comp[0]])
             continue
-        piece = core.subgraph(comp)
+        piece = core.subgraph(comp) if len(comps) > 1 else core
         # a vertex on a piece of two or more vertices has at most one bridge
         stub_of = {v: bridge_at[v][0] for v in comp if bridge_at[v]}
         if all(piece.degree(v) == 2 for v in comp):
@@ -1202,6 +1212,100 @@ def to_json(d: LombardiDrawing) -> dict:
             }
         )
     return {"vertices": verts, "edges": edges, "outer_face": d.outer_face}
+
+
+# the layout of ``json.dumps(to_json(d), indent=2)``; %r of a float is
+# the text ``json`` writes for a finite one
+_JSON_VERTEX = """{
+      "id": %s,
+      "x": %r,
+      "y": %r
+    }"""
+_JSON_EDGE = """{
+      "id": %s,
+      "u": %s,
+      "w": %s,
+      "support": %s,
+      "px": %r,
+      "py": %r,
+      "qx": %r,
+      "qy": %r,
+      "wx": %r,
+      "wy": %r
+    }"""
+_JSON_CIRCLE = """{
+        "kind": "circle",
+        "cx": %r,
+        "cy": %r,
+        "r": %r
+      }"""
+_JSON_LINE = """{
+        "kind": "line",
+        "nx": %r,
+        "ny": %r,
+        "offset": %r
+      }"""
+
+
+def _finite(*xs: float) -> tuple:
+    """``xs``, once each is known to be finite (ValueError otherwise)."""
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} has no JSON text")
+    return xs
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already laid out items, closed at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_value(x, indent: str) -> str:
+    """A tag or scalar of a ``to_json`` dict, as ``json.dumps(indent=2)``
+    lays it out at ``indent``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, list):
+        return _json_list([_json_value(v, indent + "  ") for v in x], indent)
+    if isinstance(x, float):
+        _finite(x)
+        return float.__repr__(x)
+    return json.dumps(x)  # int, bool and None; TypeError for the rest, as json's
+
+
+def json_text(obj: dict) -> str:
+    """``json.dumps(obj, indent=2)`` for a dict in ``to_json``'s layout,
+    except that a non-finite number raises ValueError instead of being
+    written as NaN or Infinity."""
+    verts = [
+        _JSON_VERTEX % (_json_value(v["id"], "      "), *_finite(v["x"], v["y"]))
+        for v in obj["vertices"]
+    ]
+    edges = []
+    for e in obj["edges"]:
+        s = e["support"]
+        if s["kind"] == "circle":
+            support = _JSON_CIRCLE % _finite(s["cx"], s["cy"], s["r"])
+        else:
+            support = _JSON_LINE % _finite(s["nx"], s["ny"], s["offset"])
+        edges.append(
+            _JSON_EDGE
+            % (
+                _json_value(e["id"], "      "),
+                _json_value(e["u"], "      "),
+                _json_value(e["w"], "      "),
+                support,
+                *_finite(e["px"], e["py"], e["qx"], e["qy"], e["wx"], e["wy"]),
+            )
+        )
+    return '{\n  "vertices": %s,\n  "edges": %s,\n  "outer_face": %s\n}' % (
+        _json_list(verts, "  "),
+        _json_list(edges, "  "),
+        _json_value(obj["outer_face"], "  "),
+    )
 
 
 def from_json(obj: dict) -> LombardiDrawing:

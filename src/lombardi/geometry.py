@@ -12,6 +12,11 @@ similarity.  Arcs take that support too (``Mobius.apply_arc``) and fall
 back to refitting the circle through their three image points only where
 the closed form cannot hold them: an image point at INF, or a support so
 close to the pole that the reciprocal cancels.
+
+``INF`` is tested by identity (``is_inf``): its class hands out one
+instance, to unpickling and copying as well.  ``Arc`` is frozen and no
+code writes to one after construction, so an arc computes its angular
+sweep once, on first use, and keeps it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ GEOM_TOL = 1e-10
 
 
 def is_inf(p: Point) -> bool:
-    return p is INF or isinstance(p, _PointAtInfinity)
+    return p is INF
 
 
 def is_finite(*zs) -> bool:
@@ -390,22 +395,29 @@ class Arc:
             if is_inf(self.p) or is_inf(self.q) or is_inf(self.witness):
                 raise ValueError("arcs of circles have finite endpoints and witness")
         for u, v in ((self.p, self.q), (self.p, self.witness), (self.q, self.witness)):
-            if near(u, v, 0.0):
+            # equal non-finite coordinates are left to verify to report
+            if u == v and (is_inf(u) or cmath.isfinite(u)):
                 raise ValueError("arc endpoints and witness must be pairwise distinct")
 
     # circle arc helpers ------------------------------------------------
 
     def _sweep(self) -> tuple[float, float, bool]:
-        """(start angle, swept angle, ccw?) for a Circle support."""
-        c: Circle = self.support  # type: ignore[assignment]
-        tp = c.angle_of(self.p)
-        tq = c.angle_of(self.q)
-        tw = c.angle_of(self.witness)
-        ccw_q = (tq - tp) % _TWO_PI
-        ccw_w = (tw - tp) % _TWO_PI
-        if ccw_w <= ccw_q:
-            return tp, ccw_q, True
-        return tp, _TWO_PI - ccw_q, False
+        """(start angle, swept angle, ccw?) for a Circle support.
+
+        Computed on the first call and kept outside the fields, which
+        ``==``, ``hash`` and ``repr`` read alone.
+        """
+        swept = self.__dict__.get("_swept")
+        if swept is None:
+            c: Circle = self.support  # type: ignore[assignment]
+            tp = c.angle_of(self.p)
+            tq = c.angle_of(self.q)
+            tw = c.angle_of(self.witness)
+            ccw_q = (tq - tp) % _TWO_PI
+            ccw_w = (tw - tp) % _TWO_PI
+            swept = (tp, ccw_q, True) if ccw_w <= ccw_q else (tp, _TWO_PI - ccw_q, False)
+            object.__setattr__(self, "_swept", swept)  # frozen: bypass the field guard
+        return swept
 
     def axis_extremes(self) -> list[complex]:
         """The points of a circle arc where its circle is leftmost,

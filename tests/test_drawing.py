@@ -20,15 +20,16 @@ from lombardi.drawing import (
     expand_virtual_edge,
     from_json,
     glue_bridge,
+    json_text,
     p_node_drawing,
     subdivide_arc,
     to_json,
     transform,
     verify,
 )
-from lombardi.geometry import Arc, Circle, Mobius, arc_through, segment
+from lombardi.geometry import Arc, Circle, Line, Mobius, arc_through, segment
 from lombardi import graph
-from lombardi.graph import GraphError, PlanarGraph, parse
+from lombardi.graph import GraphError, PlanarGraph, is_three_connected, parse
 
 sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
 import run as bench  # noqa: E402
@@ -607,3 +608,55 @@ def test_json_round_trip():
     import json
 
     json.dumps(obj)
+
+
+def test_json_text_is_json_dumps_with_indent_2():
+    drawings = []  # every fixture that draws, in both modes
+    for path in sorted(FIXTURES.glob("*.txt")):
+        g = parse(path.read_text())
+        if max(map(g.degree, g.vertices)) <= 3:
+            drawings.append(draw_subcubic(g))
+        if is_three_connected(g):
+            drawings.append(draw_medial(g))
+    assert len(drawings) == 17
+    # a lone vertex, a straight edge, and tags of every kind JSON holds
+    lone = LombardiDrawing({"v": 0j})
+    tags = LombardiDrawing(
+        {"plain": 0j, "naïve ✓": 1 + 0j, 7: 1j, 2.5: 3 + 1j, ("x", ("y", 2), ()): -1 + 0j, None: 2 + 2j, True: -3j}
+    )
+    for t, (u, w) in {
+        ("e", ()): ("plain", "naïve ✓"),
+        "straight": ("plain", 7),
+        2.5: (2.5, "plain"),
+        3: (7, ("x", ("y", 2), ())),
+        (): ("plain", None),
+        (("deep", (1, ("er",))),): (True, "plain"),
+    }.items():
+        p, q = tags.positions[u], tags.positions[w]
+        tags.arcs[t] = segment(p, q) if t == "straight" else arc_through(p, q, (p + q) / 2 + 0.3j * (q - p))
+        tags.edges[t] = (u, w)
+    assert any(isinstance(a.support, Line) for a in tags.arcs.values())
+    drawings += [LombardiDrawing({}), lone, tags, LombardiDrawing(dict(tags.positions), dict(tags.arcs), dict(tags.edges), 2)]
+    for d in drawings:
+        obj = to_json(d)
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf)])
+def test_json_text_refuses_non_finite_numbers(bad):
+    with pytest.raises(ValueError):
+        json_text(to_json(LombardiDrawing({"v": bad})))
+
+
+def test_draws_leave_the_input_graph_unchanged():
+    # draw_subcubic draws a bridgeless input, and its only piece, uncopied
+    for path in sorted(FIXTURES.glob("*.txt")):
+        g = parse(path.read_text())
+        before = ({v: list(ts) for v, ts in g.rot.items()}, list(g.vertices), list(g.edges), [list(f) for f in g.faces()])
+        for draw in (draw_subcubic, draw_medial):
+            try:
+                draw(g)
+            except GraphError:
+                pass
+            after = (g.rot, g.vertices, g.edges, g.faces())
+            assert after == before, f"{path.stem}: {draw.__name__} changed its input"

@@ -1,11 +1,15 @@
 """Oracle-based tests for circles, arcs, and Moebius maps."""
 
 import cmath
+import copy
+import itertools
 import math
+import pickle
 import random
 
 import pytest
 
+from lombardi.drawing import LombardiDrawing, transform
 from lombardi.geometry import (
     INF,
     Arc,
@@ -24,8 +28,10 @@ from lombardi.geometry import (
     lune_bisector,
     mobius_from_triples,
     mobius_scale_translate,
+    near,
     segment,
     support_intersections,
+    _PointAtInfinity,
 )
 
 
@@ -368,3 +374,51 @@ def test_mobius_degeneracy_is_relative_to_the_determinant_terms():
     for coeffs in [(1, 2, 2, 4), (0, 0, 0, 0), (1e8, 1e8, 1e-8, 1e-8)]:
         with pytest.raises(ValueError):
             Mobius(*coeffs)
+
+
+# --------------------------------------------------------------------------
+# the sweep memo and INF by identity
+
+
+def test_arc_sweep_is_kept_outside_the_fields():
+    a = arc_through(1 + 0j, -1 + 0j, 1j)
+    m = Mobius(2 + 1j, 0.3, 0.5, 1)
+    moved = transform(LombardiDrawing({"u": a.p, "w": a.q}, {"e": a}, {"e": ("u", "w")}), m)
+    arcs = [a, m.apply_arc(a), moved.arcs["e"], arc_through(0j, 2 + 0j, 1 - 1j)]
+    for arc in arcs:
+        fresh = Arc(arc.support, arc.p, arc.q, arc.witness)
+        swept = arc._sweep()
+        assert arc._sweep() is swept  # computed once
+        assert swept == fresh._sweep()
+        assert arc == fresh and hash(arc) == hash(fresh) and repr(arc) == repr(fresh)
+        back = pickle.loads(pickle.dumps(arc))
+        assert back == arc and back._sweep() == swept
+        # the reversed arc is a new instance with its own sweep
+        rev = Arc(arc.support, arc.q, arc.p, arc.witness)
+        tq, rswept, rccw = rev._sweep()
+        assert tq == arc.support.angle_of(arc.q) and rccw is not swept[2]
+        assert math.isclose(rswept, swept[1])
+
+
+def test_inf_is_one_instance():
+    assert _PointAtInfinity() is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    assert copy.copy(INF) is INF and copy.deepcopy([INF])[0] is INF
+
+
+def test_arc_rejects_exactly_the_equal_point_pairs():
+    nan = complex(math.nan, math.nan)
+    points = [0j, complex(-0.0, -0.0), 1 + 2j, nan, INF, complex(math.inf, 0.0)]
+    # 0j and -0j are equal; NaN equals nothing, itself included; an
+    # infinite coordinate is not rejected here but fails verify
+    equal = {(i, i) for i in (0, 1, 2, 4)} | {(0, 1), (1, 0)}
+    for i, j in itertools.product(range(6), repeat=2):
+        # the test Arc makes agrees with near(u, v, 0.0), which it replaced
+        assert near(points[i], points[j], 0.0) == ((i, j) in equal)
+    for i, j, k in itertools.product(range(6), repeat=3):
+        clash = {(i, j), (i, k), (j, k)} & equal
+        if clash:
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                Arc(Line(1j, 0.0), points[i], points[j], points[k])
+        else:
+            Arc(Line(1j, 0.0), points[i], points[j], points[k])
