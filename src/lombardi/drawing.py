@@ -176,16 +176,13 @@ def _line_coord_interval(arc: Arc, frame: Line | None = None) -> tuple[float, fl
     return lo, hi
 
 
-def _support_noise(a1: Arc, a2: Arc) -> float:
+def _support_noise(*arcs: Arc) -> float:
     """Absolute rounding noise of positions computed on the arcs' supports.
 
     Coordinates on a huge-radius support carry noise of order radius *
     machine epsilon; both crossing tests widen their tolerance to it.
     """
-    return max(
-        (a.support.radius * 1e-14 for a in (a1, a2) if isinstance(a.support, Circle)),
-        default=0.0,
-    )
+    return max((a.support.radius * 1e-14 for a in arcs if isinstance(a.support, Circle)), default=0.0)
 
 
 def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
@@ -210,7 +207,7 @@ def _finite_arc(a: Arc) -> bool:
 
 
 def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
-    """Padded box (x0, x1, y0, y1) of the arc, or None when it is unbounded.
+    """Padded box (x0, x1, y0, y1) of a finite arc, or None when it is unbounded.
 
     The box is the arc's endpoints plus the axis extremes of its support
     on the arc, padded to hold every point the crossing test of
@@ -226,16 +223,14 @@ def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
     (size bounds |p|, |q|, |w| and the support's distance from them), and
     ``same_support``'s 1e-9 on the normal and offset moves a projection
     by less than 3e-9*size.  Rays, two-ray line arcs (also a segment
-    whose witness is not clearly inside it), non-finite arcs and lines at
-    tol >= 0.2, where x is not bounded, give None.
+    whose witness is not clearly inside it) and lines at tol >= 0.2, where
+    x is not bounded, give None.
     """
-    if not _finite_arc(a):
-        return None
     s = a.support
     zs = [a.p, a.q]
     if isinstance(s, Circle):
         c, r = s.center, s.radius
-        zs += [s.point_at(theta) for theta in _interval_of(a)] + a.axis_extremes()
+        zs += a.axis_extremes()
         pad = tol * max(r, 1.0) + tol + 2e-9 * r + 1e-14 * (abs(c) + r)
     else:
         if tol >= 0.2:
@@ -282,22 +277,6 @@ def _crossing_candidates(boxes: list) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _arcs_cross(d: LombardiDrawing, t1, t2, match_tol: float, tol_pt: float) -> bool:
-    """Whether two arcs of the drawing meet anywhere but at shared endpoints."""
-    a1, a2 = d.arcs[t1], d.arcs[t2]
-    if same_support(a1.support, a2.support, 1e-9):
-        return _arcs_overlap_on_support(a1, a2, match_tol)
-    shared_pts = [d.positions[v] for v in set(d.edges[t1]) & set(d.edges[t2])]
-    exclude = max(match_tol, _support_noise(a1, a2))
-    for x in arc_intersections(a1, a2, tol=tol_pt):
-        if is_inf(x):
-            continue
-        if any(abs(x - s) <= exclude for s in shared_pts):
-            continue
-        return True
-    return False
-
-
 def verify(
     d: LombardiDrawing,
     g: PlanarGraph | None = None,
@@ -318,12 +297,15 @@ def verify(
     found by a sort-and-sweep (``_arc_box``); an unbounded arc (a ray or
     a two-ray line arc) or a non-finite one is tested against every arc.
     The pad covers every slack of the pair test, so the crossings are
-    those of testing all pairs, in the same order.  (d) likewise compares
-    only positions within the point tolerance of each other in x and in
-    y; that tolerance is ``tol_geom`` times the extent of the finite
-    positions.  With K candidate pairs the cost is O(E log E + K log K)
-    plus one box test per pair of arcs whose x-extents overlap, instead
-    of E^2/2 pair tests.
+    those of testing all pairs, in the same order.  A pair on two supports
+    costs one support intersection (at most two points), and the points
+    at a shared endpoint are dropped before any membership test, so the
+    many pairs that meet only there make no ``Arc.contains`` call.  (d)
+    likewise compares only positions within the point tolerance of each
+    other in x and in y; that tolerance is ``tol_geom`` times the extent
+    of the finite positions.  With K candidate pairs the cost is
+    O(E log E + K log K) plus one box test per pair of arcs whose
+    x-extents overlap, instead of E^2/2 pair tests.
     """
     rep = VerificationReport()
     if set(d.arcs) != set(d.edges):
@@ -347,10 +329,11 @@ def verify(
     tol_pt = tol_geom * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
 
+    finite = {t: _finite_arc(a) for t, a in d.arcs.items()}  # read by (a) and (c)
     # (a) endpoint coincidence
     for t, (u, w) in d.edges.items():
         a = d.arcs[t]
-        if not (is_finite(pos[u], pos[w]) and _finite_arc(a)):
+        if not (is_finite(pos[u], pos[w]) and finite[t]):
             rep.max_endpoint_error = math.inf
             continue
         e1 = min(abs(a.p - pos[u]), abs(a.p - pos[w]))
@@ -391,12 +374,19 @@ def verify(
 
     # (c) no two arcs cross except at shared endpoints
     tags = list(d.arcs)
-    boxes = [_arc_box(d.arcs[t], tol_pt) for t in tags]
-    rep.crossings = [
-        (tags[i], tags[j])
-        for i, j in _crossing_candidates(boxes)
-        if _arcs_cross(d, tags[i], tags[j], match_tol, tol_pt)
-    ]
+    arcs = [d.arcs[t] for t in tags]
+    ends = [set(d.edges[t]) for t in tags]
+    excl = [max(match_tol, _support_noise(a)) for a in arcs]  # radius around a shared endpoint
+    boxes = [_arc_box(a, tol_pt) if finite[t] else None for t, a in zip(tags, arcs)]
+    for i, j in _crossing_candidates(boxes):
+        a1, a2 = arcs[i], arcs[j]
+        if same_support(a1.support, a2.support, 1e-9):
+            crossed = _arcs_overlap_on_support(a1, a2, match_tol)
+        else:  # a finite meeting point away from the shared endpoints
+            shared, by = [pos[v] for v in ends[i] & ends[j]], max(excl[i], excl[j])
+            crossed = any(not is_inf(x) for x in arc_intersections(a1, a2, tol_pt, shared, by))
+        if crossed:
+            rep.crossings.append((tags[i], tags[j]))
     rep.noncrossing_ok = not rep.crossings
 
     # (d) distinct vertex positions; a non-finite one is within tol_pt of nothing
@@ -710,21 +700,18 @@ def _lay_chain(d: LombardiDrawing, a: Arc, seq: list, tags: list) -> None:
 
 
 def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float]]) -> LombardiDrawing:
-    """Attach straight degree-1 stubs; returned unverified.
+    """Attach straight degree-1 stubs to ``d`` in place; returns ``d``, unverified.
 
     ``stubs`` holds (vertex, unit direction, edge tag, length) entries;
     each stub runs from its vertex to a new leaf ``("stub", tag, vertex)``.
     This is the one place that names stub leaves.
     """
-    positions = dict(d.positions)
-    arcs = dict(d.arcs)
-    edges = dict(d.edges)
     for v, direction, tag, length in stubs:
         leaf = ("stub", tag, v)
-        positions[leaf] = d.positions[v] + length * direction
-        arcs[tag] = segment(d.positions[v], positions[leaf])
-        edges[tag] = (v, leaf)
-    return LombardiDrawing(positions, arcs, edges, d.outer_face)
+        d.positions[leaf] = d.positions[v] + length * direction
+        d.arcs[tag] = segment(d.positions[v], d.positions[leaf])
+        d.edges[tag] = (v, leaf)
+    return d
 
 
 def _without_edge(d: LombardiDrawing, e, new_vertices: list) -> LombardiDrawing:
@@ -984,19 +971,26 @@ def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int) -> Lombar
     """Draw one bridgeless block whose vertices in ``stub_of`` carry a
     stub tagged ``stub_of[v]`` for their bridge.  ``outer_face``, a face
     of ``piece``, reaches an R node at the root only when the block has
-    no stubs and no chains, as its faces are then that node's faces."""
+    no stubs and no chains, as its faces are then that node's faces.
+    Chains are laid on their edge alone and moved into the SPQR drawing."""
     h, chains = piece.suppress_degree_two()
     d = _spqr_drawing(spqr(h), None if chains or stub_of else outer_face)
     for chain_tag, (seq, tags) in chains.items():
         # junctions are laid out from the drawing's first edge endpoint;
         # flip the chain if the drawing stores the edge the other way
-        if d.edges[chain_tag] != (seq[0], seq[-1]):
+        u, w = d.edges.pop(chain_tag)
+        if (u, w) != (seq[0], seq[-1]):
             seq, tags = seq[::-1], tags[::-1]
+        arc = d.arcs.pop(chain_tag)
+        edge = LombardiDrawing({u: d.positions[u], w: d.positions[w]}, {chain_tag: arc}, {chain_tag: (u, w)})
         stubs = {x: stub_of[x] for x in seq[1:-1] if x in stub_of}
         if stubs:
-            d = attach_bridge_stubs(d, chain_tag, seq, tags, stubs)
+            edge = attach_bridge_stubs(edge, chain_tag, seq, tags, stubs)
         else:
-            d = subdivide_arc(d, chain_tag, seq[1:-1], tags)
+            edge = subdivide_arc(edge, chain_tag, seq[1:-1], tags)
+        d.positions.update(edge.positions)
+        d.arcs.update(edge.arcs)
+        d.edges.update(edge.edges)
     return d
 
 
@@ -1047,8 +1041,8 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = ANGLE_
         return _check(LombardiDrawing({g.vertices[0]: 0j}), g, angle_tol)
 
     bridges = set(g.bridges())
-    # a PlanarGraph is not written to after construction (bar its face
-    # cache), so a bridgeless input and a lone piece are drawn uncopied
+    # a PlanarGraph is not written to after construction (bar its
+    # caches), so a bridgeless input and a lone piece are drawn uncopied
     core = g.without_edges(bridges) if bridges else g
     comps = core.connected_components()
     bridge_at = {v: [t for t in g.rot[v] if t in bridges] for v in g.vertices}

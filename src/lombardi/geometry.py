@@ -373,6 +373,8 @@ def mobius_from_triples(src: tuple[Point, Point, Point], dst: tuple[Point, Point
 # Arcs
 
 _TWO_PI = 2 * math.pi
+# (angle, unit vector) of the axis directions right, up, left and down
+_AXES = tuple((th, complex(math.cos(th), math.sin(th))) for th in (k * math.pi / 2 for k in range(4)))
 
 
 @dataclass(frozen=True)
@@ -425,11 +427,10 @@ class Arc:
         c: Circle = self.support  # type: ignore[assignment]
         start, sweep, ccw = self._sweep()
         out = []
-        for k in range(4):
-            th = k * math.pi / 2
+        for th, unit in _AXES:
             delta = (th - start) % _TWO_PI
             if (delta if ccw else (_TWO_PI - delta) % _TWO_PI) <= sweep:
-                out.append(c.center + c.radius * complex(math.cos(th), math.sin(th)))
+                out.append(c.center + c.radius * unit)
         return out
 
     def subtended_angle(self) -> float:
@@ -622,11 +623,13 @@ def same_support(s1: GeneralizedCircle, s2: GeneralizedCircle, tol: float = 1e-9
     return False
 
 
-def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL) -> list[Point]:
-    """Points common to two arcs (excluding shared supports, which raise)."""
+def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL, away=(), by: float = 0.0) -> list[Point]:
+    """Points common to two arcs (excluding shared supports, which raise);
+    finite points within ``by`` of a point in ``away`` are dropped first."""
     if same_support(a1.support, a2.support):
         raise ValueError("arc_intersections: arcs share a support")
     pts = support_intersections(a1.support, a2.support, tol)
+    pts = [x for x in pts if is_inf(x) or not any(abs(x - z) <= by for z in away)]
     return [x for x in pts if a1.contains(x, tol) and a2.contains(x, tol)]
 
 

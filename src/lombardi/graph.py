@@ -5,7 +5,9 @@ cyclic order of its incident edge tags.  Each edge tag appears exactly
 twice (at its two distinct endpoints); parallel edges carry distinct
 tags, self loops are not supported.  Faces are traced from the rotation
 system and Euler's formula certifies that the rotation system describes
-a sphere embedding.
+a sphere embedding.  Nothing writes to a graph after construction, so it
+keeps its faces, components and DFS from their first use; every reader
+gets those same objects and must not mutate them.
 
 The structure checks run in near-linear time on one iterative DFS:
 bridges and cut vertices by lowpoints, 2-edge-cut classes by
@@ -49,6 +51,8 @@ class PlanarGraph:
         self._ends: dict = {t: (ds[0], ds[1]) for t, ds in ends.items()}
         self.edges: list = sorted(self._ends.keys(), key=repr)
         self._faces: list[list[Dart]] | None = None
+        self._components: list[list[str]] | None = None
+        self._dfs_result: tuple[dict, dict, dict, list] | None = None
 
     # -- basics ----------------------------------------------------------
 
@@ -103,6 +107,7 @@ class PlanarGraph:
         return (w, (j + 1) % len(self.rot[w]))
 
     def faces(self) -> list[list[Dart]]:
+        """Face walks as dart lists; traced once and kept (do not mutate)."""
         if self._faces is None:
             seen: set[Dart] = set()
             faces = []
@@ -130,23 +135,26 @@ class PlanarGraph:
     # -- validation -------------------------------------------------------
 
     def connected_components(self) -> list[list[str]]:
-        seen: set[str] = set()
-        comps = []
-        for s in self.vertices:
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
+        """Vertex lists of the components; found once and kept (do not mutate)."""
+        if self._components is None:
+            seen: set[str] = set()
+            comps = []
+            for s in self.vertices:
+                if s in seen:
+                    continue
+                comp = [s]
+                seen.add(s)
+                stack = [s]
+                while stack:
+                    v = stack.pop()
+                    for w in self.neighbors(v):
+                        if w not in seen:
+                            seen.add(w)
+                            comp.append(w)
+                            stack.append(w)
+                comps.append(comp)
+            self._components = comps
+        return self._components
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -244,34 +252,36 @@ class PlanarGraph:
         Returns (discovery index, lowpoint, tree edge into each vertex or
         None at a root, vertices in postorder); the lowpoint of v is the
         least discovery index reachable from v's subtree by one non-tree
-        edge.  O(V + E).
+        edge.  O(V + E), once: the result is kept (do not mutate it).
         """
-        disc: dict[str, int] = {}
-        via: dict = {}
-        post: list[str] = []
-        for root in self.vertices:
-            if root in disc:
-                continue
-            disc[root], via[root] = len(disc), None
-            stack = [(root, iter(self.rot[root]))]
-            while stack:
-                v, it = stack[-1]
-                for tag in it:
-                    w = self.other_end(tag, v)
-                    if w not in disc:
-                        disc[w], via[w] = len(disc), tag
-                        stack.append((w, iter(self.rot[w])))
-                        break
-                else:
-                    stack.pop()
-                    post.append(v)
-        low = dict(disc)
-        for v in post:
-            for tag in self.rot[v]:
-                if tag != via[v]:
-                    w = self.other_end(tag, v)
-                    low[v] = min(low[v], low[w] if via[w] == tag else disc[w])
-        return disc, low, via, post
+        if self._dfs_result is None:
+            disc: dict[str, int] = {}
+            via: dict = {}
+            post: list[str] = []
+            for root in self.vertices:
+                if root in disc:
+                    continue
+                disc[root], via[root] = len(disc), None
+                stack = [(root, iter(self.rot[root]))]
+                while stack:
+                    v, it = stack[-1]
+                    for tag in it:
+                        w = self.other_end(tag, v)
+                        if w not in disc:
+                            disc[w], via[w] = len(disc), tag
+                            stack.append((w, iter(self.rot[w])))
+                            break
+                    else:
+                        stack.pop()
+                        post.append(v)
+            low = dict(disc)
+            for v in post:
+                for tag in self.rot[v]:
+                    if tag != via[v]:
+                        w = self.other_end(tag, v)
+                        low[v] = min(low[v], low[w] if via[w] == tag else disc[w])
+            self._dfs_result = (disc, low, via, post)
+        return self._dfs_result
 
     def bridges(self) -> list:
         """Edge tags whose removal disconnects the graph, in DFS postorder:
@@ -287,11 +297,13 @@ class PlanarGraph:
         to the other end w, and the tags of its edges in the same order.
         Vertices of other degrees keep their rotation, with each chain
         occupying the slot of its first edge.  A cycle made only of
-        degree-2 vertices is an error.
+        degree-2 vertices is an error.  With none, returns ``(self, {})``.
         """
         anchors = [v for v in self.vertices if self.degree(v) != 2]
         if not anchors:
             raise GraphError("cannot suppress: every vertex has degree 2")
+        if len(anchors) == len(self.vertices):
+            return self, {}
         chains: dict = {}
         new_tag_at: dict[Dart, object] = {}
         seen_darts: set[Dart] = set()

@@ -1,8 +1,12 @@
 """Rotation-system graph structure: faces, dual, medial, bridges, SPQR."""
 
+import shutil
+from collections import Counter
+
 import pytest
 
-from conftest import k4_gadgets, load_graph, load_text, spqr_nodes, spqr_problems
+from conftest import FIXTURES, k4_gadgets, load_graph, load_text, spqr_nodes, spqr_problems
+from lombardi.cli import main
 from lombardi.graph import (
     GraphError,
     PlanarGraph,
@@ -120,6 +124,40 @@ def test_connectivity():
     assert len(sub.edges) == 1
     cut = g.without_edges(list(g.edges))
     assert len(cut.connected_components()) == 4
+
+
+def test_a_cubic_draw_traverses_each_graph_once(monkeypatch, tmp_path):
+    # a graph keeps its faces, components and DFS: one CLI draw of a
+    # 3-connected cubic graph builds the input and its dual, traces and
+    # searches each once, and runs one DFS (bridges, then 2-cut classes)
+    counts = Counter()
+    for method, kept in (("faces", "_faces"), ("connected_components", "_components"), ("_dfs", "_dfs_result")):
+
+        def counted(self, real=getattr(PlanarGraph, method), method=method, kept=kept):
+            counts[method] += getattr(self, kept) is None
+            return real(self)
+
+        monkeypatch.setattr(PlanarGraph, method, counted)
+    init = PlanarGraph.__init__
+
+    def counted_init(self, rot):
+        counts["graphs"] += 1
+        init(self, rot)
+
+    monkeypatch.setattr(PlanarGraph, "__init__", counted_init)
+    path = tmp_path / "truncated_icosahedron.txt"
+    shutil.copy(FIXTURES / path.name, path)
+    assert main([str(path), "--format", "both"]) == 0
+    assert counts == {"graphs": 2, "faces": 2, "connected_components": 2, "_dfs": 1}
+
+
+def test_derived_structure_is_kept():
+    g = load_graph("cube")
+    h, chains = g.suppress_degree_two()
+    assert h is g and chains == {}
+    assert g.bridges() == g.bridges() == [] and g.connected_components() == g.connected_components()
+    g = load_graph("two_blocks_bridge")
+    assert g.bridges() == g.bridges() and g.connected_components() is g.connected_components()
 
 
 def test_suppress_degree_two_restores_chain():

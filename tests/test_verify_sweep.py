@@ -254,3 +254,34 @@ def _arc_sets(draw):
 @given(_arc_sets())
 def test_sweep_matches_all_pairs_on_random_arc_sets(d):
     assert_agrees(d)
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_arc_sets())
+def test_arc_intersections_excludes_before_membership_as_a_filter_after_it(d):
+    # verify's gate drops the points at a shared endpoint inside
+    # arc_intersections; that must equal filtering its full result.  Few
+    # random arcs share an endpoint, so every end of the two is tried too
+    vals = list(d.positions.values())
+    scale = max(1.0, max(abs(z - vals[0]) for z in vals)) if vals else 1.0
+    tol_pt = 1e-9 * scale
+    match_tol = max(1e-6 * scale, 10 * tol_pt)
+    tags = list(d.arcs)
+    for i, t1 in enumerate(tags):
+        for t2 in tags[i + 1 :]:
+            a1, a2 = d.arcs[t1], d.arcs[t2]
+            if same_support(a1.support, a2.support):
+                continue
+            shared = [d.positions[v] for v in set(d.edges[t1]) & set(d.edges[t2])]
+            ends = [z for a in (a1, a2) for z in (a.p, a.q) if not is_inf(z)]
+            full = arc_intersections(a1, a2, tol_pt)
+            for away in (shared, ends):
+                for by in (0.0, 1e-9, max(match_tol, _support_noise(a1, a2))):
+                    kept = [x for x in full if is_inf(x) or all(abs(x - z) > by for z in away)]
+                    assert arc_intersections(a1, a2, tol_pt, away, by) == kept
