@@ -209,28 +209,29 @@ def _finite_arc(a: Arc) -> bool:
 def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
     """Padded box (x0, x1, y0, y1) of a finite arc, or None when it is unbounded.
 
-    The box is the arc's endpoints plus the axis extremes of its support
-    on the arc, padded to hold every point the crossing test of
-    ``verify`` can place on it: every x with ``a.contains(x, tol)``, and
-    every point where another arc on a ``same_support`` overlaps it.  On
-    a circle of radius r, ``Arc.contains`` widens the radius by
-    tol*max(r, 1) and the arc by at most tol of length, ``same_support``
-    lets centres and radii differ by 1e-9*r, and positions on the support
-    carry rounding noise of about 1e-14*(|centre| + r).  On a line,
-    ``Arc.contains`` widens the distance and the coordinate each by
-    tol*max(1, |p|, |q|, |w|, |x|), which grows with absolute position,
-    not with the drawing; x then stays within 5*tol*size of the segment
-    (size bounds |p|, |q|, |w| and the support's distance from them), and
-    ``same_support``'s 1e-9 on the normal and offset moves a projection
-    by less than 3e-9*size.  Rays, two-ray line arcs (also a segment
-    whose witness is not clearly inside it) and lines at tol >= 0.2, where
-    x is not bounded, give None.
+    The box is the arc's endpoints, its ends on a circle (off p and q in
+    JSON input) and its support's axis extremes on it, padded to hold
+    every point the crossing test of ``verify`` can place on it: every x
+    with ``a.contains(x, tol)``, and every point where another arc on a
+    ``same_support`` overlaps it.  On a circle of radius r,
+    ``Arc.contains`` widens the radius by tol*max(r, 1) and the arc by
+    at most tol of length, ``same_support`` lets centres and radii
+    differ by 1e-9*r, and positions on the support carry rounding noise
+    of about 1e-14*(|centre| + r).  On a line, ``Arc.contains`` widens
+    the distance and the coordinate each by tol*max(1, |p|, |q|, |w|,
+    |x|), which grows with absolute position, not with the drawing; x
+    then stays within 5*tol*size of the segment (size bounds |p|, |q|,
+    |w| and the support's distance from them), and ``same_support``'s
+    1e-9 on the normal and offset moves a projection by less than
+    3e-9*size.  Rays, two-ray line arcs (also a segment whose witness is
+    not clearly inside it) and lines at tol >= 0.2, where x is not
+    bounded, give None.
     """
     s = a.support
     zs = [a.p, a.q]
     if isinstance(s, Circle):
         c, r = s.center, s.radius
-        zs += a.axis_extremes()
+        zs += [s.point_at(theta) for theta in _interval_of(a)] + a.axis_extremes()
         pad = tol * max(r, 1.0) + tol + 2e-9 * r + 1e-14 * (abs(c) + r)
     else:
         if tol >= 0.2:
@@ -972,7 +973,8 @@ def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int) -> Lombar
     stub tagged ``stub_of[v]`` for their bridge.  ``outer_face``, a face
     of ``piece``, reaches an R node at the root only when the block has
     no stubs and no chains, as its faces are then that node's faces.
-    Chains are laid on their edge alone and moved into the SPQR drawing."""
+    Chains are laid on their own edge by the public functions, which the
+    traced benchmark self-check must see on chains, then moved into d."""
     h, chains = piece.suppress_degree_two()
     d = _spqr_drawing(spqr(h), None if chains or stub_of else outer_face)
     for chain_tag, (seq, tags) in chains.items():

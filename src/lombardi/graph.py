@@ -5,9 +5,8 @@ cyclic order of its incident edge tags.  Each edge tag appears exactly
 twice (at its two distinct endpoints); parallel edges carry distinct
 tags, self loops are not supported.  Faces are traced from the rotation
 system and Euler's formula certifies that the rotation system describes
-a sphere embedding.  Nothing writes to a graph after construction, so it
-keeps its faces, components and DFS from their first use; every reader
-gets those same objects and must not mutate them.
+a sphere embedding.  A graph is not written to after construction and
+keeps its faces, components and DFS from first use: do not mutate them.
 
 The structure checks run in near-linear time on one iterative DFS:
 bridges and cut vertices by lowpoints, 2-edge-cut classes by

@@ -174,6 +174,15 @@ def test_sweep_matches_all_pairs_within_wide_slacks():
     assert assert_agrees(from_arcs(arcs), tol_geom=1e-12) == [(0, 1)]
 
 
+def test_sweep_matches_all_pairs_on_a_circle_arc_with_ends_off_its_circle():
+    # an arc read from JSON need not have p and q on its support: this one
+    # runs over the unit circle from angle pi/8 to pi/2, out to x = 0.92,
+    # while p = 0.5*e^(i*pi/8) and q = i stay within x <= 0.47
+    arc = Arc(Circle(0j, 1.0), 0.5 * cmath.exp(1j * math.pi / 8), 1j, cmath.exp(1j * math.pi / 4))
+    ray = cmath.exp(1j * math.pi / 6)
+    assert assert_agrees(from_arcs([arc, arc_through(0.8 * ray, 1.2 * ray, ray)])) == [(0, 1)]
+
+
 @pytest.mark.parametrize("gap", [-1e-6, -1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-8, 1e-6])
 def test_sweep_matches_all_pairs_on_near_tangent_circles(gap):
     arcs = []
@@ -205,7 +214,7 @@ def test_sweep_matches_all_pairs_on_rays_and_two_ray_arcs():
 
 
 _NUDGES = (0.0, 1e-10, -1e-10, 3e-9, -3e-9, 1e-7)
-_KINDS = ["arc"] * 6 + ["ray", "two-ray", "loose"]
+_KINDS = ["arc"] * 6 + ["ray", "two-ray", "loose", "loose-circle"]
 
 
 @st.composite
@@ -234,6 +243,11 @@ def _arc_sets(draw):
             elif kind == "loose":  # a segment whose support misses its ends
                 line = line_through(p, q)
                 arcs.append(Arc(Line(line.normal, line.offset + scale / 8), p, q, (p + q) / 2))
+            elif kind == "loose-circle":  # a circle arc whose ends are off its circle
+                c = arc_through(p, q, w).support
+                if isinstance(c, Circle):
+                    f = rng.choice([0.5, 2.0])
+                    arcs.append(Arc(c, c.center + f * (p - c.center), c.center + f * (q - c.center), w))
             elif kind == "ray":
                 arcs.append(Arc(line_through(p, w), p, INF, w))
             else:
