@@ -59,8 +59,8 @@ from .geometry import (
     mobius_from_triples,
     mobius_scale_translate,
     near,
-    same_support,
     segment,
+    support_distance,
 )
 from .graph import GraphError, PlanarGraph, SpqrNode, is_three_connected, is_virtual, spqr
 from .mobius_opt import (
@@ -287,7 +287,9 @@ def verify(
     """Check the Lombardi drawing invariants and report residuals.
 
     Criteria: (a) every arc's endpoints coincide with its vertices'
-    positions, and every position and arc is finite; (b) at every vertex
+    positions and lie on its support (an endpoint off it by more than the
+    point tolerance, or the support's rounding noise, counts by that
+    distance), and every position and arc is finite; (b) at every vertex
     the sorted tangent directions of the incident arc-ends are equally
     spaced at 2*pi/deg; (c) no two arcs intersect except at shared
     endpoints; (d) vertex positions are pairwise distinct.  When ``g`` is
@@ -300,8 +302,9 @@ def verify(
     The pad covers every slack of the pair test, so the crossings are
     those of testing all pairs, in the same order.  A pair on two supports
     costs one support intersection (at most two points), and the points
-    at a shared endpoint are dropped before any membership test, so the
-    many pairs that meet only there make no ``Arc.contains`` call.  (d)
+    at a shared endpoint or outside either arc's box are dropped before
+    any membership test, so the many pairs that meet only there make no
+    ``Arc.contains`` call.  (d)
     likewise compares only positions within the point tolerance of each
     other in x and in y; that tolerance is ``tol_geom`` times the extent
     of the finite positions.  With K candidate pairs the cost is
@@ -331,7 +334,8 @@ def verify(
     match_tol = max(1e-6 * scale, 10 * tol_pt)
 
     finite = {t: _finite_arc(a) for t, a in d.arcs.items()}  # read by (a) and (c)
-    # (a) endpoint coincidence
+    noise = {t: _support_noise(a) for t, a in d.arcs.items()}  # likewise
+    # (a) endpoint coincidence, and endpoints on the support
     for t, (u, w) in d.edges.items():
         a = d.arcs[t]
         if not (is_finite(pos[u], pos[w]) and finite[t]):
@@ -342,6 +346,9 @@ def verify(
         straight = max(abs(a.p - pos[u]) + abs(a.q - pos[w]), e1, e2)
         swapped = max(abs(a.p - pos[w]) + abs(a.q - pos[u]), e1, e2)
         err = min(straight, swapped)
+        off = max(support_distance(a.support, a.p), support_distance(a.support, a.q))
+        if off > max(tol_pt, noise[t]):
+            err = max(err, off)
         rep.max_endpoint_error = max(rep.max_endpoint_error, err)
     rep.endpoint_ok = rep.max_endpoint_error <= tol_pt
 
@@ -377,15 +384,16 @@ def verify(
     tags = list(d.arcs)
     arcs = [d.arcs[t] for t in tags]
     ends = [set(d.edges[t]) for t in tags]
-    excl = [max(match_tol, _support_noise(a)) for a in arcs]  # radius around a shared endpoint
+    excl = [max(match_tol, noise[t]) for t in tags]  # radius around a shared endpoint
     boxes = [_arc_box(a, tol_pt) if finite[t] else None for t, a in zip(tags, arcs)]
     for i, j in _crossing_candidates(boxes):
         a1, a2 = arcs[i], arcs[j]
-        if same_support(a1.support, a2.support, 1e-9):
+        shared, by = [pos[v] for v in ends[i] & ends[j]], max(excl[i], excl[j])
+        pts = arc_intersections(a1, a2, tol_pt, shared, by, (boxes[i], boxes[j]))
+        if pts is None:  # one support
             crossed = _arcs_overlap_on_support(a1, a2, match_tol)
         else:  # a finite meeting point away from the shared endpoints
-            shared, by = [pos[v] for v in ends[i] & ends[j]], max(excl[i], excl[j])
-            crossed = any(not is_inf(x) for x in arc_intersections(a1, a2, tol_pt, shared, by))
+            crossed = any(not is_inf(x) for x in pts)
         if crossed:
             rep.crossings.append((tags[i], tags[j]))
     rep.noncrossing_ok = not rep.crossings
@@ -803,10 +811,13 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge, anchors: tuple
 
     ``anchors`` are the bridge's endpoints in dA and in dB; in each
     drawing the bridge is a stub from its anchor to a degree-1 leaf.  Each
-    side is inverted at its leaf, sending its copy of the bridge to an
-    exterior ray; the rays are aligned on the x-axis pointing at each
-    other, each side scaled to unit extent with its anchor at -2 or 2,
-    and the bridge becomes the straight segment between the two anchors.
+    side is mapped once, by the inversion at its leaf followed by a
+    similarity, composed into one map: the inversion sends the side's
+    copy of the bridge to an exterior ray, and the similarity aligns the
+    rays on the x-axis pointing at each other, with each side's anchor at
+    -2 or 2 and the side's extent 1.  That extent is read off point
+    images under the inversion: the vertices and each arc's witness.  The
+    bridge becomes the straight segment between the two anchors.
     Returned unverified.
     """
     if dA is dB:
@@ -828,30 +839,25 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge, anchors: tuple
         r = abs(za - z0)
         if r == 0:
             raise DrawingError("degenerate bridge stub")
-        body = LombardiDrawing(
-            {v: z for v, z in d.positions.items() if v != leaf},
-            {t: a for t, a in d.arcs.items() if t != bridge},
-            {t: ee for t, ee in d.edges.items() if t != bridge},
-            None,
-        )
         inv = inversion(Circle(z0, r))
-        body = transform(body, inv)
-        a_img = body.positions[anchor]
+        images = {v: inv.apply(z) for v, z in d.positions.items() if v != leaf}
+        for v, z in images.items():
+            if is_inf(z):
+                raise DrawingError(f"vertex {v!r} maps to infinity")
+        a_img = images[anchor]
         # the bridge arc inverts to a ray from the anchor's image; its
         # direction is the image arc's tangent there (the chord direction
         # is wrong when the stub is curved)
         ray = inv.apply_arc(_oriented(d.arcs[bridge], za, 1e-6 * max(1.0, abs(za))))
         direction = ray.tangent_direction(a_img, tol=1e-6 * max(1.0, abs(a_img)))
-        extent = max(
-            [abs(z - a_img) for v, z in body.positions.items() if v != anchor]
-            + [abs(a.midpoint() - a_img) for a in body.arcs.values()]
-            + [1e-9]
-        )
+        body = [t for t in d.arcs if t != bridge]
+        interior = [inv.apply(d.arcs[t].witness) for t in body]
+        extent = max([abs(z - a_img) for z in (*images.values(), *interior) if not is_inf(z)] + [1e-9])
         sc = sign / direction / extent
-        placed = transform(body, mobius_scale_translate(sc, -2.0 * sign - sc * a_img))
-        positions.update(placed.positions)
-        arcs.update(placed.arcs)
-        edges.update(placed.edges)
+        m = mobius_scale_translate(sc, -2.0 * sign - sc * a_img).compose(inv)
+        positions.update((v, m.apply(z)) for v, z in d.positions.items() if v != leaf)
+        arcs.update((t, m.apply_arc(d.arcs[t])) for t in body)
+        edges.update((t, d.edges[t]) for t in body)
     arcs[bridge] = segment(positions[anchors[0]], positions[anchors[1]])
     edges[bridge] = tuple(anchors)
     return LombardiDrawing(positions, arcs, edges, None)

@@ -189,7 +189,7 @@ def circle_through(p: Point, q: Point, r: Point, tol: float = 1e-9) -> Generaliz
     return Circle(center, radius)
 
 
-def _support_distance(s: GeneralizedCircle, z: complex) -> float:
+def support_distance(s: GeneralizedCircle, z: complex) -> float:
     if isinstance(s, Circle):
         return abs(abs(z - s.center) - s.radius)
     return abs(s.signed_distance(z))
@@ -331,7 +331,7 @@ class Mobius:
         if not (is_inf(p) or is_inf(q) or is_inf(w)):
             support = self.apply_circle(arc.support)
             mag = max(1.0, abs(p), abs(q), abs(w))
-            if max(_support_distance(support, z) for z in (p, q, w)) <= 1e-9 * mag:
+            if max(support_distance(support, z) for z in (p, q, w)) <= 1e-9 * mag:
                 return Arc(support, p, q, w)
         return Arc(circle_through(p, q, w), p, q, w)
 
@@ -623,13 +623,23 @@ def same_support(s1: GeneralizedCircle, s2: GeneralizedCircle, tol: float = 1e-9
     return False
 
 
-def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL, away=(), by: float = 0.0) -> list[Point]:
-    """Points common to two arcs (excluding shared supports, which raise);
-    finite points within ``by`` of a point in ``away`` are dropped first."""
+def _in_box(x: complex, box) -> bool:
+    return box is None or (box[0] <= x.real <= box[1] and box[2] <= x.imag <= box[3])
+
+
+def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL, away=(), by: float = 0.0, boxes=(None, None)):
+    """Points common to two arcs; None when ``same_support`` holds, as arcs
+    on one support overlap rather than meet in points.  Finite points within
+    ``by`` of a point in ``away``, or outside either of ``boxes`` (per arc
+    an (x0, x1, y0, y1) holding every point it contains at ``tol``, or
+    None), are dropped before any membership test."""
     if same_support(a1.support, a2.support):
-        raise ValueError("arc_intersections: arcs share a support")
-    pts = support_intersections(a1.support, a2.support, tol)
-    pts = [x for x in pts if is_inf(x) or not any(abs(x - z) <= by for z in away)]
+        return None
+    pts = [
+        x
+        for x in support_intersections(a1.support, a2.support, tol)
+        if is_inf(x) or (not any(abs(x - z) <= by for z in away) and all(_in_box(x, b) for b in boxes))
+    ]
     return [x for x in pts if a1.contains(x, tol) and a2.contains(x, tol)]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, SVG/JSON artifacts, determinism."""
 
+import cmath
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from conftest import FIXTURES, load_graph
 from lombardi.cli import RunConfig, _default_outer_face, emit_svg, main, run
 from lombardi.drawing import LombardiDrawing, draw_subcubic, to_json
-from lombardi.geometry import arc_through, segment
+from lombardi.geometry import Arc, Circle, arc_through, segment
 from lombardi.graph import parse
 
 
@@ -205,18 +206,29 @@ def test_cli_verify_only_rejects_non_finite_drawing(tmp_path, capsys):
     assert "endpoint error inf (FAIL)" in capsys.readouterr().out
 
 
+def test_cli_verify_only_rejects_an_arc_whose_end_is_off_its_support(tmp_path, capsys):
+    # the arc runs over the unit circle from angle pi/8 to pi/2, so it never
+    # reaches its vertex u, half a unit inside the circle at p
+    p, q = 0.5 * cmath.exp(1j * math.pi / 8), 1j
+    arc = Arc(Circle(0j, 1.0), p, q, cmath.exp(1j * math.pi / 4))
+    dump = tmp_path / "off.json"
+    dump.write_text(json.dumps(to_json(LombardiDrawing({"u": p, "w": q}, {"e": arc}, {"e": ("u", "w")}))))
+    assert main([str(dump), "--verify-only"]) == 1
+    assert "endpoint error 5.000e-01 (FAIL)" in capsys.readouterr().out
+
+
 def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
     # irregular69 glues blocks and attaches bridge stubs, none of which
-    # verify on their own, and leaves an angle residual of about 8.4e-8
+    # verify on their own, and leaves an angle residual of about 3.7e-9
     i69 = tmp_path / "i69.txt"
     shutil.copy(FIXTURES / "irregular69.txt", i69)
     flags = [str(i69), "--format", "both"]
-    assert main(flags + ["--angle-tol", "1e-8"]) == 1
-    assert "angle residual 8.37" in capsys.readouterr().err
+    assert main(flags + ["--angle-tol", "1e-9"]) == 1
+    assert "angle residual 3.74" in capsys.readouterr().err
     assert not (tmp_path / "i69.svg").exists() and not (tmp_path / "i69.json").exists()
     for extra in ([], ["--angle-tol", "1e-3"]):
         assert main(flags + extra) == 0
-        assert "angle residual 8.37" in capsys.readouterr().out
+        assert "angle residual 3.74" in capsys.readouterr().out
 
 
 def test_cli_rejects_unsupported_inputs(tmp_path):

@@ -27,11 +27,12 @@ from lombardi.drawing import (
     transform,
     verify,
 )
-from lombardi.geometry import Arc, Circle, Line, Mobius, arc_through, segment
+from lombardi.geometry import Arc, Circle, Line, Mobius, arc_through, inversion, segment
 from lombardi import graph
 from lombardi.graph import GraphError, PlanarGraph, is_three_connected, parse
 
 sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+import family  # noqa: E402
 import run as bench  # noqa: E402
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
@@ -553,6 +554,89 @@ def test_draw_subcubic_raises_drawing_error_for_geometry_failures():
         draw_subcubic(parse(CHAINS["k4_x8"]))
     with pytest.raises(GraphError):
         draw_subcubic(load_graph("g18"))
+
+
+def glue_in_two_steps(dA, dB, bridge, anchors) -> LombardiDrawing:
+    """``glue_bridge`` as two whole-side transforms: each side inverted at
+    its leaf, then carried by the similarity that places it; the stub
+    ray's direction is read off the image of the stub's witness."""
+    out = LombardiDrawing({})
+    for sign, d, anchor in ((1.0, dA, anchors[0]), (-1.0, dB, anchors[1])):
+        u, w = d.edges[bridge]
+        leaf = w if u == anchor else u
+        inv = inversion(Circle(d.positions[leaf], abs(d.positions[anchor] - d.positions[leaf])))
+        body = LombardiDrawing(
+            {v: z for v, z in d.positions.items() if v != leaf},
+            {t: a for t, a in d.arcs.items() if t != bridge},
+            {t: e for t, e in d.edges.items() if t != bridge},
+        )
+        inverted = transform(body, inv)
+        a_img = inverted.positions[anchor]
+        ray = inv.apply(d.arcs[bridge].witness) - a_img
+        images = list(inverted.positions.values()) + [inv.apply(a.witness) for a in body.arcs.values()]
+        sc = sign / (ray / abs(ray)) / max([abs(z - a_img) for z in images] + [1e-9])
+        placed = transform(inverted, Mobius(sc, -2.0 * sign - sc * a_img, 0, 1))
+        out.positions.update(placed.positions)
+        out.arcs.update(placed.arcs)
+        out.edges.update(placed.edges)
+    out.arcs[bridge] = segment(out.positions[anchors[0]], out.positions[anchors[1]])
+    out.edges[bridge] = tuple(anchors)
+    return out
+
+
+def _necklace(name: str, copies: int) -> str:
+    return family.to_text(family.necklace(family.rotation_of(load_graph(name)), copies))
+
+
+# the chains inputs with a bridge that draw (k4_x8 fails, see above), and
+# short K4 and cube necklaces
+BRIDGED = {name: text for name, text in CHAINS.items() if parse(text).bridges() and name != "k4_x8"}
+BRIDGED.update({f"{b}_x{k}": _necklace(b, k) for b in ("k4", "cube") for k in (2, 3, 4)})
+
+
+def _glue_calls(monkeypatch, text: str) -> list:
+    """(dA, dB, bridge, anchors, glued drawing, apply_arc calls) of every
+    ``glue_bridge`` call that drawing ``text`` makes."""
+    import lombardi.drawing as drawing
+
+    calls, count = [], [0]
+    glue, apply_arc = drawing.glue_bridge, Mobius.apply_arc
+
+    def counted_apply_arc(self, arc):
+        count[0] += 1
+        return apply_arc(self, arc)
+
+    def recorded_glue(*args):
+        before = count[0]
+        calls.append((*args, glue(*args), count[0] - before))
+        return calls[-1][4]
+
+    monkeypatch.setattr(Mobius, "apply_arc", counted_apply_arc)
+    monkeypatch.setattr(drawing, "glue_bridge", recorded_glue)
+    draw_subcubic(parse(text))
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGED))
+def test_glue_bridge_agrees_with_inverting_then_scaling(monkeypatch, name):
+    for dA, dB, bridge, anchors, d, _ in _glue_calls(monkeypatch, BRIDGED[name]):
+        ref = glue_in_two_steps(dA, dB, bridge, anchors)
+        assert d.edges == ref.edges and d.positions.keys() == ref.positions.keys()
+        zs = list(d.positions.values())
+        tol = 1e-9 * max(abs(z - x) for z in zs for x in zs)
+        assert all(abs(z - ref.positions[v]) <= tol for v, z in d.positions.items())
+        for t, a in d.arcs.items():
+            b = ref.arcs[t]
+            assert all(abs(z - x) <= tol for z, x in zip((a.p, a.q, a.witness), (b.p, b.q, b.witness))), t
+
+
+@pytest.mark.parametrize("name", ["irregular69", "cube_x3"])
+def test_glue_bridge_maps_each_arc_once(monkeypatch, name):
+    # one apply_arc per arc of each side but the bridge stub, and one for
+    # each stub's inverted ray
+    for dA, dB, _, _, _, apply_arcs in _glue_calls(monkeypatch, BRIDGED[name]):
+        assert apply_arcs == (len(dA.arcs) - 1) + (len(dB.arcs) - 1) + 2
 
 
 @pytest.mark.parametrize("name", ["cube", "dodecahedron", "truncated_icosahedron"])

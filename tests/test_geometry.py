@@ -135,6 +135,8 @@ def test_arc_intersections_of_crossing_circles():
     # restrict the second arc to the lower half: no intersection remains
     a3 = arc_through(0j, 2 + 0j, 1 - 1j)
     assert arc_intersections(a1, a3) == []
+    # arcs of one circle overlap rather than meet in points
+    assert arc_intersections(a1, arc_through(1 + 0j, -1 + 0j, -1j)) is None
     assert c2.contains(pts[0])
 
 

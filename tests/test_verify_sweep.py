@@ -214,7 +214,7 @@ def test_sweep_matches_all_pairs_on_rays_and_two_ray_arcs():
 
 
 _NUDGES = (0.0, 1e-10, -1e-10, 3e-9, -3e-9, 1e-7)
-_KINDS = ["arc"] * 6 + ["ray", "two-ray", "loose", "loose-circle"]
+_KINDS = ["arc"] * 6 + ["fan"] * 3 + ["ray", "two-ray", "loose", "loose-circle"]
 
 
 @st.composite
@@ -240,6 +240,9 @@ def _arc_sets(draw):
         try:
             if kind == "arc":
                 arcs.append(arc_through(p, q, w))
+            elif kind == "fan":  # the same shape moved to an end of an earlier arc, sharing it
+                hub = rng.choice([z for a in arcs for z in (a.p, a.q) if not is_inf(z)] or [p])
+                arcs.append(arc_through(hub, hub + (q - p), hub + (w - p)))
             elif kind == "loose":  # a segment whose support misses its ends
                 line = line_through(p, q)
                 arcs.append(Arc(Line(line.normal, line.offset + scale / 8), p, q, (p + q) / 2))
