@@ -845,11 +845,11 @@ def glue_bridge(dA: LombardiDrawing, dB: LombardiDrawing, bridge, anchors: tuple
             if is_inf(z):
                 raise DrawingError(f"vertex {v!r} maps to infinity")
         a_img = images[anchor]
-        # the bridge arc inverts to a ray from the anchor's image; its
-        # direction is the image arc's tangent there (the chord direction
-        # is wrong when the stub is curved)
-        ray = inv.apply_arc(_oriented(d.arcs[bridge], za, 1e-6 * max(1.0, abs(za))))
-        direction = ray.tangent_direction(a_img, tol=1e-6 * max(1.0, abs(a_img)))
+        # the bridge arc inverts to a ray from the anchor's image, leaving
+        # along the stub's tangent t there reflected in the inversion circle:
+        # -e^(2i phi) conj(t) for za - z0 = r e^(i phi) (not the chord)
+        t = d.arcs[bridge].tangent_direction(za, tol=1e-6 * max(1.0, abs(za)))
+        direction = -(((za - z0) / r) ** 2) * t.conjugate()
         body = [t for t in d.arcs if t != bridge]
         interior = [inv.apply(d.arcs[t].witness) for t in body]
         extent = max([abs(z - a_img) for z in (*images.values(), *interior) if not is_inf(z)] + [1e-9])

@@ -5,13 +5,15 @@ singleton ``INF``.  Circles and lines are first-class ("generalized
 circles"), and Moebius transformations act on points, circles and arcs.
 All tolerances are relative to the scale of the operands.
 
-A Moebius map acts on a generalized circle in one way, in closed form
-around its pole (``Mobius.apply_circle``): the support is shifted so the
-pole sits at the origin, inverted by z -> 1/z and carried by a
-similarity.  Arcs take that support too (``Mobius.apply_arc``) and fall
-back to refitting the circle through their three image points only where
-the closed form cannot hold them: an image point at INF, or a support so
-close to the pole that the reciprocal cancels.
+A Moebius map acts on a generalized circle in closed form
+(``Mobius.apply_circle``): a circle that misses the pole maps by the
+direct form of ``circle_image``, which keeps its digits however far the
+pole lies; lines, and circles through the pole, are shifted so the pole
+sits at the origin, inverted by z -> 1/z and carried by a similarity.
+Arcs take that support too (``Mobius.apply_arc``) and fall back to
+refitting the circle through their three image points only where the
+closed form cannot hold them: an image point at INF, or a support so
+close to the pole that the closed form cancels.
 
 ``INF`` is tested by identity (``is_inf``): its class hands out one
 instance, to unpickling and copying as well.  ``Arc`` is frozen and no
@@ -195,6 +197,20 @@ def support_distance(s: GeneralizedCircle, z: complex) -> float:
     return abs(s.signed_distance(z))
 
 
+def circle_image(a: complex, b: complex, c: complex, d: complex, m: complex, r: float) -> tuple[complex, float]:
+    """(center, radius) of the image of the circle (m, r) under
+    z -> (a*z + b)/(c*z + d), for a circle that misses the pole -d/c.
+
+    With D = |c*m + d|^2 - |c|^2 r^2 the center is ((a*m + b)*conj(c*m + d)
+    - a*conj(c)*r^2)/D and the radius |a*d - b*c|*r/|D|.  Only D cancels,
+    and only for a circle passing close to the pole.
+    """
+    u = c * m + d
+    rr = r * r
+    den = abs(u) ** 2 - abs(c) ** 2 * rr
+    return ((a * m + b) * u.conjugate() - a * c.conjugate() * rr) / den, abs(a * d - b * c) * r / abs(den)
+
+
 # ---------------------------------------------------------------------------
 # Moebius transformations
 
@@ -269,20 +285,19 @@ class Mobius:
     # -- action on circles and arcs -------------------------------------
 
     def apply_circle(self, support: GeneralizedCircle) -> GeneralizedCircle:
-        """Image of a generalized circle, in closed form around the pole.
+        """Image of a generalized circle, in closed form.
 
-        After conjugating the support when ``conj`` is set, a map with
-        c != 0 is z -> a/c + k/(z - p) with pole p = -d/c and
-        k = (b*c - a*d)/c^2.  The support is shifted so the pole sits at
-        the origin, taken through z -> 1/z, and carried by the similarity
-        z -> k*z + a/c; with c == 0 only the similarity z -> (a*z + b)/d
-        acts.  A circle (m, r) shifted to (m - p, r) inverts to the circle
-        with center conj(m - p)/P and radius r/|P|, P = |m - p|^2 - r^2.
-        A line with unit normal n inverts to the circle with center
-        conj(n)/(2*off'), off' = offset - Re(conj(n)*p).  Shifting first
-        keeps small circles far from the origin accurate, where raw
-        coefficients would cancel.  The image is a Line exactly when the
-        support passes through the pole (relative tolerance 1e-9).
+        The support is conjugated first when ``conj`` is set.  With
+        c == 0 only the similarity z -> (a*z + b)/d acts.  A circle that
+        misses the pole p = -d/c maps by ``circle_image``, whose terms
+        stay accurate however large |d/c| is.  Otherwise the map is
+        z -> a/c + k/(z - p) with k = (b*c - a*d)/c^2: the support is
+        shifted so the pole sits at the origin, taken through z -> 1/z,
+        and carried by the similarity z -> k*z + a/c.  A circle through
+        the pole (relative tolerance 1e-9) becomes a Line; a line with
+        unit normal n inverts to the circle with center conj(n)/(2*off'),
+        off' = offset - Re(conj(n)*p), or to a Line through the origin
+        when it passes through the pole.
         """
         s = support
         if self.conj and isinstance(s, Circle):
@@ -296,12 +311,10 @@ class Mobius:
             p = -d / c
             alpha, beta = (b * c - a * d) / (c * c), a / c
             if isinstance(s, Circle):
+                if not s.contains(p, tol=1e-9):
+                    return Circle(*circle_image(a, b, c, d, s.center, s.radius))
                 m = s.center - p
-                if s.contains(p, tol=1e-9):
-                    s = Line(m.conjugate() / abs(m), 1 / (2 * abs(m)))
-                else:
-                    power = abs(m) ** 2 - s.radius**2
-                    s = Circle(m.conjugate() / power, s.radius / abs(power))
+                s = Line(m.conjugate() / abs(m), 1 / (2 * abs(m)))
             elif s.contains(p, tol=1e-9):
                 s = Line(s.normal.conjugate(), 0.0)
             else:
@@ -666,16 +679,6 @@ class Triangle:
         """(|bc|, |ca|, |ab|): side lengths opposite to a, b, c."""
         return (abs(self.c - self.b), abs(self.a - self.c), abs(self.b - self.a))
 
-    def angles(self) -> tuple[float, float, float]:
-        """Interior angles at a, b, c."""
-        la, lb, lc = self.sides()
-
-        def ang(opp, s1, s2):
-            v = (s1 * s1 + s2 * s2 - opp * opp) / (2 * s1 * s2)
-            return math.acos(min(1.0, max(-1.0, v)))
-
-        return (ang(la, lb, lc), ang(lb, lc, la), ang(lc, la, lb))
-
     def circumcircle(self) -> Circle:
         c = circle_through(self.a, self.b, self.c)
         if not isinstance(c, Circle):
@@ -686,27 +689,24 @@ class Triangle:
 def isodynamic_points(t: Triangle) -> tuple[Point, Point]:
     """The two isodynamic points of a triangle.
 
-    Computed from the trilinears sin(A +- pi/3) converted to barycentric
-    weights (multiply by the opposite side length).  The second point is
-    INF exactly when the triangle is equilateral.
+    They are the points z whose cross ratio (z - a)(b - c) / ((z - c)(b - a))
+    with the vertices is e^(+-i pi/3), so z = (a(b - c) - lam c(b - a)) /
+    ((b - c) - lam (b - a)).  The first point takes the sign of the
+    triangle's orientation, which makes it the center of an equilateral
+    triangle; a point whose denominator vanishes to rounding is INF, as
+    the second one is exactly when the triangle is equilateral.
     """
-    la, lb, lc = t.sides()
-    aa, ab, ac = t.angles()
-    verts = (t.a, t.b, t.c)
+    a, b, c = t.a, t.b, t.c
+    u, v = b - c, b - a
+    lam = cmath.exp(1j * math.copysign(math.pi / 3, t.signed_area()))
 
-    def pt(sign: float) -> Point:
-        w = [
-            la * math.sin(aa + sign * math.pi / 3),
-            lb * math.sin(ab + sign * math.pi / 3),
-            lc * math.sin(ac + sign * math.pi / 3),
-        ]
-        total = sum(w)
-        mag = sum(abs(x) for x in w)
-        if mag <= 1e-12 * (la + lb + lc) or abs(total) <= 1e-12 * mag:
+    def pt(lam: complex) -> Point:
+        den = u - lam * v
+        if abs(den) <= 1e-12 * (abs(u) + abs(v)):
             return INF
-        return sum(wi * v for wi, v in zip(w, verts)) / total
+        return (a * u - lam * c * v) / den
 
-    return (pt(+1.0), pt(-1.0))
+    return (pt(lam), pt(lam.conjugate()))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Circle, Mobius, inversion, mobius_scale_translate
+from .geometry import Circle, Mobius, circle_image, inversion, mobius_scale_translate
 from .packing import CirclePacking
 
 
@@ -88,25 +88,23 @@ def disk_automorphism(w: complex) -> Mobius:
 def _min_radius(p: NormalizedPacking, w: complex) -> float:
     """Smallest interior radius under ``disk_automorphism(w)``, -inf for a line.
 
-    Each image radius is taken in closed form on floats, with the
-    expressions of ``Mobius.apply_circle`` in the same order (pole
-    p = -d/c, k = |(b*c - a*d)/c^2|, radius k * (r / ||m - p|^2 - r^2|)
-    for the circle (m, r)), so the value is bit for bit what mapping
-    every circle would give; the exactness test in
-    ``tests/test_mobius_opt.py`` pins that.
+    Each image radius comes from ``circle_image``, as in
+    ``Mobius.apply_circle``, after the same test for a circle through
+    the pole, so the value is bit for bit what mapping every circle
+    would give; the exactness test in ``tests/test_mobius_opt.py`` pins
+    that.
     """
     m = disk_automorphism(w)
     circles = [p.circles[v] for v in p.interior_names()]
     if m.c == 0:
         return min((c.radius for c in circles), default=math.inf)
     pole = -m.d / m.c
-    k = abs((m.b * m.c - m.a * m.d) / (m.c * m.c))
     radii = []
     for c in circles:
-        if abs(abs(pole - c.center) - c.radius) <= 1e-9 * max(c.radius, 1.0):
+        if c.contains(pole, tol=1e-9):
             radii.append(-math.inf)  # the support passes through the pole: a line
             continue
-        rad = k * (c.radius / abs(abs(c.center - pole) ** 2 - c.radius**2))
+        rad = circle_image(m.a, m.b, m.c, m.d, c.center, c.radius)[1]
         if not rad > 0:
             raise ValueError(f"circle radius must be positive, got {rad}")
         radii.append(rad)

@@ -10,10 +10,12 @@ for tangencies, Bobenko-Springborn 2004 for overlap angles), so its
 Jacobian is minus a weighted Laplacian and damped Newton converges
 quadratically; each step is solved by conjugate gradients.
 
-A triangle with a corner pinned at radius 0 opposite a side crossing at
-pi/2 -- a flag kite of the primal-dual packing -- is a right triangle,
-solved in closed form by ``right_kite`` with one term per vertex-face
-side; every other triangle goes through the law of cosines.
+Two kinds of triangle occur, and each is solved in closed form: three
+mutually tangent circles (the dual packing of a cubic graph), whose
+angles come from the incircle through the tangency points, and a corner
+pinned at radius 0 opposite a side crossing at pi/2 (a flag kite of the
+primal-dual packing), a right triangle solved by ``right_kite`` with one
+term per vertex-face side.  Any other triangle raises PackingError.
 
 Every packing stops on one rule: success once the largest angle-sum
 defect is at most ``_DEFECT_TOL``, and PackingError when a step cannot
@@ -121,10 +123,10 @@ def pack_triangulation(
             pairs.append((min(key[0], n), min(key[1], n)))
         return slot[key]
 
-    # per inner triangle in faces() order: its vertices, the overlap
-    # cosines of its sides ab, bc, ca, and each side's slot in ``pairs``;
-    # a right kite -- a corner pinned at radius 0 whose opposite side
-    # crosses at pi/2 -- is instead counted on that side in ``kites``
+    # per tangent triangle in faces() order: its vertices and the slots
+    # of its sides ab, bc, ca in ``pairs``; a right kite -- a corner
+    # pinned at radius 0 whose opposite side crosses at pi/2 -- is
+    # instead counted on that side in ``kites``
     tris = []
     kites: dict[tuple[int, int], int] = {}  # side (a, b), a < b -> its right kites
     for walk in g.faces():
@@ -141,8 +143,9 @@ def pack_triangulation(
                 kites[ab] = kites.get(ab, 0) + 1
                 break
         else:
-            sides = [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]
-            tris.append((vs, [math.cos(ov.get(g.dart_tag(d), 0.0)) for d in walk], sides))
+            if any(ov.get(g.dart_tag(d), 0.0) or boundary.get(d[0]) == 0.0 for d in walk):
+                raise PackingError("packing solves only tangent triangles and right kites")
+            tris.append((vs, [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]))
     kite_sides = [(a, b, m, side(a, b)) for (a, b), m in kites.items()]
     system = (tris, kite_sides, n, len(pairs))
     radii = [boundary.get(v, 1.0) for v in names]
@@ -183,6 +186,10 @@ def _angle_system(radii, tris, kites, n, n_pairs):
     b)/d(log r_a) = w_ab ≥ 0, and the angles do not change when all three
     radii are scaled together.
 
+    A triangle of three tangent circles has an incircle of radius rho =
+    sqrt(r_a r_b r_c / (r_a + r_b + r_c)) through its tangency points, so
+    its angle at a is 2 atan(rho / r_a) and w_ab = rho / (r_a + r_b)
+    (Collins and Stephenson, A circle packing algorithm, 2003).
     ``kites`` lists (a, b, m, slot): m right kites on side ab, each
     solved in closed form by right_kite.
     """
@@ -193,24 +200,15 @@ def _angle_system(radii, tris, kites, n, n_pairs):
         theta[a] += m * angle_a
         theta[b] += m * angle_b
         weight[s] += m * w
-    for (a, b, c), (cab, cbc, cca), (sab, sbc, sca) in tris:
+    for (a, b, c), (sab, sbc, sca) in tris:
         ra, rb, rc = radii[a], radii[b], radii[c]
-        ab = math.sqrt(ra * ra + rb * rb + 2 * ra * rb * cab)
-        bc = math.sqrt(rb * rb + rc * rc + 2 * rb * rc * cbc)
-        ca = math.sqrt(rc * rc + ra * ra + 2 * rc * ra * cca)
-        cos_a = min(1.0, max(-1.0, (ab * ab + ca * ca - bc * bc) / (2 * ab * ca)))
-        cos_b = min(1.0, max(-1.0, (ab * ab + bc * bc - ca * ca) / (2 * ab * bc)))
-        cos_c = min(1.0, max(-1.0, (bc * bc + ca * ca - ab * ab) / (2 * bc * ca)))
-        theta[a] += math.acos(cos_a)
-        theta[b] += math.acos(cos_b)
-        theta[c] += math.acos(cos_c)
-        # with F the area, d(angle at a)/d(side) is bc/(2F) for the
-        # opposite side and -bc*cos(angle at its far end)/(2F) for an
-        # adjacent one; d(side xy)/d(log r_x) = r_x (r_x + r_y cos_xy) / xy
-        h = 1.0 / (ab * ca * math.sqrt(max(0.0, 1.0 - cos_a * cos_a)))
-        weight[sab] += h * rb * (rb + rc * cbc - bc * cos_b * (rb + ra * cab) / ab)
-        weight[sbc] += h * rc * (rc + ra * cca - ca * cos_c * (rc + rb * cbc) / bc)
-        weight[sca] += h * ra * (ra + rb * cab - ab * cos_a * (ra + rc * cca) / ca)
+        rho = math.sqrt(ra * rb * rc / (ra + rb + rc))
+        theta[a] += 2 * math.atan(rho / ra)
+        theta[b] += 2 * math.atan(rho / rb)
+        theta[c] += 2 * math.atan(rho / rc)
+        weight[sab] += rho / (ra + rb)
+        weight[sbc] += rho / (rb + rc)
+        weight[sca] += rho / (rc + ra)
     return theta[:n], weight
 
 

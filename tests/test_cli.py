@@ -219,16 +219,16 @@ def test_cli_verify_only_rejects_an_arc_whose_end_is_off_its_support(tmp_path, c
 
 def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
     # irregular69 glues blocks and attaches bridge stubs, none of which
-    # verify on their own, and leaves an angle residual of about 3.7e-9
+    # verify on their own, and leaves an angle residual of about 2.3e-9
     i69 = tmp_path / "i69.txt"
     shutil.copy(FIXTURES / "irregular69.txt", i69)
     flags = [str(i69), "--format", "both"]
     assert main(flags + ["--angle-tol", "1e-9"]) == 1
-    assert "angle residual 3.74" in capsys.readouterr().err
+    assert "angle residual 2.29" in capsys.readouterr().err
     assert not (tmp_path / "i69.svg").exists() and not (tmp_path / "i69.json").exists()
     for extra in ([], ["--angle-tol", "1e-3"]):
         assert main(flags + extra) == 0
-        assert "angle residual 3.74" in capsys.readouterr().out
+        assert "angle residual 2.29" in capsys.readouterr().out
 
 
 def test_cli_rejects_unsupported_inputs(tmp_path):

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,69 @@ def test_apply_circle_matches_inversion_formula():
                 assert img.contains(z, 1e-9)
 
 
+class Q:
+    """An exact complex rational, for oracles free of rounding."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, z: complex) -> "Q":
+        return cls(z.real, z.imag)
+
+    def __add__(self, o):
+        return Q(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Q(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Q(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        return self * Q(o.re / n, -o.im / n)
+
+    def norm2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def exact_image_circle(m: Mobius, c: Circle) -> tuple[complex, float]:
+    """(center, radius) of the circle through the exact images of three
+    rational points of ``c``: the directions 1, i and (3 + 4i)/5."""
+    a, b, cc, d = (Q.of(x) for x in (m.a, m.b, m.c, m.d))
+    pts = [Q.of(c.center) + Q(c.radius) * u for u in (Q(1), Q(0, 1), Q(Fraction(3, 5), Fraction(4, 5)))]
+    p, q, w = ((a * z + b) / (cc * z + d) for z in pts)
+    # circumcenter x: |x - p|^2 = |x - q|^2 = |x - w|^2, two linear equations
+    u, v = q - p, w - p
+    det = 2 * (u.re * v.im - u.im * v.re)
+    x = p + Q((v.im * u.norm2() - u.im * v.norm2()) / det, (u.re * v.norm2() - v.re * u.norm2()) / det)
+    return complex(float(x.re), float(x.im)), math.sqrt((x - p).norm2())
+
+
+def test_apply_circle_matches_exact_images_far_from_the_pole():
+    # maps whose pole -d/c lies up to 1e15 away: disk automorphisms near
+    # the identity (the optimum of a symmetric packing) and general maps
+    # with a tiny c; the image must keep its digits however far the pole
+    rng = random.Random(19)
+    circles = [Circle(0j, 1.0), Circle(0.3 + 0.2j, 0.1), Circle(-0.55 + 0.1j, 0.4), Circle(0.9j, 0.05)]
+    for k in range(40):
+        scale = 10.0 ** rng.uniform(0, 15)
+        phase = cmath.exp(2j * math.pi * rng.random())
+        if k % 2:
+            w = phase / scale
+            m = Mobius(1.0, -w, -w.conjugate(), 1.0)
+        else:
+            d = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            m = Mobius(complex(rng.uniform(-2, 2), 1), rng.uniform(-2, 2), phase * abs(d) / scale, d)
+        for circ in circles:
+            center, radius = exact_image_circle(m, circ)
+            img = m.apply_circle(circ)
+            assert isinstance(img, Circle)
+            assert abs(img.radius - radius) <= 1e-13 * radius, (m, circ)
+            assert abs(img.center - center) <= 1e-13 * radius, (m, circ)
+
+
 def test_apply_circle_through_pole_gives_line():
     m = Mobius(0, 1, 1, 0)
     img = m.apply_circle(Circle(1 + 0j, 1.0))  # passes through 0, the pole
@@ -344,6 +408,45 @@ def test_isodynamic_distance_ratio_property():
             continue
         prods = (abs(z - t.a) * la, abs(z - t.b) * lb, abs(z - t.c) * lc)
         assert max(prods) - min(prods) < 1e-9 * max(prods)
+
+
+def trilinear_isodynamic_points(t: Triangle) -> tuple:
+    """The isodynamic points from their trilinears sin(A +- pi/3), turned
+    into barycentric weights by the opposite side lengths; angles by the
+    law of cosines.  None where the weights sum to about 0."""
+    sides = t.sides()
+    verts = (t.a, t.b, t.c)
+    angles = []
+    for k in range(3):
+        opp, s1, s2 = sides[k], sides[(k + 1) % 3], sides[(k + 2) % 3]
+        angles.append(math.acos((s1 * s1 + s2 * s2 - opp * opp) / (2 * s1 * s2)))
+
+    def pt(sign: float):
+        w = [side * math.sin(ang + sign * math.pi / 3) for side, ang in zip(sides, angles)]
+        if abs(sum(w)) <= 1e-9 * sum(map(abs, w)):
+            return None
+        return sum(wi * v for wi, v in zip(w, verts)) / sum(w)
+
+    return pt(+1.0), pt(-1.0)
+
+
+def test_isodynamic_points_match_trilinears():
+    # random triangles of both orientations; the first point is the one
+    # with trilinears sin(A + pi/3), inside the triangle
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        pts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+        t = Triangle(*pts)
+        size = max(t.sides())
+        if abs(t.signed_area()) < 1e-3 * size * size:
+            continue
+        for got, want in zip(isodynamic_points(t), trilinear_isodynamic_points(t)):
+            if want is None:
+                assert is_inf(got) or abs(got) > 1e6 * size
+            else:
+                assert abs(got - want) <= 1e-9 * max(size, abs(want)), (pts, got, want)
+        checked += 1
 
 
 def test_isodynamic_equilateral():

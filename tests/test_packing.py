@@ -139,6 +139,42 @@ def test_right_kite_matches_law_of_cosines(ratio):
     assert abs(sign * fd - w) <= 1e-6 * w
 
 
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 1.0, 7.0, 1e3, 1e6])
+def test_tangent_triangle_matches_law_of_cosines(ratio):
+    # one triangle of tangent circles with radii r, ratio*r, sqrt(ratio)*r
+    radii = [0.3, 0.3 * ratio, 0.3 * math.sqrt(ratio)]
+    tri = ((0, 1, 2), (0, 1, 2))  # vertices a, b, c; slots of sides ab, bc, ca
+
+    def angles(rs):
+        theta, weight = packing._angle_system(rs, [tri], [], 3, 3)
+        return [x + 2 * math.pi for x in theta], weight
+
+    got, weight = angles(radii)
+    for k in range(3):
+        r, s, t = radii[k], radii[(k + 1) % 3], radii[(k + 2) % 3]
+        assert abs(got[k] - packing._angle(r + s, r + t, s + t)) < 1e-9
+    # w_ab = d(angle at a)/d(log r_b) = d(angle at b)/d(log r_a)
+    h = 1e-4
+    for side, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        for at, by in ((i, j), (j, i)):
+            up, down = list(radii), list(radii)
+            up[by] *= math.exp(h)
+            down[by] *= math.exp(-h)
+            fd = (angles(up)[0][at] - angles(down)[0][at]) / (2 * h)
+            assert abs(fd - weight[side]) <= 1e-6 * weight[side], (side, at)
+
+
+def test_pack_rejects_triangles_without_a_closed_form():
+    # an overlap angle off the right kites, or a tangent corner pinned at
+    # radius 0, makes a triangle the packing has no closed form for
+    g = parse(K4_TEXT)
+    tag = next(t for t in g.edges if "d" in g.endpoints(t))
+    with pytest.raises(PackingError, match="only tangent triangles and right kites"):
+        packing.pack_triangulation(g, {"a": 1.0, "b": 1.0, "c": 1.0}, overlap={tag: 0.5})
+    with pytest.raises(PackingError, match="only tangent triangles and right kites"):
+        packing.pack_triangulation(g, {"a": 1.0, "b": 1.0, "c": 0.0})
+
+
 def test_kite_triangulation_of_k4():
     g = parse(K4_TEXT)
     kite, primal, dual, cross = kite_triangulation(g)
