@@ -14,9 +14,11 @@ once, at their ``angle_tol``, and keep that report on it as
 construction step (packing read-off, SPQR and bridge gluing, stubs,
 subdivision) builds its result once, without retries, and returns it
 unverified.  A geometric ``ValueError`` inside a draw is re-raised as
-``DrawingError``.  ``verify`` finds crossing candidates by a
-sort-and-sweep over padded arc bounding boxes, so a verification costs
-about E log E for E arcs rather than E^2 pair tests.
+``DrawingError``.  ``verify`` reads each arc once into a record that
+all its criteria share, and finds crossing candidates by a sort-and-sweep
+over the records' padded bounding boxes, so a verification costs about
+E log E for E arcs rather than E^2 pair tests; the candidate pairs, nearly
+all meeting only at a shared endpoint, are its largest share of time.
 
 Edge tags belong to the caller: a drawing of ``g`` carries exactly
 ``g``'s tags, whatever hashable values they are, and ``draw_subcubic``
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .geometry import (
+    INF,
     Arc,
     Circle,
     Line,
@@ -200,14 +203,11 @@ def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
     return hi - lo > tol_len
 
 
-def _finite_arc(a: Arc) -> bool:
-    s = a.support
-    nums = (s.center, s.radius) if isinstance(s, Circle) else (s.normal, s.offset)
-    return is_finite(a.p, a.q, a.witness, *nums)
-
-
-def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
-    """Padded box (x0, x1, y0, y1) of a finite arc, or None when it is unbounded.
+def _arc_record(a: Arc, tol: float) -> tuple:
+    """``verify``'s record of one arc: (finite, ``_support_noise(a)``, box,
+    circle).  ``circle`` is (centre, radius, 1j or -1j as the arc runs
+    ccw or cw) for a finite circle arc, else None.  ``box`` is the padded
+    (x0, x1, y0, y1) of a finite arc, None when it is not finite or unbounded.
 
     The box is the arc's endpoints, its ends on a circle (off p and q in
     JSON input) and its support's axis extremes on it, padded to hold
@@ -227,30 +227,37 @@ def _arc_box(a: Arc, tol: float) -> tuple[float, float, float, float] | None:
     not clearly inside it) and lines at tol >= 0.2, where x is not
     bounded, give None.
     """
-    s = a.support
-    zs = [a.p, a.q]
+    s, p, q, w = a.support, a.p, a.q, a.witness
     if isinstance(s, Circle):
         c, r = s.center, s.radius
-        zs += [s.point_at(theta) for theta in _interval_of(a)] + a.axis_extremes()
+        noise = r * 1e-14
+        if not is_finite(p, q, w, c, r):
+            return False, noise, None, None
+        tp, sweep, ccw = a._sweep()
+        circle = (c, r, 1j if ccw else -1j)
+        ends = (tp, tp + sweep) if ccw else (tp - sweep, tp)
+        zs = [p, q, c + r * cmath.exp(1j * ends[0]), c + r * cmath.exp(1j * ends[1]), *a.axis_extremes()]
         pad = tol * max(r, 1.0) + tol + 2e-9 * r + 1e-14 * (abs(c) + r)
     else:
+        if not is_finite(p, q, w, s.normal, s.offset):
+            return False, 0.0, None, None
         if tol >= 0.2:
-            return None
+            return True, 0.0, None, None
         d, f = s.direction, s.foot()
-        t1, t2 = sorted(s.coord(z) for z in (a.p, a.q))
-        tw = s.coord(a.witness)
-        size = max(1.0, abs(a.p), abs(a.q), abs(a.witness))
-        size += max(abs(s.signed_distance(a.p)), abs(s.signed_distance(a.q)))
+        t1, t2 = sorted((s.coord(p), s.coord(q)))
+        tw = s.coord(w)
+        size = max(1.0, abs(p), abs(q), abs(w))
+        size += max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
         # the other arc's frame moves the witness against the ends by at
         # most 1e-9 * |w - end|, and must not make this a two-ray arc
-        if min(tw - t1, t2 - tw) <= 2e-9 * (abs(a.witness - a.p) + abs(a.witness - a.q)) + 1e-12 * size:
-            return None
-        zs += [f + d * t1, f + d * t2]
+        if min(tw - t1, t2 - tw) <= 2e-9 * (abs(w - p) + abs(w - q)) + 1e-12 * size:
+            return True, 0.0, None, None
+        noise, circle, zs = 0.0, None, [p, q, f + d * t1, f + d * t2]
         pad = (5 * tol + 3e-9 + 1e-14) * size
     xs = [z.real for z in zs]
     ys = [z.imag for z in zs]
     box = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
-    return box if is_finite(*box) else None
+    return True, noise, box if is_finite(*box) else None, circle
 
 
 def _crossing_candidates(boxes: list) -> list[tuple[int, int]]:
@@ -258,11 +265,12 @@ def _crossing_candidates(boxes: list) -> list[tuple[int, int]]:
 
     Sort-and-sweep: boxes sorted by left edge; each box is compared with
     the boxes that start before its right edge.  A None box (unbounded
-    arc) is paired with every other index.
+    arc) is paired with every other index.  The sweep meets each pair
+    once, so a set merges pairs only when some box is None.
     """
     n = len(boxes)
     order = sorted((i for i in range(n) if boxes[i] is not None), key=lambda i: boxes[i][0])
-    pairs = set()
+    pairs = []
     for k, i in enumerate(order):
         _, x1, y0, y1 = boxes[i]
         for m in range(k + 1, len(order)):
@@ -271,10 +279,12 @@ def _crossing_candidates(boxes: list) -> list[tuple[int, int]]:
             if bx0 > x1:
                 break
             if by0 <= y1 and y0 <= by1:
-                pairs.add((i, j) if i < j else (j, i))
-    for i in range(n):
-        if boxes[i] is None:
-            pairs.update((min(i, j), max(i, j)) for j in range(n) if j != i)
+                pairs.append((i, j) if i < j else (j, i))
+    if len(order) < n:
+        pairs = set(pairs)
+        for i in range(n):
+            if boxes[i] is None:
+                pairs.update((min(i, j), max(i, j)) for j in range(n) if j != i)
     return sorted(pairs)
 
 
@@ -296,8 +306,13 @@ def verify(
     given, the drawing's vertex set, edge set and each edge's endpoints
     must match it (DrawingError otherwise).
 
+    Each arc is read once (``_arc_record``) and each vertex's finiteness
+    tested once.  From a finite circle arc's record (a) measures the ends'
+    distance to the support and (b) takes the tangents as
+    ``Arc.tangent_direction`` would; other arc-ends call that method.
+
     (c) tests only the pairs of arcs whose padded bounding boxes overlap,
-    found by a sort-and-sweep (``_arc_box``); an unbounded arc (a ray or
+    found by a sort-and-sweep; an unbounded arc (a ray or
     a two-ray line arc) or a non-finite one is tested against every arc.
     The pad covers every slack of the pair test, so the crossings are
     those of testing all pairs, in the same order.  A pair on two supports
@@ -325,7 +340,8 @@ def verify(
 
     pos = d.positions
     names = list(pos)
-    fin = [i for i, v in enumerate(names) if is_finite(pos[v])]
+    vfin = {v: is_finite(z) for v, z in pos.items()}  # read by (a), (b) and (d)
+    fin = [i for i, v in enumerate(names) if vfin[v]]
     scale = 1.0
     if fin:
         z0 = pos[names[fin[0]]]
@@ -333,21 +349,24 @@ def verify(
     tol_pt = tol_geom * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
 
-    finite = {t: _finite_arc(a) for t, a in d.arcs.items()}  # read by (a) and (c)
-    noise = {t: _support_noise(a) for t, a in d.arcs.items()}  # likewise
+    rec = {t: _arc_record(a, tol_pt) for t, a in d.arcs.items()}  # read by (a), (b) and (c)
     # (a) endpoint coincidence, and endpoints on the support
     for t, (u, w) in d.edges.items():
         a = d.arcs[t]
-        if not (is_finite(pos[u], pos[w]) and finite[t]):
+        finite, noise, _, circle = rec[t]
+        if not (vfin[u] and vfin[w] and finite):
             rep.max_endpoint_error = math.inf
             continue
-        e1 = min(abs(a.p - pos[u]), abs(a.p - pos[w]))
-        e2 = min(abs(a.q - pos[u]), abs(a.q - pos[w]))
-        straight = max(abs(a.p - pos[u]) + abs(a.q - pos[w]), e1, e2)
-        swapped = max(abs(a.p - pos[w]) + abs(a.q - pos[u]), e1, e2)
-        err = min(straight, swapped)
-        off = max(support_distance(a.support, a.p), support_distance(a.support, a.q))
-        if off > max(tol_pt, noise[t]):
+        # the ends matched to u, w either way round; an end far from both
+        # vertices counts by its distance to the nearer
+        pu, pw, qu, qw = abs(a.p - pos[u]), abs(a.p - pos[w]), abs(a.q - pos[u]), abs(a.q - pos[w])
+        err = max(min(pu + qw, pw + qu), min(pu, pw), min(qu, qw))
+        if circle is None:
+            off = max(support_distance(a.support, a.p), support_distance(a.support, a.q))
+        else:
+            c, r, _ = circle
+            off = max(abs(abs(a.p - c) - r), abs(abs(a.q - c) - r))
+        if off > max(tol_pt, noise):
             err = max(err, off)
         rep.max_endpoint_error = max(rep.max_endpoint_error, err)
     rep.endpoint_ok = rep.max_endpoint_error <= tol_pt
@@ -361,10 +380,21 @@ def verify(
         k = len(tags)
         if k < 2:
             continue
-        dirs = []
+        z, dirs = pos[v], []
         try:
             for t in tags:
-                dirs.append(cmath.phase(d.arcs[t].tangent_direction(pos[v], tol=match_tol)))
+                a, circle = d.arcs[t], rec[t][3]
+                if circle is None or not vfin[v]:
+                    dirs.append(cmath.phase(a.tangent_direction(z, tol=match_tol)))
+                    continue
+                # Arc.tangent_direction's circle case, on the record
+                dp, dq = abs(a.p - z), abs(a.q - z)
+                if min(dp, dq) > match_tol:
+                    raise ValueError("not an arc endpoint")
+                c, _, turn = circle
+                end = a.p if dp <= dq else a.q
+                tan = (end - c) / abs(end - c) * turn
+                dirs.append(cmath.phase(tan if dp <= dq else -tan))
         except ValueError:
             # an arc does not even reach this vertex; that is an angle
             # failure to report, not an internal error
@@ -384,8 +414,8 @@ def verify(
     tags = list(d.arcs)
     arcs = [d.arcs[t] for t in tags]
     ends = [set(d.edges[t]) for t in tags]
-    excl = [max(match_tol, noise[t]) for t in tags]  # radius around a shared endpoint
-    boxes = [_arc_box(a, tol_pt) if finite[t] else None for t, a in zip(tags, arcs)]
+    excl = [max(match_tol, rec[t][1]) for t in tags]  # radius around a shared endpoint
+    boxes = [rec[t][2] for t in tags]
     for i, j in _crossing_candidates(boxes):
         a1, a2 = arcs[i], arcs[j]
         shared, by = [pos[v] for v in ends[i] & ends[j]], max(excl[i], excl[j])
@@ -393,7 +423,7 @@ def verify(
         if pts is None:  # one support
             crossed = _arcs_overlap_on_support(a1, a2, match_tol)
         else:  # a finite meeting point away from the shared endpoints
-            crossed = any(not is_inf(x) for x in pts)
+            crossed = len(pts) > pts.count(INF)
         if crossed:
             rep.crossings.append((tags[i], tags[j]))
     rep.noncrossing_ok = not rep.crossings

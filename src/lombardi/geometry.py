@@ -60,7 +60,10 @@ def is_inf(p: Point) -> bool:
 
 def is_finite(*zs) -> bool:
     """Whether every value is a finite number (INF and NaN are not)."""
-    return all(not is_inf(z) and cmath.isfinite(z) for z in zs)
+    for z in zs:
+        if z is INF or not cmath.isfinite(z):
+            return False
+    return True
 
 
 def near(p: Point, q: Point, tol: float = GEOM_TOL) -> bool:
@@ -197,18 +200,24 @@ def support_distance(s: GeneralizedCircle, z: complex) -> float:
     return abs(s.signed_distance(z))
 
 
+def image_radius(a: complex, b: complex, c: complex, d: complex, m: complex, r: float) -> tuple[float, complex, float]:
+    """(radius, u, D) of ``circle_image``, u = c*m + d, which builds the
+    center from u and D; a caller wanting the radius alone skips that."""
+    u = c * m + d
+    den = abs(u) ** 2 - abs(c) ** 2 * (r * r)
+    return abs(a * d - b * c) * r / abs(den), u, den
+
+
 def circle_image(a: complex, b: complex, c: complex, d: complex, m: complex, r: float) -> tuple[complex, float]:
     """(center, radius) of the image of the circle (m, r) under
     z -> (a*z + b)/(c*z + d), for a circle that misses the pole -d/c.
 
     With D = |c*m + d|^2 - |c|^2 r^2 the center is ((a*m + b)*conj(c*m + d)
-    - a*conj(c)*r^2)/D and the radius |a*d - b*c|*r/|D|.  Only D cancels,
-    and only for a circle passing close to the pole.
+    - a*conj(c)*r^2)/D and the radius |a*d - b*c|*r/|D| (``image_radius``).
+    Only D cancels, and only for a circle passing close to the pole.
     """
-    u = c * m + d
-    rr = r * r
-    den = abs(u) ** 2 - abs(c) ** 2 * rr
-    return ((a * m + b) * u.conjugate() - a * c.conjugate() * rr) / den, abs(a * d - b * c) * r / abs(den)
+    radius, u, den = image_radius(a, b, c, d, m, r)
+    return ((a * m + b) * u.conjugate() - a * c.conjugate() * (r * r)) / den, radius
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +621,12 @@ def support_intersections(
 ) -> list[Point]:
     """Intersection points of two distinct generalized circles (0, 1 or 2)."""
     if isinstance(s1, Circle) and isinstance(s2, Circle):
-        return list(_circle_circle_points(s1, s2, tol))
+        return _circle_circle_points(s1, s2, tol)
     if isinstance(s1, Line) and isinstance(s2, Line):
         return _line_line_points(s1, s2, tol)
     if isinstance(s1, Line):
-        return list(_line_circle_points(s1, s2, tol))
-    return list(_line_circle_points(s2, s1, tol))
+        return _line_circle_points(s1, s2, tol)
+    return _line_circle_points(s2, s1, tol)
 
 
 def same_support(s1: GeneralizedCircle, s2: GeneralizedCircle, tol: float = 1e-9) -> bool:
@@ -636,10 +645,6 @@ def same_support(s1: GeneralizedCircle, s2: GeneralizedCircle, tol: float = 1e-9
     return False
 
 
-def _in_box(x: complex, box) -> bool:
-    return box is None or (box[0] <= x.real <= box[1] and box[2] <= x.imag <= box[3])
-
-
 def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL, away=(), by: float = 0.0, boxes=(None, None)):
     """Points common to two arcs; None when ``same_support`` holds, as arcs
     on one support overlap rather than meet in points.  Finite points within
@@ -648,12 +653,19 @@ def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL, away=(), by: floa
     None), are dropped before any membership test."""
     if same_support(a1.support, a2.support):
         return None
-    pts = [
-        x
-        for x in support_intersections(a1.support, a2.support, tol)
-        if is_inf(x) or (not any(abs(x - z) <= by for z in away) and all(_in_box(x, b) for b in boxes))
-    ]
-    return [x for x in pts if a1.contains(x, tol) and a2.contains(x, tol)]
+    out = []
+    for x in support_intersections(a1.support, a2.support, tol):
+        if x is not INF:
+            kept = True
+            for z in away:
+                kept = kept and not abs(x - z) <= by
+            for b in boxes:
+                kept = kept and (b is None or (b[0] <= x.real <= b[1] and b[2] <= x.imag <= b[3]))
+            if not kept:
+                continue
+        if a1.contains(x, tol) and a2.contains(x, tol):
+            out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +770,3 @@ def lune_bisector(
             if c1.strictly_inside(w) == side1 and c2.strictly_inside(w) == side2:
                 return arc_through(q1, q2, w)
     raise ValueError("lune_bisector: no candidate lies inside the lune")
-
-
-def angle_between(d1: complex, d2: complex) -> float:
-    """Unsigned angle between two direction vectors, in [0, pi]."""
-    v = (d1.conjugate() * d2) / (abs(d1) * abs(d2))
-    return abs(cmath.phase(v))

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Circle, Mobius, circle_image, inversion, mobius_scale_translate
+from .geometry import Circle, Mobius, image_radius, inversion, mobius_scale_translate
 from .packing import CirclePacking
 
 
@@ -88,11 +88,11 @@ def disk_automorphism(w: complex) -> Mobius:
 def _min_radius(p: NormalizedPacking, w: complex) -> float:
     """Smallest interior radius under ``disk_automorphism(w)``, -inf for a line.
 
-    Each image radius comes from ``circle_image``, as in
-    ``Mobius.apply_circle``, after the same test for a circle through
-    the pole, so the value is bit for bit what mapping every circle
-    would give; the exactness test in ``tests/test_mobius_opt.py`` pins
-    that.
+    Each image radius comes from ``image_radius``, which
+    ``Mobius.apply_circle`` reaches through ``circle_image``, after the
+    same test for a circle through the pole, so the value is bit for bit
+    what mapping every circle would give; the exactness test in
+    ``tests/test_mobius_opt.py`` pins that.
     """
     m = disk_automorphism(w)
     circles = [p.circles[v] for v in p.interior_names()]
@@ -104,7 +104,7 @@ def _min_radius(p: NormalizedPacking, w: complex) -> float:
         if c.contains(pole, tol=1e-9):
             radii.append(-math.inf)  # the support passes through the pole: a line
             continue
-        rad = circle_image(m.a, m.b, m.c, m.d, c.center, c.radius)[1]
+        rad = image_radius(m.a, m.b, m.c, m.d, c.center, c.radius)[0]
         if not rad > 0:
             raise ValueError(f"circle radius must be positive, got {rad}")
         radii.append(rad)

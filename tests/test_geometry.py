@@ -18,7 +18,6 @@ from lombardi.geometry import (
     Line,
     Mobius,
     Triangle,
-    angle_between,
     arc_intersections,
     arc_through,
     circle_through,
@@ -30,6 +29,7 @@ from lombardi.geometry import (
     mobius_from_triples,
     mobius_scale_translate,
     near,
+    same_support,
     segment,
     support_intersections,
     _PointAtInfinity,
@@ -38,6 +38,12 @@ from lombardi.geometry import (
 
 def unit(z: complex) -> complex:
     return z / abs(z)
+
+
+def angle_between(d1: complex, d2: complex) -> float:
+    """Unsigned angle between two direction vectors, in [0, pi]."""
+    v = (d1.conjugate() * d2) / (abs(d1) * abs(d2))
+    return abs(cmath.phase(v))
 
 
 # --------------------------------------------------------------------------
@@ -139,6 +145,139 @@ def test_arc_intersections_of_crossing_circles():
     # arcs of one circle overlap rather than meet in points
     assert arc_intersections(a1, arc_through(1 + 0j, -1 + 0j, -1j)) is None
     assert c2.contains(pts[0])
+
+
+def _reference_arc_intersections(a1, a2, tol, away=(), by=0.0, boxes=(None, None)):
+    """arc_intersections composed from its parts: the support intersection,
+    then the away/by and box filters on finite points, then membership."""
+    if same_support(a1.support, a2.support):
+        return None
+
+    def kept(x):
+        if is_inf(x):
+            return True
+        in_boxes = all(b is None or (b[0] <= x.real <= b[1] and b[2] <= x.imag <= b[3]) for b in boxes)
+        return in_boxes and not any(abs(x - z) <= by for z in away)
+
+    pts = [x for x in support_intersections(a1.support, a2.support, tol) if kept(x)]
+    return [x for x in pts if a1.contains(x, tol) and a2.contains(x, tol)]
+
+
+def _around(z: complex, h: float) -> tuple:
+    return (z.real - h, z.real + h, z.imag - h, z.imag + h)
+
+
+def _arc_pairs(rng: random.Random):
+    """(a1, a2, away, boxes) cases: arcs sharing an endpoint, near-tangent
+    circles, supports equal within 1e-9, two crossings with a box around
+    one of them, and line arcs through INF."""
+
+    def polar() -> complex:
+        return cmath.rect(rng.uniform(0.1, 2.0), rng.uniform(0, 2 * math.pi))
+
+    def bbox(a: Arc, pad: float):  # a padded box holding a finite arc, else None
+        pts = (a.p, a.q, a.witness)
+        if any(is_inf(z) for z in pts):
+            return None
+        if isinstance(a.support, Circle):
+            c, r = a.support.center, a.support.radius
+            return (c.real - r - pad, c.real + r + pad, c.imag - r - pad, c.imag + r + pad)
+        xs, ys = [z.real for z in pts], [z.imag for z in pts]
+        return (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
+
+    for _ in range(150):  # circle arcs sharing an endpoint, either way round
+        hub = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        arcs = []
+        while len(arcs) < 2:
+            try:
+                a = arc_through(hub, hub + polar(), hub + polar())
+            except ValueError:
+                continue
+            arcs.append(Arc(a.support, a.q, a.p, a.witness) if rng.random() < 0.5 else a)
+        a1, a2 = arcs
+        yield a1, a2, [hub], (None, None)
+        yield a1, a2, [hub, a1.q if a1.p == hub else a1.p, complex(math.nan, 0)], (bbox(a1, 1e-9), bbox(a2, 0.0))
+    for gap in (-1e-6, -1e-9, -1e-11, 0.0, 1e-11, 1e-9, 1e-6):  # near-tangent circles
+        for r2, sign in ((1.0, 1), (0.25, 1), (3.0, -1)):
+            c2 = complex(1 + sign * r2 + gap, 0)
+            a1 = arc_through(cmath.exp(-0.5j), cmath.exp(0.5j), 1 + 0j)
+            a2 = arc_through(c2 + r2 * cmath.exp(2.5j), c2 + r2 * cmath.exp(-2.5j), c2 - sign * r2)
+            yield a1, a2, [], (None, None)
+            yield a1, a2, [1 + 0j], (_around(1 + 0j, 1e-3), None)
+    for k in range(40):  # supports equal within same_support's 1e-9, or just outside it
+        c0, r = complex(rng.uniform(-5, 5), rng.uniform(-5, 5)), rng.uniform(0.5, 2.0)
+        f = 0.9e-9 if k % 2 == 0 else 3e-9
+        c1, c2 = Circle(c0, r), Circle(c0 + f * r * cmath.exp(1j * rng.uniform(0, 6)), r * (1 + rng.choice([-f, f])))
+        a1 = Arc(c1, c1.point_at(0.0), c1.point_at(2.0), c1.point_at(1.0))
+        a2 = Arc(c2, c2.point_at(1.5), c2.point_at(3.5), c2.point_at(2.5))
+        yield a1, a2, [], (None, None)
+        l1 = line_through(c0, c0 + cmath.exp(1j * k))
+        l2 = Line(l1.normal * cmath.exp(1j * f), l1.offset * (1 + f))
+        yield Arc(l1, c0, INF, c0 + l1.direction), Arc(l2, l2.foot(), l2.foot() + l2.direction, INF), [], (None, None)
+    for _ in range(60):  # two crossings, and a box around one of them
+        while True:
+            c1 = Circle(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(0.5, 1.5))
+            c2 = Circle(c1.center + polar(), rng.uniform(0.5, 1.5))
+            pts = support_intersections(c1, c2)
+            if len(pts) == 2 and abs(pts[0] - pts[1]) > 1e-3:
+                break
+        arcs = []
+        for c in (c1, c2):  # each arc runs 0.1 past both crossings
+            t1, t2 = (c.angle_of(x) for x in pts)
+            span = (t2 - t1) % (2 * math.pi)
+            arcs.append(Arc(c, c.point_at(t1 - 0.1), c.point_at(t1 + span + 0.1), c.point_at(t1 + span / 2)))
+        box = _around(pts[0], abs(pts[0] - pts[1]) / 3)
+        yield arcs[0], arcs[1], [], rng.choice([(box, None), (None, box), (box, box)])
+    for k in range(30):  # lines: crossing, parallel, rays and two-ray arcs through INF, and a circle
+        x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        u, v = cmath.exp(1j * rng.uniform(0, math.pi)), cmath.exp(1j * rng.uniform(0, math.pi))
+        seg = arc_through(x - u, x + u, x + 0.5 * u)
+        ray = Arc(line_through(x, x + v), x + 0.5 * v, INF, x + v)
+        two_ray = Arc(line_through(x, x + v), x - 0.5 * v, x + 0.5 * v, INF)
+        parallel = Arc(line_through(x + 1j * u, x + 1j * u + u), x + 1j * u, INF, x + 1j * u + u)
+        far_ray = Arc(line_through(x, x + u), x + 3 * u, INF, x + 4 * u)
+        circle = arc_through(x - v, x + v, x + 1j * v)
+        yield seg, ray, [], (None, None)
+        yield seg, two_ray, [x], (bbox(seg, 0.0), None)
+        yield far_ray, parallel, [], (None, None)
+        yield ray, far_ray, [], (None, None)
+        yield circle, seg, [x - v], (bbox(circle, 1e-9), None)
+        yield two_ray, circle, [x + v], (None, bbox(circle, 0.0))
+
+
+def test_arc_intersections_matches_its_reference():
+    rng = random.Random(20)
+    seen = {"none": 0, "points": 0, "inf": 0, "dropped": 0, "clipped": 0}
+    for a1, a2, away, boxes in _arc_pairs(rng):
+        for tol in (1e-10, 1e-9, 1e-6):
+            full = _reference_arc_intersections(a1, a2, tol)
+            for by in (0.0, 1e-9, 1e-6, 0.5):
+                for bx in ((None, None), boxes):
+                    want = _reference_arc_intersections(a1, a2, tol, away, by, bx)
+                    assert arc_intersections(a1, a2, tol, away, by, bx) == want, (a1, a2, tol, away, by, bx)
+                    if want is None:
+                        seen["none"] += 1
+                        continue
+                    seen["points"] += any(not is_inf(x) for x in want)
+                    seen["inf"] += INF in want
+                    if bx == (None, None):
+                        seen["dropped"] += len(want) < len(full)
+                    else:
+                        seen["clipped"] += len(want) < len(_reference_arc_intersections(a1, a2, tol, away, by))
+    # every filter acted somewhere, so the comparison is not vacuous
+    assert all(n > 50 for n in seen.values()), seen
+
+
+def test_arc_intersections_box_keeps_exactly_one_crossing():
+    c1, c2 = Circle(0j, 1.0), Circle(1 + 0j, 1.0)
+    a1 = Arc(c1, c1.point_at(-2.0), c1.point_at(2.0), 1 + 0j)
+    a2 = Arc(c2, c2.point_at(1.0), c2.point_at(-1.0), 0j)
+    both = arc_intersections(a1, a2)
+    assert len(both) == 2
+    for x in both:
+        kept = arc_intersections(a1, a2, boxes=(_around(x, 0.5), None))
+        assert kept == [x]
+        assert arc_intersections(a1, a2, boxes=(None, _around(x, 0.5))) == [x]
 
 
 def test_support_intersections_tangent_circles():

@@ -1,8 +1,10 @@
 """``verify``'s sort-and-sweep crossing and coincidence tests against the
-all-pairs loops they replaced, which are kept here as the oracle."""
+all-pairs loops they replaced, which are kept here as the oracle, and its
+angle criterion against one computed with ``Arc.tangent_direction``."""
 
 import cmath
 import functools
+import json
 import math
 import random
 
@@ -16,6 +18,8 @@ from lombardi.drawing import (
     _arcs_overlap_on_support,
     _support_noise,
     draw_medial,
+    from_json,
+    to_json,
     verify,
 )
 from lombardi.geometry import (
@@ -25,9 +29,12 @@ from lombardi.geometry import (
     Line,
     arc_intersections,
     arc_through,
+    circle_through,
+    is_finite,
     is_inf,
     line_through,
     same_support,
+    segment,
 )
 
 SUBCUBIC = [
@@ -115,6 +122,34 @@ def from_arcs(arcs: list[Arc], extra: list[complex] = ()) -> LombardiDrawing:
     return LombardiDrawing({v: z for z, v in names.items()}, dict(enumerate(arcs)), edges)
 
 
+def angle_oracle(d: LombardiDrawing, tol_geom: float = 1e-9) -> tuple:
+    """(max_angle_residual, worst_angle_vertex) of verify's criterion (b),
+    every arc-end's direction taken from ``Arc.tangent_direction``."""
+    pos = d.positions
+    fin = [z for z in pos.values() if is_finite(z)]
+    scale = max([1.0] + [abs(z - fin[0]) for z in fin])
+    match_tol = max(1e-6 * scale, 10 * tol_geom * scale)
+    incident: dict = {v: [] for v in pos}
+    for t, (u, w) in d.edges.items():
+        incident[u].append(t)
+        incident[w].append(t)
+    worst, worst_v = 0.0, None
+    for v, tags in incident.items():
+        k = len(tags)
+        if k < 2:
+            continue
+        try:
+            dirs = sorted(cmath.phase(d.arcs[t].tangent_direction(pos[v], tol=match_tol)) for t in tags)
+        except ValueError:
+            worst, worst_v = math.inf, v
+            continue
+        for i in range(k):
+            res = abs((dirs[(i + 1) % k] - dirs[i]) % (2 * math.pi) - 2 * math.pi / k)
+            if res > worst:
+                worst, worst_v = res, v
+    return worst, worst_v
+
+
 @functools.cache
 def _medial(name: str) -> LombardiDrawing:
     return draw_medial(load_graph(name))
@@ -130,6 +165,42 @@ def _fixture_drawings():
 def test_sweep_matches_all_pairs_on_fixture_drawings():
     for label, d in _fixture_drawings():
         assert assert_agrees(d) == [], label
+
+
+def _json_drawings():
+    """Drawings read back by ``from_json``: K4 with Line arcs and circle
+    arcs whose ends lie 1e-8 off their circles; the same with one vertex
+    moved off its arcs' ends; and with a position that is NaN."""
+    a, b, c, o = 0j, 1 + 0j, 0.5 + 0.8j, 0.5 + 0.3j
+
+    def loose(p, q, w, f):  # the arc through p, w, q on a circle grown by f
+        s = circle_through(p, q, w)
+        return Arc(Circle(s.center, s.radius * (1 + f)), p, q, w)
+
+    arcs = {
+        "ab": segment(a, b),
+        "bc": loose(b, c, 0.9 + 0.5j, 1e-8),
+        "ca": loose(c, a, 0.1 + 0.45j, -1e-8),
+        "oa": segment(o, a),
+        "ob": arc_through(o, b, 0.8 + 0.2j),
+        "oc": loose(c, o, 0.45 + 0.55j, 1e-8),
+    }
+    edges = {t: tuple(t) for t in arcs}
+    base = {"a": a, "b": b, "c": c, "o": o}
+    for moved in ({}, {"o": o + 0.01j}, {"c": complex(math.nan, 0.8)}):
+        d = LombardiDrawing({**base, **moved}, arcs, edges)
+        yield from_json(json.loads(json.dumps(to_json(d))))
+
+
+def test_angle_criterion_matches_tangent_direction():
+    drawings = [d for _, d in _fixture_drawings()] + list(_json_drawings())
+    for d in drawings:
+        rep = verify(d)
+        assert (rep.max_angle_residual, rep.worst_angle_vertex) == angle_oracle(d)
+    loaded = list(_json_drawings())
+    assert any(isinstance(a.support, Line) for a in loaded[0].arcs.values())
+    assert 0 < verify(loaded[0]).max_angle_residual < math.inf
+    assert verify(loaded[1]).max_angle_residual == math.inf
 
 
 def test_sweep_matches_all_pairs_far_from_the_origin():
