@@ -1139,10 +1139,12 @@ def draw_medial(g: PlanarGraph, angle_tol: float = ANGLE_TOL) -> LombardiDrawing
     the medial vertices are those crossing points and each medial edge
     is the bisector arc of its vertex-face lune, meeting both circles
     at 45 degrees so that the four arc-ends at each degree-4 vertex are
-    spaced at 90 degrees.  The drawing is verified against the medial
-    graph with angle tolerance ``angle_tol`` before it is returned, and a
-    geometric ValueError is re-raised as DrawingError, as in
-    ``draw_subcubic``.
+    spaced at 90 degrees.  Each corner arc keeps the support of
+    ``lune_bisector`` (one circle image) and its witness, the bisector's
+    midpoint, and takes the packing's crossing points as its ends.  The
+    drawing is verified against the medial graph with angle tolerance
+    ``angle_tol`` before it is returned, and a geometric ValueError is
+    re-raised as DrawingError, as in ``draw_subcubic``.
     """
     if not is_three_connected(g):
         raise GraphError("medial drawings require a 3-connected (polyhedral) input graph")
@@ -1166,27 +1168,14 @@ def draw_medial(g: PlanarGraph, angle_tol: float = ANGLE_TOL) -> LombardiDrawing
             sv = v != pdp.hub
             sf = f"f{fi}" != pdp.hub
             bis = lune_bisector(cv, cf, side1=sv, side2=sf)
+            # the packing's crossing points become the ends; the
+            # bisector's witness, its midpoint, stays inside the lune
             x1, x2 = pdp.crossing[e1], pdp.crossing[e2]
-            arcs[tag] = _corner_arc(bis, x1, x2, cv, cf, sv, sf)
+            line = isinstance(bis.support, Line)
+            arcs[tag] = segment(x1, x2) if line else Arc(bis.support, x1, x2, bis.witness)
             edges[tag] = (mname[e1], mname[e2])
     d = LombardiDrawing(positions, arcs, edges, None)
     return _check(d, med, angle_tol)
-
-
-def _corner_arc(
-    bis: Arc, x1: complex, x2: complex, cv: Circle, cf: Circle, sv: bool, sf: bool
-) -> Arc:
-    """The sub-arc of the lune bisector joining two crossing points."""
-    support = bis.support
-    if isinstance(support, Line):
-        return segment(x1, x2)
-    c: Circle = support
-    a1, a2 = c.angle_of(x1), c.angle_of(x2)
-    for wit_angle in (a1 + ((a2 - a1) % _TWO_PI) / 2, a1 - ((a1 - a2) % _TWO_PI) / 2):
-        wit = c.point_at(wit_angle)
-        if cv.strictly_inside(wit) == sv and cf.strictly_inside(wit) == sf:
-            return Arc(c, x1, x2, wit)
-    raise DrawingError("no bisector arc lies inside the lune")
 
 
 # ---------------------------------------------------------------------------

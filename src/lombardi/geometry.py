@@ -507,10 +507,11 @@ class Arc:
     def tangent_direction(self, at: Point, tol: float = 1e-7) -> complex:
         """Unit tangent of the arc at an endpoint, pointing into the arc.
 
-        ``at`` must match one of the endpoints (within ``tol``) and be finite.
+        ``at`` must match one of the endpoints (within ``tol``) and be
+        finite: INF and NaN raise ValueError.
         """
-        if is_inf(at):
-            raise ValueError("tangent direction at INF is undefined")
+        if not is_finite(at):
+            raise ValueError("tangent direction at a non-finite point is undefined")
         # prefer the nearer endpoint: when the whole arc is smaller than
         # tol both endpoints match, and picking the farther one would
         # flip the direction
@@ -740,33 +741,35 @@ def lune_bisector(
     (the intersection of the two disks).  Setting ``side1``/``side2``
     to False selects the exterior of the corresponding disk instead,
     so any of the four crossing regions can serve as the lune.
+
+    The map m(z) = (q1 - z)/(z - q2) sends the crossing points q1, q2
+    to 0 and INF and the chord's midpoint to 1; its inverse is written
+    down as ``Mobius(q2, q1, 1, 1)``.  Both supports become lines
+    through 0 whose directions are their tangents at q1 times
+    m'(q1) = 1/(q2 - q1), so no circle is mapped to find them.  The
+    bisecting line whose preimage point at |u| = 1 lies in the selected
+    region is mapped back, one circle image per call, and that point,
+    on the chord's perpendicular bisector, is the arc's midpoint and
+    its witness; it is INF when the bisector is the chord's line outside
+    the crossing points.
     """
     pts = support_intersections(c1, c2, tol)
     finite = [p for p in pts if not is_inf(p)]
     if len(finite) != 2:
         raise ValueError("lune_bisector: supports must cross at two points")
     q1, q2 = finite
-    # any third anchor sends the corners to 0 and INF alike; the images
-    # of both supports turn by the same angle with the choice
-    m = mobius_from_triples((q1, q2, (q1 + q2) / 2), (0j, INF, 1 + 0j))
-    minv = m.inverse()
+    minv = Mobius(q2, q1, 1, 1)
 
     def image_dir(c: GeneralizedCircle) -> float:
-        img = m.apply_circle(c)
-        if not isinstance(img, Line):
-            raise ValueError("lune_bisector: corner mapping failed")
-        return cmath.phase(img.direction)
+        tangent = 1j * (q1 - c.center) if isinstance(c, Circle) else c.direction
+        return cmath.phase(tangent / (q2 - q1))
 
-    phi1 = image_dir(c1)
-    phi2 = image_dir(c2)
     # candidate bisector directions (mod pi)
-    mid = (phi1 + phi2) / 2
+    mid = (image_dir(c1) + image_dir(c2)) / 2
     for phi in (mid, mid + math.pi / 2):
         for s in (1.0, -1.0):
             u = cmath.exp(1j * phi) * s
             w = minv.apply(u)
-            if is_inf(w):
-                continue
             if c1.strictly_inside(w) == side1 and c2.strictly_inside(w) == side2:
-                return arc_through(q1, q2, w)
+                return Arc(minv.apply_circle(Line(1j * u, 0.0)), q1, q2, w)
     raise ValueError("lune_bisector: no candidate lies inside the lune")

@@ -41,6 +41,18 @@ def drawn(name: str):
     return g, d, _timings[name]
 
 
+_medials: dict = {}
+
+
+def drawn_medial(name: str):
+    """Draw a fixture's medial graph with draw_medial once per session."""
+    if name not in _medials:
+        from lombardi.drawing import draw_medial
+
+        _medials[name] = draw_medial(load_graph(name))
+    return _medials[name]
+
+
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, drawn, k4_gadgets, load_graph, load_text, nested_gadgets
+from conftest import FIXTURES, drawn, drawn_medial, k4_gadgets, load_graph, load_text, nested_gadgets
 from lombardi.drawing import (
     DrawingError,
     LombardiDrawing,
@@ -30,6 +30,7 @@ from lombardi.drawing import (
 from lombardi.geometry import Arc, Circle, Line, Mobius, arc_through, inversion, segment
 from lombardi import graph
 from lombardi.graph import GraphError, PlanarGraph, is_three_connected, parse
+from lombardi.packing import primal_dual_pack
 
 sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
 import family  # noqa: E402
@@ -710,6 +711,27 @@ def test_draw_medial_k4_octahedron():
     rep = verify(d, mg)
     assert rep.passed, rep.summary()
     assert all(d.degree(v) == 4 for v in d.positions)
+
+
+@pytest.mark.parametrize("name", ["k4", "octahedron", "cube", "dodecahedron", "tutte"])
+def test_draw_medial_corners_meet_their_circles_at_45_degrees(name):
+    # the paper's construction: each corner arc bisects its vertex-face
+    # lune, which verify's 90 degree spacing alone does not pin down
+    g, d = load_graph(name), drawn_medial(name)
+    pdp = primal_dual_pack(g)
+    for fi, walk in enumerate(g.faces()):
+        for i in range(len(walk)):
+            arc = d.arcs[("corner", fi, i)]
+            v, f = walk[(i + 1) % len(walk)][0], f"f{fi}"
+            cv, cf = pdp.vertex_circles[v], pdp.face_circles[f]
+            for z in (arc.p, arc.q):
+                t = arc.tangent_direction(z)
+                for c in (cv, cf):
+                    turn = abs(cmath.phase(t / (1j * (z - c.center)))) % (math.pi / 2)
+                    assert abs(turn - math.pi / 4) <= 1e-9
+            # the hub's disk is the exterior, so its lune is outside its circle
+            w = arc.witness
+            assert (cv.strictly_inside(w), cf.strictly_inside(w)) == (v != pdp.hub, f != pdp.hub)
 
 
 def test_draw_medial_rejects_non_polyhedral():

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lombardi.drawing import LombardiDrawing, transform
 from lombardi.geometry import (
@@ -31,6 +33,7 @@ from lombardi.geometry import (
     near,
     same_support,
     segment,
+    support_distance,
     support_intersections,
     _PointAtInfinity,
 )
@@ -129,6 +132,14 @@ def test_tangent_direction_prefers_nearest_endpoint():
     assert abs(d - 1j) < 1e-6
     d2 = a.tangent_direction(cmath.exp(1j * eps), tol=1e-7)
     assert abs(d2 + 1j) < 1e-6
+
+
+def test_tangent_direction_rejects_non_finite_points():
+    # a NaN point matches no endpoint; it must not fall through to q's tangent
+    a = arc_through(0j, 1, 0.5 + 0.5j)
+    for at in (complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), INF):
+        with pytest.raises(ValueError):
+            a.tangent_direction(at)
 
 
 def test_arc_intersections_of_crossing_circles():
@@ -531,6 +542,86 @@ def test_lune_bisector_side_selectors():
             bis = lune_bisector(c1, c2, side1=s1, side2=s2)
             assert c1.strictly_inside(bis.witness) == s1
             assert c2.strictly_inside(bis.witness) == s2
+
+
+def support_tangent(s, z: complex) -> complex:
+    return 1j * (z - s.center) if isinstance(s, Circle) else s.direction
+
+
+def fold(angle: float) -> float:
+    """An angle between two undirected lines, in [0, pi/2]."""
+    return min(angle, math.pi - angle)
+
+
+@st.composite
+def crossing_pairs(draw):
+    """Two properly crossing supports: a circle of radius r1 at 0 and,
+    rotated by theta about it, a circle of radius r2 at distance d
+    strictly between |r1 - r2| and r1 + r2, or a line at distance
+    strictly below r1."""
+    r1 = draw(st.integers(1, 16)) / 4
+    theta = draw(st.integers(0, 23)) * math.pi / 12
+    k = draw(st.integers(1, 9)) / 10
+    rot = cmath.exp(1j * theta)
+    if draw(st.booleans()):
+        return Circle(0j, r1), Line(rot, (2 * k - 1) * r1)
+    r2 = draw(st.integers(1, 16)) / 4
+    d = abs(r1 - r2) + k * (r1 + r2 - abs(r1 - r2))
+    return Circle(0j, r1), Circle(d * rot, r2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    crossing_pairs(),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+    st.complex_numbers(max_magnitude=10),
+)
+def test_lune_bisector_properties(pair, s, t):
+    c1, c2 = pair
+    similarity = Mobius(s, t, 0, 1)
+    size = max(c.radius for c in pair if isinstance(c, Circle))
+    for s1, s2 in itertools.product((True, False), repeat=2):
+        bis = lune_bisector(c1, c2, side1=s1, side2=s2)
+        # the arc ends at the two crossing points
+        for z in (bis.p, bis.q):
+            for c in (c1, c2, bis.support):
+                assert support_distance(c, z) <= 1e-12 * size
+        assert abs(bis.p - bis.q) > 1e-3 * size
+        # its tangent makes equal angles with both supports at each end
+        for z in (bis.p, bis.q):
+            tb = bis.tangent_direction(z)
+            a1, a2 = (fold(angle_between(tb, support_tangent(c, z))) for c in (c1, c2))
+            assert abs(a1 - a2) <= 1e-9
+        # the witness lies in the selected region, on the support, midway
+        w = bis.witness
+        assert (c1.strictly_inside(w), c2.strictly_inside(w)) == (s1, s2)
+        if not is_inf(w):
+            assert support_distance(bis.support, w) <= 1e-9 * max(size, abs(w))
+            assert abs(abs(w - bis.p) - abs(w - bis.q)) <= 1e-9 * max(size, abs(w))
+        # it commutes with a similarity
+        mapped = lune_bisector(similarity.apply_circle(c1), similarity.apply_circle(c2), side1=s1, side2=s2)
+        expect = similarity.apply_arc(bis)
+        scale = abs(s) * size + abs(t)
+        assert same_support(mapped.support, expect.support, 1e-9)
+        for z in (expect.p, expect.q):
+            assert min(abs(z - mapped.p), abs(z - mapped.q)) <= 1e-9 * scale
+        assert is_inf(expect.witness) if is_inf(w) else abs(mapped.witness - expect.witness) <= 1e-9 * scale
+
+
+def test_lune_bisector_of_equal_circles_is_their_common_chord():
+    for r, d in ((1.0, 1.0), (0.25, 0.4), (3.0, 5.9)):
+        for rot in (1, 1j, cmath.exp(0.7j)):
+            c1, c2 = Circle(0j, r), Circle(d * rot, r)
+            bis = lune_bisector(c1, c2)
+            assert isinstance(bis.support, Line)
+            # the chord is the perpendicular bisector of the centers
+            assert abs(bis.support.signed_distance(c1.center) + bis.support.signed_distance(c2.center)) <= 1e-12
+            assert abs(bis.witness - d * rot / 2) <= 1e-12 * r
+            # outside both disks the bisector is the rest of that line,
+            # whose witness may be INF
+            outer = lune_bisector(c1, c2, side1=False, side2=False)
+            assert isinstance(outer.support, Line) and same_support(outer.support, bis.support)
+            assert not (c1.strictly_inside(outer.witness) or c2.strictly_inside(outer.witness))
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,6 @@ all-pairs loops they replaced, which are kept here as the oracle, and its
 angle criterion against one computed with ``Arc.tangent_direction``."""
 
 import cmath
-import functools
 import json
 import math
 import random
@@ -12,12 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn, load_graph
+from conftest import drawn, drawn_medial
 from lombardi.drawing import (
     LombardiDrawing,
     _arcs_overlap_on_support,
     _support_noise,
-    draw_medial,
     from_json,
     to_json,
     verify,
@@ -150,16 +148,11 @@ def angle_oracle(d: LombardiDrawing, tol_geom: float = 1e-9) -> tuple:
     return worst, worst_v
 
 
-@functools.cache
-def _medial(name: str) -> LombardiDrawing:
-    return draw_medial(load_graph(name))
-
-
 def _fixture_drawings():
     for name in SUBCUBIC:
         yield f"subcubic-{name}", drawn(name)[1]
     for name in MEDIAL:
-        yield f"medial-{name}", _medial(name)
+        yield f"medial-{name}", drawn_medial(name)
 
 
 def test_sweep_matches_all_pairs_on_fixture_drawings():
@@ -201,6 +194,9 @@ def test_angle_criterion_matches_tangent_direction():
     assert any(isinstance(a.support, Line) for a in loaded[0].arcs.values())
     assert 0 < verify(loaded[0]).max_angle_residual < math.inf
     assert verify(loaded[1]).max_angle_residual == math.inf
+    # the NaN vertex has no tangent, so it is the worst angle vertex
+    rep = verify(loaded[2])
+    assert (rep.max_angle_residual, rep.worst_angle_vertex) == (math.inf, "c")
 
 
 def test_sweep_matches_all_pairs_far_from_the_origin():
