@@ -51,7 +51,6 @@ from .geometry import (
     Circle,
     Line,
     Mobius,
-    Triangle,
     arc_intersections,
     arc_through,
     inversion,
@@ -528,46 +527,30 @@ def _forward_tangent(a: Arc, z: complex) -> complex:
 
 
 def drawing_from_packing(
-    g: PlanarGraph, packing: NormalizedPacking, face_name: dict, outer_face: int = 0
+    g: PlanarGraph, packing: NormalizedPacking, outer_face: int = 0
 ) -> LombardiDrawing:
     """Read a Lombardi drawing of cubic ``g`` off a packing of its dual.
 
     Each vertex of g is surrounded by the three mutually tangent dual
-    circles of its incident faces; the vertex goes to the isodynamic
-    point of the triangle of their pairwise tangency points that lies
-    in the cusp between the circles.  Each edge becomes the arc through
-    its endpoints and the tangency point of its two adjacent faces.
+    circles of its incident faces and goes to the cusp between them, an
+    isodynamic point of the triangle of their tangency points: those
+    points are fixed by a cross ratio with the triangle, so they move
+    with every Moebius map, and one map takes the three circles to equal
+    ones, whose cusp is the center of the equilateral triangle of
+    tangency points.  Of the two points, the first (with the tangency
+    points in rotation order) lies inside the circle through the
+    tangency points.  That circle is orthogonal to the three circles and
+    separates the cusp from the gap on its far side, which holds the
+    rest of the packing, so the first point is the cusp.  Each edge
+    becomes the arc through its endpoints and the tangency point of its
+    two adjacent faces.
     """
-    circles, tangency, outer = packing.circles, packing.tangency, packing.outer
+    tangency = packing.tangency
     positions: dict[str, complex] = {}
     for v in g.vertices:
         if g.degree(v) != 3:
             raise GraphError(f"vertex {v!r} is not degree 3")
-        t_pts = [tangency[t] for t in g.rot[v]]
-        names = {face_name[(v, i)] for i in range(3)}
-        tri = Triangle(t_pts[0], t_pts[1], t_pts[2])
-        cc = tri.circumcircle()
-        cands = isodynamic_points(tri)
-        good = []
-        for z in cands:
-            if is_inf(z):
-                continue
-            if abs(z - cc.center) >= cc.radius * (1 + 1e-9):
-                continue
-            ok = True
-            for n in names:
-                c = circles[n]
-                inside = abs(z - c.center) < c.radius * (1 - 1e-9)
-                # the cusp is outside every packing circle, except the
-                # inverted outer circle whose face side is its inside
-                if inside != (n == outer):
-                    ok = False
-                    break
-            if ok:
-                good.append(z)
-        if len(good) != 1:
-            raise DrawingError(f"vertex {v!r}: {len(good)} isodynamic candidates lie in the cusp")
-        positions[v] = good[0]
+        positions[v] = isodynamic_points(*(tangency[t] for t in g.rot[v]))[0]
     arcs = {}
     edges = {}
     for t in g.edges:
@@ -593,11 +576,10 @@ def draw_3connected(g: PlanarGraph, outer_face: int = 0) -> LombardiDrawing:
     faces = g.faces()
     if not 0 <= outer_face < len(faces):
         raise GraphError(f"outer face index {outer_face} out of range")
-    dualg, face_name = g.dual()
-    norm, _ = normalize_outer(pack_and_layout(dualg), f"f{outer_face}")
+    norm, _ = normalize_outer(pack_and_layout(g.dual()[0]), f"f{outer_face}")
     m, _ = optimize_min_radius(norm)
     norm = apply_to_normalized(norm, m)
-    return drawing_from_packing(g, norm, face_name, outer_face)
+    return drawing_from_packing(g, norm, outer_face)
 
 
 # ---------------------------------------------------------------------------

@@ -670,48 +670,25 @@ def arc_intersections(a1: Arc, a2: Arc, tol: float = GEOM_TOL, away=(), by: floa
 
 
 # ---------------------------------------------------------------------------
-# Triangles and isodynamic points
+# Isodynamic points
 
 
-@dataclass(frozen=True)
-class Triangle:
-    a: complex
-    b: complex
-    c: complex
-
-    def __post_init__(self):
-        if self.signed_area() == 0.0:
-            raise ValueError("degenerate triangle")
-
-    def signed_area(self) -> float:
-        u = self.b - self.a
-        v = self.c - self.a
-        return (u.conjugate() * v).imag / 2.0
-
-    def sides(self) -> tuple[float, float, float]:
-        """(|bc|, |ca|, |ab|): side lengths opposite to a, b, c."""
-        return (abs(self.c - self.b), abs(self.a - self.c), abs(self.b - self.a))
-
-    def circumcircle(self) -> Circle:
-        c = circle_through(self.a, self.b, self.c)
-        if not isinstance(c, Circle):
-            raise ValueError("degenerate triangle has no circumcircle")
-        return c
-
-
-def isodynamic_points(t: Triangle) -> tuple[Point, Point]:
-    """The two isodynamic points of a triangle.
+def isodynamic_points(a: complex, b: complex, c: complex) -> tuple[Point, Point]:
+    """The two isodynamic points of the triangle with vertices a, b, c.
 
     They are the points z whose cross ratio (z - a)(b - c) / ((z - c)(b - a))
     with the vertices is e^(+-i pi/3), so z = (a(b - c) - lam c(b - a)) /
     ((b - c) - lam (b - a)).  The first point takes the sign of the
     triangle's orientation, which makes it the center of an equilateral
     triangle; a point whose denominator vanishes to rounding is INF, as
-    the second one is exactly when the triangle is equilateral.
+    the second one is exactly when the triangle is equilateral.  Raises
+    ``ValueError`` on collinear vertices.
     """
-    a, b, c = t.a, t.b, t.c
+    area = ((b - a).conjugate() * (c - a)).imag
+    if area == 0.0:
+        raise ValueError("degenerate triangle")
     u, v = b - c, b - a
-    lam = cmath.exp(1j * math.copysign(math.pi / 3, t.signed_area()))
+    lam = cmath.exp(1j * math.copysign(math.pi / 3, area))
 
     def pt(lam: complex) -> Point:
         den = u - lam * v
@@ -751,7 +728,10 @@ def lune_bisector(
     region is mapped back, one circle image per call, and that point,
     on the chord's perpendicular bisector, is the arc's midpoint and
     its witness; it is INF when the bisector is the chord's line outside
-    the crossing points.
+    the crossing points.  A u within 1e-9 of -1 is taken as -1, so that
+    witness is INF, not a point some 1e16 away: ``apply_circle`` takes a
+    line that close to the pole -1 as passing through it, so the support
+    is then that line already.
     """
     pts = support_intersections(c1, c2, tol)
     finite = [p for p in pts if not is_inf(p)]
@@ -769,6 +749,8 @@ def lune_bisector(
     for phi in (mid, mid + math.pi / 2):
         for s in (1.0, -1.0):
             u = cmath.exp(1j * phi) * s
+            if abs(u + 1) <= 1e-9:
+                u = -1 + 0j
             w = minv.apply(u)
             if c1.strictly_inside(w) == side1 and c2.strictly_inside(w) == side2:
                 return Arc(minv.apply_circle(Line(1j * u, 0.0)), q1, q2, w)

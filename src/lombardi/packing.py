@@ -73,11 +73,6 @@ class PrimalDualPacking:
     hub: str = ""
 
 
-def neighbor_angle(r_v: float, r_u: float, r_w: float) -> float:
-    """Angle at circle v's center in the tangent triangle with circles u, w."""
-    return _angle(r_v + r_u, r_v + r_w, r_u + r_w)
-
-
 def edge_length(r1: float, r2: float, cos_overlap: float) -> float:
     return math.sqrt(r1 * r1 + r2 * r2 + 2 * r1 * r2 * cos_overlap)
 

@@ -430,8 +430,9 @@ OUTER_FACE_GRAPHS = ["k4", "cube", "frucht", "dodecahedron", "tutte", "truncated
 def test_every_outer_face_draws(name, face):
     # a guard on packing and Moebius arithmetic: at k4's face 3 and
     # tutte's face 8 the optimal automorphism is within 1e-14 of the
-    # identity, so its pole lies 1e14 or more away, and each vertex finds
-    # its cusp only if the circle images keep their digits there
+    # identity, so its pole lies 1e14 or more away, and the optimizer's
+    # image radii and the tangency points the vertices are read from must
+    # keep their digits there
     d = draw_subcubic(load_graph(name), outer_face=face)
     assert d.outer_face == face and d.report.passed
 

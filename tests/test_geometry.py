@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lombardi.drawing import LombardiDrawing, transform
@@ -19,7 +19,6 @@ from lombardi.geometry import (
     Circle,
     Line,
     Mobius,
-    Triangle,
     arc_intersections,
     arc_through,
     circle_through,
@@ -504,6 +503,22 @@ def test_apply_arc_preserves_tiny_arc_tangents():
         assert abs(got - want) < 1e-6, f"size {size}: tangent off by {abs(got - want)}"
 
 
+def test_apply_arc_refits_a_support_passing_near_the_pole():
+    # a nearly straight arc, on a support of radius 2.3e8 that passes
+    # close to the pole of an inversion: the closed-form image misses the
+    # image points by 1e-2 of their size, so the support is refit through
+    # them
+    a = arc_through(-1 + 0j, 1 + 0j, 0.3 + 2e-9j)
+    m = inversion(Circle(-0.16 + 0.057j, 0.2))
+    pts = [m.apply(z) for z in (a.p, a.q, a.witness)]
+    size = max(abs(z) for z in pts)
+    assert max(support_distance(m.apply_circle(a.support), z) for z in pts) > 1e-3 * size
+    b = m.apply_arc(a)
+    assert [b.p, b.q, b.witness] == pts
+    for z in pts:
+        assert support_distance(b.support, z) <= 1e-15
+
+
 def test_mobius_scale_translate_and_inversion():
     m = mobius_scale_translate(2j, 3 + 0j)
     assert abs(m.apply(1 + 1j) - (2j * (1 + 1j) + 3)) < 1e-12
@@ -610,7 +625,7 @@ def test_lune_bisector_properties(pair, s, t):
 
 def test_lune_bisector_of_equal_circles_is_their_common_chord():
     for r, d in ((1.0, 1.0), (0.25, 0.4), (3.0, 5.9)):
-        for rot in (1, 1j, cmath.exp(0.7j)):
+        for rot in (1, 1j, cmath.exp(0.7j), cmath.exp(2.1j)):
             c1, c2 = Circle(0j, r), Circle(d * rot, r)
             bis = lune_bisector(c1, c2)
             assert isinstance(bis.support, Line)
@@ -622,6 +637,7 @@ def test_lune_bisector_of_equal_circles_is_their_common_chord():
             outer = lune_bisector(c1, c2, side1=False, side2=False)
             assert isinstance(outer.support, Line) and same_support(outer.support, bis.support)
             assert not (c1.strictly_inside(outer.witness) or c2.strictly_inside(outer.witness))
+            assert not outer.contains((outer.p + outer.q) / 2)
 
 
 # --------------------------------------------------------------------------
@@ -631,28 +647,36 @@ def test_lune_bisector_of_equal_circles_is_their_common_chord():
 def test_isodynamic_distance_ratio_property():
     # at an isodynamic point the distances to the vertices are inversely
     # proportional to the opposite side lengths
-    t = Triangle(0j, 4 + 0j, 1 + 3j)
-    la, lb, lc = t.sides()
-    for z in isodynamic_points(t):
+    a, b, c = 0j, 4 + 0j, 1 + 3j
+    la, lb, lc = sides(a, b, c)
+    for z in isodynamic_points(a, b, c):
         if is_inf(z):
             continue
-        prods = (abs(z - t.a) * la, abs(z - t.b) * lb, abs(z - t.c) * lc)
+        prods = (abs(z - a) * la, abs(z - b) * lb, abs(z - c) * lc)
         assert max(prods) - min(prods) < 1e-9 * max(prods)
 
 
-def trilinear_isodynamic_points(t: Triangle) -> tuple:
+def sides(a: complex, b: complex, c: complex) -> tuple:
+    """(|bc|, |ca|, |ab|): the side lengths opposite to a, b, c."""
+    return (abs(c - b), abs(a - c), abs(b - a))
+
+
+def signed_area(a: complex, b: complex, c: complex) -> float:
+    return ((b - a).conjugate() * (c - a)).imag / 2
+
+
+def trilinear_isodynamic_points(verts: tuple) -> tuple:
     """The isodynamic points from their trilinears sin(A +- pi/3), turned
     into barycentric weights by the opposite side lengths; angles by the
     law of cosines.  None where the weights sum to about 0."""
-    sides = t.sides()
-    verts = (t.a, t.b, t.c)
+    lengths = sides(*verts)
     angles = []
     for k in range(3):
-        opp, s1, s2 = sides[k], sides[(k + 1) % 3], sides[(k + 2) % 3]
+        opp, s1, s2 = lengths[k], lengths[(k + 1) % 3], lengths[(k + 2) % 3]
         angles.append(math.acos((s1 * s1 + s2 * s2 - opp * opp) / (2 * s1 * s2)))
 
     def pt(sign: float):
-        w = [side * math.sin(ang + sign * math.pi / 3) for side, ang in zip(sides, angles)]
+        w = [side * math.sin(ang + sign * math.pi / 3) for side, ang in zip(lengths, angles)]
         if abs(sum(w)) <= 1e-9 * sum(map(abs, w)):
             return None
         return sum(wi * v for wi, v in zip(w, verts)) / sum(w)
@@ -667,11 +691,10 @@ def test_isodynamic_points_match_trilinears():
     checked = 0
     while checked < 300:
         pts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-        t = Triangle(*pts)
-        size = max(t.sides())
-        if abs(t.signed_area()) < 1e-3 * size * size:
+        size = max(sides(*pts))
+        if abs(signed_area(*pts)) < 1e-3 * size * size:
             continue
-        for got, want in zip(isodynamic_points(t), trilinear_isodynamic_points(t)):
+        for got, want in zip(isodynamic_points(*pts), trilinear_isodynamic_points(pts)):
             if want is None:
                 assert is_inf(got) or abs(got) > 1e6 * size
             else:
@@ -681,10 +704,63 @@ def test_isodynamic_points_match_trilinears():
 
 def test_isodynamic_equilateral():
     w = cmath.exp(2j * math.pi / 3)
-    t = Triangle(1 + 0j, w, w * w)
-    first, second = isodynamic_points(t)
+    first, second = isodynamic_points(1 + 0j, w, w * w)
     assert abs(first) < 1e-12  # the center
     assert is_inf(second)
+
+
+def tangent_triple(r1: float, r2: float, r3: float) -> tuple:
+    """Three mutually tangent circles with the given radii and their
+    tangency points, in the order (t12, t23, t31)."""
+    d = r1 + r2
+    # the third center from the law of cosines at the first
+    cos_a = ((r1 + r3) ** 2 + d * d - (r2 + r3) ** 2) / (2 * (r1 + r3) * d)
+    c3 = (r1 + r3) * cmath.exp(1j * math.acos(cos_a))
+    circles = (Circle(0j, r1), Circle(d + 0j, r2), Circle(c3, r3))
+    pts = tuple(
+        a.center + a.radius * unit(b.center - a.center)
+        for a, b in zip(circles, circles[1:] + circles[:1])
+    )
+    return circles, pts
+
+
+radii = st.floats(min_value=0.05, max_value=20)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    radii,
+    radii,
+    radii,
+    st.one_of(st.none(), st.tuples(st.complex_numbers(max_magnitude=40), st.floats(0.5, 10))),
+)
+def test_first_isodynamic_point_lies_in_the_cusp_inside_the_tangency_circle(r1, r2, r3, inv):
+    # the lemma drawing_from_packing relies on: of the two isodynamic
+    # points of the tangency points of three mutually tangent circles, the
+    # first lies in the gap between the disks that is inside the circle
+    # through the tangency points, the second outside that circle.  An
+    # inversion whose center lies in a disk turns that disk inside out,
+    # as normalization does to the outer face's circle.
+    circles, pts = tangent_triple(r1, r2, r3)
+    inside_out = [False] * 3
+    if inv is not None:
+        m = inversion(Circle(*inv))
+        # keep the center off the circles and the tangency points, so
+        # that no image is a line or escapes to INF
+        for c in circles:
+            assume(abs(abs(inv[0] - c.center) - c.radius) > 0.05 * c.radius)
+        assume(min(abs(inv[0] - t) for t in pts) > 0.05 * min(r1, r2, r3))
+        inside_out = [c.strictly_inside(inv[0]) for c in circles]
+        circles = tuple(m.apply_circle(c) for c in circles)
+        pts = tuple(m.apply(t) for t in pts)
+    cc = circle_through(*pts)
+    assert isinstance(cc, Circle)
+    first, second = isodynamic_points(*pts)
+    for c, out in zip(circles, inside_out):
+        gap = abs(first - c.center) - c.radius
+        assert (gap < 1e-9 * c.radius) if out else (gap > -1e-9 * c.radius)
+    assert abs(first - cc.center) < cc.radius
+    assert is_inf(second) or abs(second - cc.center) > cc.radius
 
 
 def test_angle_between_basic():
@@ -697,7 +773,7 @@ def test_degenerate_inputs_rejected():
     with pytest.raises(ValueError):
         Circle(0j, 0.0)
     with pytest.raises(ValueError):
-        Triangle(0j, 1 + 0j, 2 + 0j)
+        isodynamic_points(0j, 1 + 0j, 2 + 0j)
     with pytest.raises(ValueError):
         Arc(Circle(0j, 1.0), 1 + 0j, 1 + 0j, 1j)
 

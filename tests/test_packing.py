@@ -11,7 +11,6 @@ from lombardi.packing import (
     PackingError,
     edge_length,
     kite_triangulation,
-    neighbor_angle,
     pack_and_layout,
     packing_defects,
     primal_dual_pack,
@@ -19,12 +18,6 @@ from lombardi.packing import (
 )
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
-
-
-def test_neighbor_angle_symmetric_case():
-    # three equal circles around a center circle of the same radius:
-    # each neighbor subtends 60 degrees at the center
-    assert abs(neighbor_angle(1.0, 1.0, 1.0) - math.pi / 3) < 1e-12
 
 
 def test_edge_length_tangent_and_orthogonal():
