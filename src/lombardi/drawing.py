@@ -107,9 +107,6 @@ class LombardiDrawing:
     def degree(self, v: str) -> int:
         return sum(1 for u, w in self.edges.values() for x in (u, w) if x == v)
 
-    def incident(self, v: str) -> list:
-        return [t for t, (u, w) in self.edges.items() if v in (u, w)]
-
 
 @dataclass
 class VerificationReport:

@@ -5,15 +5,15 @@ singleton ``INF``.  Circles and lines are first-class ("generalized
 circles"), and Moebius transformations act on points, circles and arcs.
 All tolerances are relative to the scale of the operands.
 
-A Moebius map acts on a generalized circle in closed form
-(``Mobius.apply_circle``): a circle that misses the pole maps by the
-direct form of ``circle_image``, which keeps its digits however far the
-pole lies; lines, and circles through the pole, are shifted so the pole
-sits at the origin, inverted by z -> 1/z and carried by a similarity.
-Arcs take that support too (``Mobius.apply_arc``) and fall back to
-refitting the circle through their three image points only where the
-closed form cannot hold them: an image point at INF, or a support so
-close to the pole that the closed form cancels.
+A Moebius map acts on a generalized circle by one closed form
+(``Mobius.image_form``): the support is written as a Hermitian form
+about its base point (a circle's center, a line's foot) and mapped as
+such, which keeps its digits however far the pole lies; the image is a
+Line exactly when the support passes through the pole.  Arcs take that
+support too (``Mobius.apply_arc``) and fall back to refitting the
+circle through their three image points only where the closed form
+cannot hold them: an image point at INF, or a support so close to the
+pole that the form's leading coefficient cancels.
 
 ``INF`` is tested by identity (``is_inf``): its class hands out one
 instance, to unpickling and copying as well.  ``Arc`` is frozen and no
@@ -200,26 +200,6 @@ def support_distance(s: GeneralizedCircle, z: complex) -> float:
     return abs(s.signed_distance(z))
 
 
-def image_radius(a: complex, b: complex, c: complex, d: complex, m: complex, r: float) -> tuple[float, complex, float]:
-    """(radius, u, D) of ``circle_image``, u = c*m + d, which builds the
-    center from u and D; a caller wanting the radius alone skips that."""
-    u = c * m + d
-    den = abs(u) ** 2 - abs(c) ** 2 * (r * r)
-    return abs(a * d - b * c) * r / abs(den), u, den
-
-
-def circle_image(a: complex, b: complex, c: complex, d: complex, m: complex, r: float) -> tuple[complex, float]:
-    """(center, radius) of the image of the circle (m, r) under
-    z -> (a*z + b)/(c*z + d), for a circle that misses the pole -d/c.
-
-    With D = |c*m + d|^2 - |c|^2 r^2 the center is ((a*m + b)*conj(c*m + d)
-    - a*conj(c)*r^2)/D and the radius |a*d - b*c|*r/|D| (``image_radius``).
-    Only D cancels, and only for a circle passing close to the pole.
-    """
-    radius, u, den = image_radius(a, b, c, d, m, r)
-    return ((a * m + b) * u.conjugate() - a * c.conjugate() * (r * r)) / den, radius
-
-
 # ---------------------------------------------------------------------------
 # Moebius transformations
 
@@ -293,46 +273,55 @@ class Mobius:
 
     # -- action on circles and arcs -------------------------------------
 
-    def apply_circle(self, support: GeneralizedCircle) -> GeneralizedCircle:
-        """Image of a generalized circle, in closed form.
+    def image_form(self, support: GeneralizedCircle) -> tuple[bool, float, complex, float, float]:
+        """(through the pole?, A', B', C', k') of the image of ``support``.
 
-        The support is conjugated first when ``conj`` is set.  With
-        c == 0 only the similarity z -> (a*z + b)/d acts.  A circle that
-        misses the pole p = -d/c maps by ``circle_image``, whose terms
-        stay accurate however large |d/c| is.  Otherwise the map is
-        z -> a/c + k/(z - p) with k = (b*c - a*d)/c^2: the support is
-        shifted so the pole sits at the origin, taken through z -> 1/z,
-        and carried by the similarity z -> k*z + a/c.  A circle through
-        the pole (relative tolerance 1e-9) becomes a Line; a line with
-        unit normal n inverts to the circle with center conj(n)/(2*off'),
-        off' = offset - Re(conj(n)*p), or to a Line through the origin
-        when it passes through the pole.
+        The support is the Hermitian form A|z - z0|^2 + 2 Re(conj(B)(z - z0))
+        + C = 0 about its base point z0, with k = sqrt(|B|^2 - AC): a circle
+        is z0 = center, (A, B, C, k) = (1, 0, -r^2, r), a line z0 = foot,
+        (0, n/2, 0, 1/2); ``conj`` conjugates z0 and B first.  With
+        b0 = a*z0 + b and d0 = c*z0 + d the image is A'|w|^2 +
+        2 Re(conj(B') w) + C' = 0 about the origin and k' = |ad - bc| k.
+        Expanding about z0 rather than the origin keeps the center out
+        of C, which would be |center|^2 - r^2 and cancel for a circle
+        passing near 0.  The first value is ``support.contains(pole,
+        tol=1e-9)`` for the pole -d/c, conjugated when ``conj`` is set, or
+        INF when c == 0, which only lines contain: such a support's image
+        is a line, and lines stay lines under similarities.
         """
-        s = support
-        if self.conj and isinstance(s, Circle):
-            s = Circle(s.center.conjugate(), s.radius)
-        elif self.conj:
-            s = Line(s.normal.conjugate(), s.offset)
         a, b, c, d = self.a, self.b, self.c, self.d
-        if c == 0:
-            alpha, beta = a / d, b / d
+        pole = INF if c == 0 else -d / c
+        if self.conj and pole is not INF:
+            pole = pole.conjugate()
+        if isinstance(support, Circle):
+            z0, A, B, C, k = support.center, 1.0, 0j, -(support.radius * support.radius), support.radius
         else:
-            p = -d / c
-            alpha, beta = (b * c - a * d) / (c * c), a / c
-            if isinstance(s, Circle):
-                if not s.contains(p, tol=1e-9):
-                    return Circle(*circle_image(a, b, c, d, s.center, s.radius))
-                m = s.center - p
-                s = Line(m.conjugate() / abs(m), 1 / (2 * abs(m)))
-            elif s.contains(p, tol=1e-9):
-                s = Line(s.normal.conjugate(), 0.0)
-            else:
-                off = s.offset - (s.normal.conjugate() * p).real
-                s = Circle(s.normal.conjugate() / (2 * off), 1 / (2 * abs(off)))
-        if isinstance(s, Circle):
-            return Circle(alpha * s.center + beta, abs(alpha) * s.radius)
-        n = s.normal / alpha.conjugate()
-        return Line(n / abs(n), (s.offset + (n.conjugate() * beta).real) / abs(n))
+            z0, A, B, C, k = support.foot(), 0.0, support.normal / 2, 0.0, 0.5
+        if self.conj:
+            z0, B = z0.conjugate(), B.conjugate()
+        b0, d0 = a * z0 + b, c * z0 + d
+        # a trailing underscore marks a complex conjugate
+        a_, B_, c_, d0_ = a.conjugate(), B.conjugate(), c.conjugate(), d0.conjugate()
+        return (
+            support.contains(pole, tol=1e-9),
+            A * abs(d0) ** 2 - 2 * (B_ * d0 * c_).real + C * abs(c) ** 2,
+            B * d0_ * a + B_ * b0 * c_ - A * (b0 * d0_) - C * (a * c_),
+            A * abs(b0) ** 2 - 2 * (B_ * b0 * a_).real + C * abs(a) ** 2,
+            abs(a * d - b * c) * k,
+        )
+
+    def apply_circle(self, support: GeneralizedCircle) -> GeneralizedCircle:
+        """Image of a generalized circle, in closed form (``image_form``).
+
+        The image is Circle(-B'/A', k'/|A'|), or Line(B'/|B'|,
+        -C'/(2|B'|)) when the support passes through the pole.  Its
+        terms stay accurate however far the pole lies; only A' cancels,
+        and only for a support passing close to the pole.
+        """
+        line, a2, b2, c2, k2 = self.image_form(support)
+        if line:
+            return Line(b2 / abs(b2), -c2 / (2 * abs(b2)))
+        return Circle(-b2 / a2, k2 / abs(a2))
 
     def apply_arc(self, arc: "Arc") -> "Arc":
         """Image of an arc: its mapped endpoints and witness on the image support.
@@ -343,7 +332,7 @@ class Mobius:
         support's center.  The support is refit through the three image
         points instead when one of them is INF, or when the closed form
         misses them by more than a relative 1e-9: for a support passing
-        close to the pole the reciprocal cancels catastrophically, but
+        close to the pole the image's A' cancels catastrophically, but
         there the image points are far apart and determine the support
         well.
         """

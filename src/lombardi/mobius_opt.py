@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Circle, Mobius, image_radius, inversion, mobius_scale_translate
+from .geometry import Circle, Mobius, inversion, mobius_scale_translate
 from .packing import CirclePacking
 
 
@@ -88,24 +88,18 @@ def disk_automorphism(w: complex) -> Mobius:
 def _min_radius(p: NormalizedPacking, w: complex) -> float:
     """Smallest interior radius under ``disk_automorphism(w)``, -inf for a line.
 
-    Each image radius comes from ``image_radius``, which
-    ``Mobius.apply_circle`` reaches through ``circle_image``, after the
-    same test for a circle through the pole, so the value is bit for bit
-    what mapping every circle would give; the exactness test in
-    ``tests/test_mobius_opt.py`` pins that.
+    Each image radius is k'/|A'| of ``Mobius.image_form``, the routine
+    and pole test ``Mobius.apply_circle`` maps by, without building the
+    image circles, so the value is bit for bit what mapping every circle
+    would give; the exactness test in ``tests/test_mobius_opt.py`` pins
+    that.
     """
     m = disk_automorphism(w)
-    circles = [p.circles[v] for v in p.interior_names()]
-    if m.c == 0:
-        return min((c.radius for c in circles), default=math.inf)
-    pole = -m.d / m.c
     radii = []
-    for c in circles:
-        if c.contains(pole, tol=1e-9):
-            radii.append(-math.inf)  # the support passes through the pole: a line
-            continue
-        rad = image_radius(m.a, m.b, m.c, m.d, c.center, c.radius)[0]
-        if not rad > 0:
+    for v in p.interior_names():
+        line, a2, _, _, k2 = m.image_form(p.circles[v])
+        rad = -math.inf if line else k2 / abs(a2)  # through the pole: a line
+        if not (line or rad > 0):
             raise ValueError(f"circle radius must be positive, got {rad}")
         radii.append(rad)
     return min(radii, default=math.inf)

@@ -136,9 +136,8 @@ def test_criterion_5_low_degree_vertices():
         for v in g.vertices:
             if g.degree(v) != 2:
                 continue
-            dirs = []
-            for t in d.incident(v):
-                dirs.append(d.arcs[t].tangent_direction(d.positions[v], tol=1e-6))
+            tags = [t for t, ends in d.edges.items() if v in ends]
+            dirs = [d.arcs[t].tangent_direction(d.positions[v], tol=1e-6) for t in tags]
             gap = abs(cmath.phase(dirs[1] / dirs[0]))
             worst2 = max(worst2, abs(gap - math.pi))
         ok = ok and worst2 < 1e-6

@@ -224,11 +224,11 @@ def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
     shutil.copy(FIXTURES / "irregular69.txt", i69)
     flags = [str(i69), "--format", "both"]
     assert main(flags + ["--angle-tol", "1e-9"]) == 1
-    assert "angle residual 2.29" in capsys.readouterr().err
+    assert "angle residual 2.254e-09" in capsys.readouterr().err
     assert not (tmp_path / "i69.svg").exists() and not (tmp_path / "i69.json").exists()
     for extra in ([], ["--angle-tol", "1e-3"]):
         assert main(flags + extra) == 0
-        assert "angle residual 2.29" in capsys.readouterr().out
+        assert "angle residual 2.254e-09" in capsys.readouterr().out
 
 
 def test_cli_rejects_unsupported_inputs(tmp_path):

@@ -398,11 +398,17 @@ class Q:
         return self.re * self.re + self.im * self.im
 
 
-def exact_image_circle(m: Mobius, c: Circle) -> tuple[complex, float]:
+def exact_image_circle(m: Mobius, s) -> tuple[complex, float]:
     """(center, radius) of the circle through the exact images of three
-    rational points of ``c``: the directions 1, i and (3 + 4i)/5."""
+    rational points of ``s``: a circle's center plus its radius times 1,
+    i and (3 + 4i)/5, or a line's foot plus 0, 1 and -2 times its
+    direction."""
     a, b, cc, d = (Q.of(x) for x in (m.a, m.b, m.c, m.d))
-    pts = [Q.of(c.center) + Q(c.radius) * u for u in (Q(1), Q(0, 1), Q(Fraction(3, 5), Fraction(4, 5)))]
+    if isinstance(s, Circle):
+        units = (Q(1), Q(0, 1), Q(Fraction(3, 5), Fraction(4, 5)))
+        pts = [Q.of(s.center) + Q(s.radius) * u for u in units]
+    else:
+        pts = [Q.of(s.foot()) + Q(t) * Q.of(s.direction) for t in (0, 1, -2)]
     p, q, w = ((a * z + b) / (cc * z + d) for z in pts)
     # circumcenter x: |x - p|^2 = |x - q|^2 = |x - w|^2, two linear equations
     u, v = q - p, w - p
@@ -414,9 +420,19 @@ def exact_image_circle(m: Mobius, c: Circle) -> tuple[complex, float]:
 def test_apply_circle_matches_exact_images_far_from_the_pole():
     # maps whose pole -d/c lies up to 1e15 away: disk automorphisms near
     # the identity (the optimum of a symmetric packing) and general maps
-    # with a tiny c; the image must keep its digits however far the pole
+    # with a tiny c; the image must keep its digits however far the pole,
+    # for circles and for lines, whose images pass through a/c
     rng = random.Random(19)
-    circles = [Circle(0j, 1.0), Circle(0.3 + 0.2j, 0.1), Circle(-0.55 + 0.1j, 0.4), Circle(0.9j, 0.05)]
+    supports = [
+        Circle(0j, 1.0),
+        Circle(0.3 + 0.2j, 0.1),
+        Circle(-0.55 + 0.1j, 0.4),
+        Circle(0.9j, 0.05),
+        Line(1 + 0j, 0.0),
+        line_through(-1 + 2j, 3 + 0.5j),
+        line_through(0.3j, 1 + 0.2j),
+        Line(cmath.exp(0.4j), -0.8),
+    ]
     for k in range(40):
         scale = 10.0 ** rng.uniform(0, 15)
         phase = cmath.exp(2j * math.pi * rng.random())
@@ -426,12 +442,51 @@ def test_apply_circle_matches_exact_images_far_from_the_pole():
         else:
             d = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             m = Mobius(complex(rng.uniform(-2, 2), 1), rng.uniform(-2, 2), phase * abs(d) / scale, d)
-        for circ in circles:
-            center, radius = exact_image_circle(m, circ)
-            img = m.apply_circle(circ)
+        for s in supports:
+            center, radius = exact_image_circle(m, s)
+            img = m.apply_circle(s)
             assert isinstance(img, Circle)
-            assert abs(img.radius - radius) <= 1e-13 * radius, (m, circ)
-            assert abs(img.center - center) <= 1e-13 * radius, (m, circ)
+            assert abs(img.radius - radius) <= 1e-13 * radius, (m, s)
+            assert abs(img.center - center) <= 1e-13 * radius, (m, s)
+
+
+def pole_of(m: Mobius) -> complex | None:
+    """The point ``m`` sends to INF, None when that is INF itself."""
+    if m.c == 0:
+        return None
+    pole = -m.d / m.c
+    return pole.conjugate() if m.conj else pole
+
+
+def near_pole(m: Mobius, s, tol: float = 1e-6) -> bool:
+    pole = pole_of(m)
+    return pole is not None and support_distance(s, pole) <= tol * max(1.0, abs(pole))
+
+
+part = st.floats(-2, 2).map(lambda x: round(x, 3))  # no pole past |d|/0.001
+coefficient = st.builds(complex, part, part)
+mobius_maps = (
+    st.tuples(coefficient, coefficient, st.one_of(st.just(0j), coefficient), coefficient, st.booleans())
+    .filter(lambda t: abs(t[0] * t[3] - t[1] * t[2]) > 0.1)
+    .map(lambda t: Mobius(*t))
+)
+generalized_circles = st.one_of(
+    st.builds(Circle, st.complex_numbers(max_magnitude=2), st.floats(0.05, 2)),
+    st.builds(Line, st.floats(0, 2 * math.pi).map(lambda t: cmath.exp(1j * t)), st.floats(-2, 2)),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(mobius_maps, mobius_maps, generalized_circles)
+def test_apply_circle_respects_composition_and_inverse(m, n, s):
+    # maps of both orientations, similarities among them, on circles and
+    # lines: mapping by m.compose(n) is mapping by n, then m; and the
+    # inverse takes the image back, lines through the inverse's pole
+    # (the images of lines) included
+    image = n.apply_circle(s)
+    assume(not near_pole(n, s) and not near_pole(m, image) and not near_pole(m.compose(n), s))
+    assert same_support(m.compose(n).apply_circle(s), m.apply_circle(image))
+    assert same_support(n.inverse().apply_circle(image), s)
 
 
 def test_apply_circle_through_pole_gives_line():
