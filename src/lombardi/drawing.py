@@ -5,20 +5,21 @@ circular arc (straight segments are arcs of Line supports) so that the
 arc-ends around each vertex are equally spaced at 2*pi/deg.  This
 module builds such drawings for 3-connected cubic planar graphs from a
 circle packing of the dual, extends them to arbitrary subcubic planar
-graphs by gluing along the nested SPQR decomposition (each S node's
-sides drawn whole before it glues them) and along bridges, and draws
-medial graphs of polyhedral graphs from a primal-dual circle packing.
-``draw_subcubic`` and ``draw_medial`` verify the drawing they return,
-once, at their ``angle_tol``, and keep that report on it as
+graphs by gluing along the nested SPQR decomposition (each S node maps
+its sides' drawings once, straight into its own) and along bridges, and
+draws medial graphs of polyhedral graphs from a primal-dual circle
+packing.  ``draw_subcubic`` and ``draw_medial`` verify the drawing they
+return, once, at their ``angle_tol``, and keep that report on it as
 ``report``.  That is the only verification of a draw: every
-construction step (packing read-off, SPQR and bridge gluing, stubs,
-subdivision) builds its result once, without retries, and returns it
-unverified.  A geometric ``ValueError`` inside a draw is re-raised as
-``DrawingError``.  ``verify`` reads each arc once into a record that
-all its criteria share, and finds crossing candidates by a sort-and-sweep
-over the records' padded bounding boxes, so a verification costs about
-E log E for E arcs rather than E^2 pair tests; the candidate pairs, nearly
-all meeting only at a shared endpoint, are its largest share of time.
+construction step (packing read-off, SPQR and bridge gluing, and stubs
+and subdivision, in place) builds its result once, without retries,
+and leaves it unverified.  A geometric ``ValueError`` inside a draw is
+re-raised as ``DrawingError``.  ``verify`` reads each arc once into a
+record that all its criteria share, and finds crossing candidates by a
+sort-and-sweep over the records' padded bounding boxes, so a
+verification costs about E log E for E arcs rather than E^2 pair
+tests; the candidate pairs, nearly all meeting only at a shared
+endpoint, are its largest share of time.
 
 Edge tags belong to the caller: a drawing of ``g`` carries exactly
 ``g``'s tags, whatever hashable values they are, and ``draw_subcubic``
@@ -447,19 +448,7 @@ def _check(d: LombardiDrawing, g: PlanarGraph, angle_tol: float) -> LombardiDraw
 
 
 # ---------------------------------------------------------------------------
-# Transforms and small constructions
-
-
-def transform(d: LombardiDrawing, m: Mobius) -> LombardiDrawing:
-    """Apply a Moebius map to every vertex and arc of the drawing."""
-    positions = {}
-    for v, z in d.positions.items():
-        img = m.apply(z)
-        if is_inf(img):
-            raise DrawingError(f"vertex {v!r} maps to infinity")
-        positions[v] = img
-    arcs = {t: m.apply_arc(a) for t, a in d.arcs.items()}
-    return LombardiDrawing(positions, arcs, dict(d.edges), d.outer_face)
+# Small constructions
 
 
 def arc_with_tangent(p: complex, q: complex, t: complex) -> Arc:
@@ -583,13 +572,12 @@ def draw_3connected(g: PlanarGraph, outer_face: int = 0) -> LombardiDrawing:
 # SPQR gluing operations
 
 
-def expand_virtual_edge(d: LombardiDrawing, e, u, a: float, b: float) -> LombardiDrawing:
-    """Map the side ``d`` so its virtual edge ``e`` runs outside the sector [a, b].
-
-    The one anti-Moebius map sending ``u`` to exp(i*a), the arc's
-    midpoint to -exp(i*(a+b)/2) and the edge's other endpoint to
-    exp(i*b) carries the arc onto the unit circle, around the long way
-    from a to b; the side is transformed by it once.
+def expand_virtual_edge(d: LombardiDrawing, e, u, a: float, b: float) -> Mobius:
+    """The anti-Moebius map that places the side ``d`` so its virtual
+    edge ``e`` runs outside the sector [a, b]: it sends ``u`` to
+    exp(i*a), the arc's midpoint to -exp(i*(a+b)/2) and the edge's other
+    endpoint to exp(i*b), so the arc goes onto the unit circle, around
+    the long way from a to b.  ``d`` is only read.
     """
     if e not in d.arcs:
         raise DrawingError(f"edge {e!r} is not in the drawing")
@@ -598,7 +586,7 @@ def expand_virtual_edge(d: LombardiDrawing, e, u, a: float, b: float) -> Lombard
     src = (d.positions[u], d.arcs[e].midpoint(), d.positions[w])
     dst = (cmath.exp(1j * a), -cmath.exp(1j * (a + b) / 2), cmath.exp(1j * b))
     m = mobius_from_triples(tuple(z.conjugate() for z in src), dst)
-    return transform(d, m.compose(Mobius(1, 0, 0, 1, conj=True)))
+    return m.compose(Mobius(1, 0, 0, 1, conj=True))
 
 
 def p_node_drawing(names: tuple[str, str], tags: list) -> LombardiDrawing:
@@ -628,11 +616,12 @@ def glue_s_node(sides: dict, cycle: PlanarGraph) -> LombardiDrawing:
 
     ``sides`` maps each virtual edge of ``cycle`` to the drawing of the
     side across it, in which that edge is drawn.  Each side gets a
-    private angular sector and is placed by one anti-Moebius map
-    (``expand_virtual_edge``), which sends its virtual arc onto the unit
-    circle outside that sector.  The virtual arcs are deleted and the
+    private angular sector and one anti-Moebius map
+    (``expand_virtual_edge``) that sends its virtual arc onto the unit
+    circle outside that sector; it maps the side's vertices and other
+    arcs once, straight into the result, and not the virtual arc.  The
     cycle's real edges become the short unit-circle arcs joining
-    consecutive sides, continuing the deleted arcs' tangents exactly.
+    consecutive sides, continuing the virtual arcs' tangents exactly.
     Returned unverified.
     """
     if len(sides) < 2:
@@ -672,16 +661,16 @@ def glue_s_node(sides: dict, cycle: PlanarGraph) -> LombardiDrawing:
         comp = sides[t]
         if set(comp.edges[t]) != {u_i, w_i}:
             raise DrawingError(f"component for {t!r} has mismatched endpoints")
-        placed = expand_virtual_edge(comp, t, u_i, starts[i], starts[i] + widths[i])
-        for v, z in placed.positions.items():
+        m = expand_virtual_edge(comp, t, u_i, starts[i], starts[i] + widths[i])
+        for v, z in comp.positions.items():
+            z = m.apply(z)
+            if is_inf(z):
+                raise DrawingError(f"vertex {v!r} maps to infinity")
             if v in positions and abs(positions[v] - z) > 1e-7:
                 raise DrawingError(f"vertex {v!r} appears in two components")
             positions[v] = z
-        for tt, aa in placed.arcs.items():
-            if tt == t:
-                continue
-            arcs[tt] = aa
-            edges[tt] = placed.edges[tt]
+        arcs.update((tt, m.apply_arc(aa)) for tt, aa in comp.arcs.items() if tt != t)
+        edges.update((tt, comp.edges[tt]) for tt in comp.arcs if tt != t)
     circ = Circle(0j, 1.0)
     for i in range(k):
         r_tag = tags[2 * i + 1]
@@ -702,8 +691,6 @@ def _lay_chain(d: LombardiDrawing, a: Arc, seq: list, tags: list) -> None:
     and the len(seq) - 1 sub-arcs, which continue each other smoothly at
     180 degrees, carry ``tags`` in order.  A one-edge path is ``a`` itself.
     """
-    if len(tags) != len(seq) - 1:
-        raise DrawingError("a chain needs one edge tag per edge")
     k = len(seq) - 2
     if k == 0:
         d.arcs[tags[0]] = a
@@ -732,41 +719,39 @@ def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float
     return d
 
 
-def _without_edge(d: LombardiDrawing, e, new_vertices: list) -> LombardiDrawing:
-    """A copy of ``d`` without edge ``e``, checking that ``new_vertices``
-    are not in it yet."""
+def _check_chain(d: LombardiDrawing, e, interior: list, tags: list) -> None:
+    """Raise DrawingError unless edge ``e`` is in ``d`` and a path through
+    the vertices ``interior``, new and pairwise distinct, with one tag per
+    edge in ``tags``, can replace it."""
     if e not in d.arcs:
         raise DrawingError(f"edge {e!r} is not in the drawing")
-    for x in new_vertices:
-        if x in d.positions:
-            raise DrawingError(f"vertex {x!r} already exists")
-    return LombardiDrawing(
-        dict(d.positions),
-        {t: a for t, a in d.arcs.items() if t != e},
-        {t: ee for t, ee in d.edges.items() if t != e},
-        d.outer_face,
-    )
+    if len(tags) != len(interior) + 1:
+        raise DrawingError("a chain needs one edge tag per edge")
+    new = set(interior)
+    if len(new) != len(interior) or not new.isdisjoint(d.positions):
+        raise DrawingError("the chain's interior vertices are not new and distinct")
 
 
-def subdivide_arc(d: LombardiDrawing, e, interior: list[str], tags: list) -> LombardiDrawing:
-    """Split edge ``e`` into equal sub-arcs at new degree-2 vertices.
+def subdivide_arc(d: LombardiDrawing, e, interior: list[str], tags: list) -> None:
+    """Split edge ``e`` of ``d``, in place, into equal sub-arcs at new degree-2 vertices.
 
-    The k interior vertices are placed at equal subtended angles along
-    the arc from e's first endpoint to its second, and the k+1 sub-arcs
-    between them carry ``tags`` in that order.  Every new vertex sees its
-    two sub-arcs continue smoothly at 180 degrees on the same support.
-    Returned unverified: the new vertices and sub-arcs lie on the old arc.
+    The k ``interior`` vertices are placed at equal subtended angles
+    along the arc from e's first endpoint to its second, and the k+1
+    sub-arcs between them carry ``tags`` in that order.  Every new vertex
+    sees its two sub-arcs continue smoothly at 180 degrees on the same
+    support.  Unverified: they lie on the old arc.  Input that
+    ``_check_chain`` refuses raises DrawingError before ``d`` changes.
     """
-    out = _without_edge(d, e, interior)
+    _check_chain(d, e, interior, tags)
     u, w = d.edges[e]
     scale = max(1.0, abs(d.positions[u]), abs(d.positions[w]))
-    _lay_chain(out, _oriented(d.arcs[e], d.positions[u], 1e-6 * scale), [u, *interior, w], tags)
-    return out
+    a = _oriented(d.arcs[e], d.positions[u], 1e-6 * scale)
+    del d.arcs[e], d.edges[e]
+    _lay_chain(d, a, [u, *interior, w], tags)
 
 
-def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dict) -> LombardiDrawing:
-    """Replace edge ``e`` by a chain whose vertices in ``stubs`` carry
-    bridge stubs.
+def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dict) -> None:
+    """Replace edge ``e`` of ``d``, in place, by a chain whose vertices in ``stubs`` carry bridge stubs.
 
     The chain ``seq`` runs from e's first endpoint to its second through
     new vertices, and ``tags`` are its edges' tags in that order.  An
@@ -779,12 +764,16 @@ def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dic
     trisector to a new degree-1 vertex, 0.3 times as long as the
     junction's shorter neighbouring chord.  The other chain vertices are
     spread along the arcs between junctions as by ``subdivide_arc``.
-    Returned unverified.
+    Unverified.  Input that ``_check_chain`` refuses, a chain with other
+    ends than e's, and a key of ``stubs`` that is not strictly inside the
+    chain raise DrawingError before ``d`` changes.
     """
-    out = _without_edge(d, e, seq[1:-1])
+    _check_chain(d, e, seq[1:-1], tags)
     u, w = d.edges[e]
     if (seq[0], seq[-1]) != (u, w):
         raise DrawingError(f"chain does not run from {u!r} to {w!r}")
+    if not set(stubs) <= set(seq[1:-1]):
+        raise DrawingError("a stub vertex is not inside the chain")
     cuts = [0] + [i for i in range(1, len(seq) - 1) if seq[i] in stubs] + [len(seq) - 1]
     k = len(cuts) - 2
     pu, pw = d.positions[u], d.positions[w]
@@ -793,16 +782,17 @@ def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dic
     rot = cmath.exp(1j * math.pi / 6)
     inset = arc_with_tangent(pu, pw, a.tangent_direction(pu, tol=1e-6 * scale) * rot)
     pts = [pu] + [_arc_point(inset, j / (k + 1)) for j in range(1, k + 1)] + [pw]
-    out.positions.update(zip((seq[i] for i in cuts[1:-1]), pts[1:-1]))
-    for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        arc = arc_with_tangent(pts[j], pts[j + 1], _forward_tangent(inset, pts[j]) / rot)
-        _lay_chain(out, arc, seq[lo : hi + 1], tags[lo:hi])
+    arcs = [arc_with_tangent(pts[j], pts[j + 1], _forward_tangent(inset, pts[j]) / rot) for j in range(k + 1)]
     junction_stubs = []
     for j, i in enumerate(cuts[1:-1], 1):
         z = pts[j]
         length = 0.3 * min(abs(pts[j + 1] - z), abs(z - pts[j - 1]))
         junction_stubs.append((seq[i], 1j * _forward_tangent(inset, z), stubs[seq[i]], length))
-    return _add_stubs(out, junction_stubs)
+    del d.arcs[e], d.edges[e]
+    d.positions.update(zip((seq[i] for i in cuts[1:-1]), pts[1:-1]))
+    for arc, lo, hi in zip(arcs, cuts, cuts[1:]):
+        _lay_chain(d, arc, seq[lo : hi + 1], tags[lo:hi])
+    _add_stubs(d, junction_stubs)
 
 
 def claw_drawing(center: str, tags: list) -> LombardiDrawing:
@@ -988,26 +978,20 @@ def _block_drawing(piece: PlanarGraph, stub_of: dict, outer_face: int) -> Lombar
     stub tagged ``stub_of[v]`` for their bridge.  ``outer_face``, a face
     of ``piece``, reaches an R node at the root only when the block has
     no stubs and no chains, as its faces are then that node's faces.
-    Chains are laid on their own edge by the public functions, which the
-    traced benchmark self-check must see on chains, then moved into d."""
+    Each chain replaces its edge of the block's drawing in place, through
+    ``subdivide_arc`` or ``attach_bridge_stubs``."""
     h, chains = piece.suppress_degree_two()
     d = _spqr_drawing(spqr(h), None if chains or stub_of else outer_face)
     for chain_tag, (seq, tags) in chains.items():
         # junctions are laid out from the drawing's first edge endpoint;
         # flip the chain if the drawing stores the edge the other way
-        u, w = d.edges.pop(chain_tag)
-        if (u, w) != (seq[0], seq[-1]):
+        if d.edges[chain_tag] != (seq[0], seq[-1]):
             seq, tags = seq[::-1], tags[::-1]
-        arc = d.arcs.pop(chain_tag)
-        edge = LombardiDrawing({u: d.positions[u], w: d.positions[w]}, {chain_tag: arc}, {chain_tag: (u, w)})
         stubs = {x: stub_of[x] for x in seq[1:-1] if x in stub_of}
         if stubs:
-            edge = attach_bridge_stubs(edge, chain_tag, seq, tags, stubs)
+            attach_bridge_stubs(d, chain_tag, seq, tags, stubs)
         else:
-            edge = subdivide_arc(edge, chain_tag, seq[1:-1], tags)
-        d.positions.update(edge.positions)
-        d.arcs.update(edge.arcs)
-        d.edges.update(edge.edges)
+            subdivide_arc(d, chain_tag, seq[1:-1], tags)
     return d
 
 
@@ -1054,9 +1038,6 @@ def draw_subcubic(g: PlanarGraph, outer_face: int = 0, angle_tol: float = ANGLE_
             raise GraphError(f"vertex {v!r} has degree {g.degree(v)} > 3")
     if not 0 <= outer_face < max(1, len(g.faces())):
         raise GraphError(f"outer face index {outer_face} out of range")
-    if len(g.vertices) == 1:
-        return _check(LombardiDrawing({g.vertices[0]: 0j}), g, angle_tol)
-
     bridges = set(g.bridges())
     # a PlanarGraph is not written to after construction (bar its
     # caches), so a bridgeless input and a lone piece are drawn uncopied

@@ -1,5 +1,6 @@
 """Shared helpers: fixture loading, cached expensive drawings, generated
-nested-2-cut graphs and a structure check of SPQR decompositions."""
+nested-2-cut graphs, a structure check of SPQR decompositions and a
+whole-drawing Moebius map for oracles."""
 
 import pathlib
 import random
@@ -7,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+from lombardi.drawing import DrawingError, LombardiDrawing
+from lombardi.geometry import Mobius, is_inf
 from lombardi.graph import PlanarGraph, is_three_connected, is_virtual, parse
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -139,3 +142,15 @@ def spqr_problems(g: PlanarGraph, root) -> list[str]:
         ):
             problems.append(f"a {n.kind} skeleton is not simple 3-connected cubic")
     return problems
+
+
+def transform(d: LombardiDrawing, m: Mobius) -> LombardiDrawing:
+    """Apply a Moebius map to every vertex and arc of the drawing."""
+    positions = {}
+    for v, z in d.positions.items():
+        img = m.apply(z)
+        if is_inf(img):
+            raise DrawingError(f"vertex {v!r} maps to infinity")
+        positions[v] = img
+    arcs = {t: m.apply_arc(a) for t, a in d.arcs.items()}
+    return LombardiDrawing(positions, arcs, dict(d.edges), d.outer_face)

@@ -28,11 +28,10 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, drawn, load_graph, spqr_problems
+from conftest import FIXTURES, drawn, load_graph, spqr_problems, transform
 from lombardi.drawing import (
     draw_medial,
     drawing_from_packing,
-    transform,
     verify,
 )
 from lombardi.geometry import Mobius, is_inf, isodynamic_points

@@ -7,7 +7,16 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, drawn, drawn_medial, k4_gadgets, load_graph, load_text, nested_gadgets
+from conftest import (
+    FIXTURES,
+    drawn,
+    drawn_medial,
+    k4_gadgets,
+    load_graph,
+    load_text,
+    nested_gadgets,
+    transform,
+)
 from lombardi.drawing import (
     DrawingError,
     LombardiDrawing,
@@ -24,7 +33,6 @@ from lombardi.drawing import (
     p_node_drawing,
     subdivide_arc,
     to_json,
-    transform,
     verify,
 )
 from lombardi.geometry import Arc, Circle, Line, Mobius, arc_through, inversion, segment
@@ -210,16 +218,19 @@ def test_expand_virtual_edge():
     virt = ("virt", 999)
     d = p_node_drawing(("a", "b"), ["t0", "t1", virt])
     a, b = 0.3, 1.5
-    d2 = expand_virtual_edge(d, virt, "a", a, b)
-    # the virtual arc goes around the unit circle the long way from a to b
+    m = expand_virtual_edge(d, virt, "a", a, b)
+    # the map sends u, the arc's midpoint and w to the three targets
+    assert abs(m.apply(d.positions["a"]) - cmath.exp(1j * a)) < 1e-12
+    assert abs(m.apply(d.arcs[virt].midpoint()) - (-cmath.exp(1j * (a + b) / 2))) < 1e-12
+    assert abs(m.apply(d.positions["b"]) - cmath.exp(1j * b)) < 1e-12
+    # the placed side: the virtual arc goes around the unit circle the
+    # long way from a to b, with its midpoint where the map sends it
+    d2 = transform(d, m)
     arc = d2.arcs[virt]
     assert isinstance(arc.support, Circle)
     assert abs(arc.support.center) < 1e-12 and arc.support.radius == pytest.approx(1.0, abs=1e-12)
     assert arc.subtended_angle() == pytest.approx(2 * math.pi - (b - a), abs=1e-12)
-    # u, the arc's midpoint and w land on the three targets
-    assert abs(d2.positions["a"] - cmath.exp(1j * a)) < 1e-12
     assert abs(arc.midpoint() - (-cmath.exp(1j * (a + b) / 2))) < 1e-12
-    assert abs(d2.positions["b"] - cmath.exp(1j * b)) < 1e-12
 
     # the map reverses orientation: the turn between two arc-ends at u flips
     def turn(dd: LombardiDrawing) -> float:
@@ -240,22 +251,20 @@ def test_subdivide_arc_keeps_positions():
     d = p_node_drawing(("a", "b"), ["m", "u", "l"])
     tag = next(iter(d.arcs))
     before = dict(d.positions)
-    d2 = subdivide_arc(d, tag, ["m1", "m2"], [7, "x", ("y", 1)])
-    assert d == p_node_drawing(("a", "b"), ["m", "u", "l"])  # the input is left as it was
-    for v, z in before.items():
-        assert d2.positions[v] == z
-    assert "m1" in d2.positions and "m2" in d2.positions
-    assert tag not in d2.arcs
-    # the sub-arcs carry the given tags, in order from the first endpoint
     u, w = d.edges[tag]
-    assert set(d2.arcs) == set(d.arcs) - {tag} | {7, "x", ("y", 1)}
-    assert [d2.edges[t] for t in (7, "x", ("y", 1))] == [(u, "m1"), ("m1", "m2"), ("m2", w)]
-    rep = verify(d2)
+    # the drawing passed in is the result
+    assert subdivide_arc(d, tag, ["m1", "m2"], [7, "x", ("y", 1)]) is None
+    for v, z in before.items():
+        assert d.positions[v] == z
+    assert "m1" in d.positions and "m2" in d.positions
+    assert tag not in d.arcs
+    # the sub-arcs carry the given tags, in order from the first endpoint
+    assert set(d.arcs) == {"u", "l", 7, "x", ("y", 1)}
+    assert [d.edges[t] for t in (7, "x", ("y", 1))] == [(u, "m1"), ("m1", "m2"), ("m2", w)]
+    rep = verify(d)
     assert rep.passed
     # subdivision points have degree 2 with smooth 180-degree continuation
-    assert d2.degree("m1") == 2
-    with pytest.raises(DrawingError, match="one edge tag per edge"):
-        subdivide_arc(d, tag, ["m1"], [7])
+    assert d.degree("m1") == 2
 
 
 def test_claw_drawing_verifies():
@@ -277,9 +286,10 @@ def test_claw_drawing_verifies():
 
 def test_attach_bridge_stubs_on_chain():
     # replace one triangle edge by a chain carrying one bridge stub
-    d = triangle_drawing()
+    d2 = triangle_drawing()
     tag = ("e", "v0", "v1")
-    d2 = attach_bridge_stubs(d, tag, ["v0", "j", "v1"], [0, 1], {"j": ("b", "j")})
+    # the drawing passed in is the result
+    assert attach_bridge_stubs(d2, tag, ["v0", "j", "v1"], [0, 1], {"j": ("b", "j")}) is None
     assert "j" in d2.positions
     assert d2.degree("j") == 3
     # the stub ends at a fresh degree-1 vertex
@@ -292,15 +302,48 @@ def test_attach_bridge_stubs_on_chain():
     # the arcs next to and between them, each edge under its own tag
     seq = ["v0", "p", "j1", "q", "r", "j2", "v1"]
     tags = ["a", 1, ("t", 2), "b", 3, "c"]
-    d3 = attach_bridge_stubs(d, tag, seq, tags, {"j1": "s1", "j2": "s2"})
-    assert d == triangle_drawing()  # the input is left as it was
-    assert set(d3.arcs) == set(d.arcs) - {tag} | set(tags) | {"s1", "s2"}
+    d3 = triangle_drawing()
+    attach_bridge_stubs(d3, tag, seq, tags, {"j1": "s1", "j2": "s2"})
+    assert set(d3.arcs) == set(triangle_drawing().arcs) - {tag} | set(tags) | {"s1", "s2"}
     assert [d3.edges[t] for t in tags] == list(zip(seq, seq[1:]))
     assert [d3.degree(v) for v in seq[1:-1]] == [2, 3, 2, 2, 3]
     rep = verify(d3)
     assert rep.passed, rep.summary()
-    with pytest.raises(DrawingError, match="does not run"):
-        attach_bridge_stubs(d, tag, seq[::-1], tags[::-1], {"j1": "s1"})
+
+
+# each call raises before it changes the drawing: (function, arguments
+# after the drawing, message); the edge is the triangle's v0-v1
+_E = ("e", "v0", "v1")
+CHAIN_ERRORS = {
+    "subdivide_missing_edge": (subdivide_arc, (("e", "v0", "v9"), ["m"], [0, 1]), "not in the drawing"),
+    "subdivide_tag_count": (subdivide_arc, (_E, ["m"], [7]), "one edge tag per edge"),
+    "subdivide_old_name": (subdivide_arc, (_E, ["m", "v2"], [0, 1, 2]), "not new and distinct"),
+    "subdivide_repeated_name": (subdivide_arc, (_E, ["m", "m"], [0, 1, 2]), "not new and distinct"),
+    "stubs_missing_edge": (
+        attach_bridge_stubs,
+        (("e", "v0", "v9"), ["v0", "j", "v9"], [0, 1], {"j": "s"}),
+        "not in the drawing",
+    ),
+    "stubs_reversed_chain": (attach_bridge_stubs, (_E, ["v1", "j", "v0"], [0, 1], {"j": "s"}), "does not run"),
+    "stubs_tag_count": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0], {"j": "s"}), "one edge tag per edge"),
+    "stubs_old_name": (attach_bridge_stubs, (_E, ["v0", "v2", "v1"], [0, 1], {"v2": "s"}), "not new and distinct"),
+    "stubs_repeated_name": (
+        attach_bridge_stubs,
+        (_E, ["v0", "j", "j", "v1"], [0, 1, 2], {"j": "s"}),
+        "not new and distinct",
+    ),
+    "stubs_key_on_an_end": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0, 1], {"v1": "s"}), "not inside"),
+    "stubs_key_outside": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0, 1], {"x": "s"}), "not inside"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_ERRORS))
+def test_chain_step_raises_before_changing_the_drawing(case):
+    fn, args, message = CHAIN_ERRORS[case]
+    d = triangle_drawing()
+    with pytest.raises(DrawingError, match=message):
+        fn(d, *args)
+    assert d == triangle_drawing()
 
 
 def test_glue_bridge_joins_two_claws():
@@ -581,13 +624,15 @@ BRIDGED = {name: text for name, text in CHAINS.items() if parse(text).bridges() 
 BRIDGED.update({f"{b}_x{k}": _necklace(b, k) for b in ("k4", "cube") for k in (2, 3, 4)})
 
 
-def _glue_calls(monkeypatch, text: str) -> list:
-    """(dA, dB, bridge, anchors, glued drawing, apply_arc calls) of every
-    ``glue_bridge`` call that drawing ``text`` makes."""
+def _glue_calls(monkeypatch, text: str, name: str = "glue_bridge") -> list:
+    """(arguments..., glued drawing, apply_arc calls) of every call of
+    ``drawing.<name>`` that drawing ``text`` makes: (dA, dB, bridge,
+    anchors, ...) for ``glue_bridge``, (sides, cycle, ...) for
+    ``glue_s_node``."""
     import lombardi.drawing as drawing
 
     calls, count = [], [0]
-    glue, apply_arc = drawing.glue_bridge, Mobius.apply_arc
+    glue, apply_arc = getattr(drawing, name), Mobius.apply_arc
 
     def counted_apply_arc(self, arc):
         count[0] += 1
@@ -596,10 +641,10 @@ def _glue_calls(monkeypatch, text: str) -> list:
     def recorded_glue(*args):
         before = count[0]
         calls.append((*args, glue(*args), count[0] - before))
-        return calls[-1][4]
+        return calls[-1][-2]
 
     monkeypatch.setattr(Mobius, "apply_arc", counted_apply_arc)
-    monkeypatch.setattr(drawing, "glue_bridge", recorded_glue)
+    monkeypatch.setattr(drawing, name, recorded_glue)
     draw_subcubic(parse(text))
     assert calls
     return calls
@@ -624,6 +669,15 @@ def test_glue_bridge_maps_each_arc_once(monkeypatch, name):
     # stub inverts to is read off the stub's tangent, not mapped
     for dA, dB, _, _, _, apply_arcs in _glue_calls(monkeypatch, BRIDGED[name]):
         assert apply_arcs == (len(dA.arcs) - 1) + (len(dB.arcs) - 1) + 0
+
+
+@pytest.mark.parametrize("name", ["two_k4e", "nested_gadgets4"])
+def test_glue_s_node_maps_each_arc_once(monkeypatch, name):
+    # one apply_arc per arc of each side but its virtual edge, which the
+    # cycle's unit-circle arcs replace unmapped
+    text = nested_gadgets(4) if name == "nested_gadgets4" else load_text(name)
+    for sides, _, _, apply_arcs in _glue_calls(monkeypatch, text, "glue_s_node"):
+        assert apply_arcs == sum(len(side.arcs) - 1 for side in sides.values())
 
 
 @pytest.mark.parametrize("name", ["cube", "dodecahedron", "truncated_icosahedron"])

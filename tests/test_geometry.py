@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lombardi.drawing import LombardiDrawing, transform
+from conftest import transform
+from lombardi.drawing import LombardiDrawing
 from lombardi.geometry import (
     INF,
     Arc,
