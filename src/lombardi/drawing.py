@@ -719,10 +719,11 @@ def _add_stubs(d: LombardiDrawing, stubs: list[tuple[str, complex, object, float
     return d
 
 
-def _check_chain(d: LombardiDrawing, e, interior: list, tags: list) -> None:
+def _check_chain(d: LombardiDrawing, e, interior: list, tags: list, stub_tags=()) -> None:
     """Raise DrawingError unless edge ``e`` is in ``d`` and a path through
     the vertices ``interior``, new and pairwise distinct, with one tag per
-    edge in ``tags``, can replace it."""
+    edge in ``tags``, can replace it.  The chain's tags and ``stub_tags``
+    must be pairwise distinct, and none may name an edge of ``d`` but e."""
     if e not in d.arcs:
         raise DrawingError(f"edge {e!r} is not in the drawing")
     if len(tags) != len(interior) + 1:
@@ -730,6 +731,17 @@ def _check_chain(d: LombardiDrawing, e, interior: list, tags: list) -> None:
     new = set(interior)
     if len(new) != len(interior) or not new.isdisjoint(d.positions):
         raise DrawingError("the chain's interior vertices are not new and distinct")
+    every = [*tags, *stub_tags]
+    if len(set(every)) != len(every) or any(t in d.arcs and t != e for t in every):
+        raise DrawingError("the chain's edge tags are not new and distinct")
+
+
+def _replace_edge(d: LombardiDrawing, e, part: LombardiDrawing) -> None:
+    """Swap edge ``e`` of ``d`` for the vertices and arcs of ``part``, in place."""
+    del d.arcs[e], d.edges[e]
+    d.positions.update(part.positions)
+    d.arcs.update(part.arcs)
+    d.edges.update(part.edges)
 
 
 def subdivide_arc(d: LombardiDrawing, e, interior: list[str], tags: list) -> None:
@@ -740,14 +752,16 @@ def subdivide_arc(d: LombardiDrawing, e, interior: list[str], tags: list) -> Non
     sub-arcs between them carry ``tags`` in that order.  Every new vertex
     sees its two sub-arcs continue smoothly at 180 degrees on the same
     support.  Unverified: they lie on the old arc.  Input that
-    ``_check_chain`` refuses raises DrawingError before ``d`` changes.
+    ``_check_chain`` refuses, and an arc with no points to place, raise
+    DrawingError before ``d`` changes.
     """
     _check_chain(d, e, interior, tags)
     u, w = d.edges[e]
-    scale = max(1.0, abs(d.positions[u]), abs(d.positions[w]))
-    a = _oriented(d.arcs[e], d.positions[u], 1e-6 * scale)
-    del d.arcs[e], d.edges[e]
-    _lay_chain(d, a, [u, *interior, w], tags)
+    pu, pw = d.positions[u], d.positions[w]
+    a = _oriented(d.arcs[e], pu, 1e-6 * max(1.0, abs(pu), abs(pw)))
+    part = LombardiDrawing({u: pu, w: pw})
+    _lay_chain(part, a, [u, *interior, w], tags)
+    _replace_edge(d, e, part)
 
 
 def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dict) -> None:
@@ -764,11 +778,12 @@ def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dic
     trisector to a new degree-1 vertex, 0.3 times as long as the
     junction's shorter neighbouring chord.  The other chain vertices are
     spread along the arcs between junctions as by ``subdivide_arc``.
-    Unverified.  Input that ``_check_chain`` refuses, a chain with other
-    ends than e's, and a key of ``stubs`` that is not strictly inside the
-    chain raise DrawingError before ``d`` changes.
+    Unverified.  Input that ``_check_chain`` refuses (stub tags
+    included), a chain with other ends than e's, and a key of ``stubs``
+    that is not strictly inside the chain raise DrawingError before
+    ``d`` changes, as does a failure to lay the chain out.
     """
-    _check_chain(d, e, seq[1:-1], tags)
+    _check_chain(d, e, seq[1:-1], tags, stubs.values())
     u, w = d.edges[e]
     if (seq[0], seq[-1]) != (u, w):
         raise DrawingError(f"chain does not run from {u!r} to {w!r}")
@@ -788,11 +803,10 @@ def attach_bridge_stubs(d: LombardiDrawing, e, seq: list, tags: list, stubs: dic
         z = pts[j]
         length = 0.3 * min(abs(pts[j + 1] - z), abs(z - pts[j - 1]))
         junction_stubs.append((seq[i], 1j * _forward_tangent(inset, z), stubs[seq[i]], length))
-    del d.arcs[e], d.edges[e]
-    d.positions.update(zip((seq[i] for i in cuts[1:-1]), pts[1:-1]))
+    part = LombardiDrawing({u: pu, w: pw} | dict(zip((seq[i] for i in cuts[1:-1]), pts[1:-1])))
     for arc, lo, hi in zip(arcs, cuts, cuts[1:]):
-        _lay_chain(d, arc, seq[lo : hi + 1], tags[lo:hi])
-    _add_stubs(d, junction_stubs)
+        _lay_chain(part, arc, seq[lo : hi + 1], tags[lo:hi])
+    _replace_edge(d, e, _add_stubs(part, junction_stubs))
 
 
 def claw_drawing(center: str, tags: list) -> LombardiDrawing:
@@ -1249,12 +1263,14 @@ def _json_value(x, indent: str) -> str:
     lays it out at ``indent``."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
+    if type(x) is int:
+        return int.__repr__(x)
     if isinstance(x, list):
         return _json_list([_json_value(v, indent + "  ") for v in x], indent)
     if isinstance(x, float):
         _finite(x)
         return float.__repr__(x)
-    return json.dumps(x)  # int, bool and None; TypeError for the rest, as json's
+    return json.dumps(x)  # bool, None and int subclasses; TypeError for the rest, as json's
 
 
 def json_text(obj: dict) -> str:

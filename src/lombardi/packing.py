@@ -22,8 +22,9 @@ defect is at most ``_DEFECT_TOL``, and PackingError when a step cannot
 lower the residual ("stalled") or after ``_MAX_NEWTON_STEPS`` steps
 ("did not converge").
 
-Centers are then laid out by triangle-to-triangle propagation from a
-seed edge on the x-axis.
+Centers are then laid out in one linear pass from a seed edge on the
+x-axis: a FIFO queue of the darts of placed edges enters each triangle
+once and places its third circle (Collins and Stephenson 2003).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 
 from .geometry import Circle
@@ -258,69 +260,66 @@ def _solve_laplacian(pairs, weight, b, rtol):
 
 
 def layout_centers(
-    g: PlanarGraph,
-    radii: dict[str, float],
-    outer_face: int,
-    overlap: dict | None = None,
+    g: PlanarGraph, radii: dict[str, float], skip: set[int], overlap: dict | None = None
 ) -> CirclePacking:
-    """Propagate circle centers face by face from a seed edge on the x-axis.
+    """Place the circle centers of the faces outside ``skip`` in one queue pass.
 
-    The outer face (a triangle of the triangulation) is skipped; the
-    first edge of its walk is the seed: its circles go on the x-axis
-    tangent (or at their prescribed distance) at the origin, the first
-    centered at (-r, 0).
+    Every laid face must be a triangle.  The seed is the first dart, in
+    ``g.darts()`` order, of a skipped face whose ends both lie on laid
+    faces: its circles go on the x-axis at their prescribed distance,
+    the first centered at (-r, 0).  A FIFO queue holds the darts of
+    placed edges; a dart ab of a laid face (a, b, c) with c unplaced
+    puts c at its distances from a and b on that face's side, and the
+    darts of c's edges to placed circles join the queue, so every
+    circle is placed once (Collins and Stephenson, A circle packing
+    algorithm, 2003).  A vertex on no laid face is not placed.
     """
     length = _side_length(g, overlap)
     faces = g.faces()
-    if any(len(f) != 3 for i, f in enumerate(faces) if i != outer_face):
-        raise GraphError("layout requires a triangulation (all inner faces of size 3)")
-    walk = faces[outer_face]
-    d0 = walk[0]
-    u0, v0 = d0[0], g.head(d0)
+    third: dict[tuple[str, str], str] = {}  # dart ab of a laid face (a, b, c) -> c
+    for i, walk in enumerate(faces):
+        if i in skip:
+            continue
+        if len(walk) != 3:
+            raise GraphError("layout requires a triangulation (all inner faces of size 3)")
+        a, b, c = (d[0] for d in walk)
+        third[(a, b)], third[(b, c)], third[(c, a)] = c, a, b
+    laid = {a for a, _ in third}
+    skipped = {d for i in skip for d in faces[i]}
+    seed = next(d for d in g.darts() if d in skipped and d[0] in laid and g.head(d) in laid)
+    u0, v0 = seed[0], g.head(seed)
     pos = {u0: complex(-radii[u0], 0.0)}
     pos[v0] = pos[u0] + length(radii, u0, v0)
-    pending = [i for i in range(len(faces)) if i != outer_face]
-    progress = True
-    while pending and progress:
-        progress = False
-        rest = []
-        for fi in pending:
-            vs = [d[0] for d in faces[fi]]
-            if all(v in pos for v in vs):
-                continue
-            for r in range(3):
-                a, b, c = vs[r % 3], vs[(r + 1) % 3], vs[(r + 2) % 3]
-                if a in pos and b in pos and c not in pos:
-                    alpha = _angle(
-                        length(radii, a, c),
-                        length(radii, a, b),
-                        length(radii, b, c),
-                    )
-                    dab = pos[b] - pos[a]
-                    if not dab:  # radii too far apart for one scale of floats
-                        raise PackingError("layout failed: coincident centers")
-                    dab /= abs(dab)
-                    pos[c] = pos[a] + length(radii, a, c) * dab * cmath.exp(1j * alpha)
-                    progress = True
-                    break
-            else:
-                rest.append(fi)
-        pending = rest
-    scale = max(radii.values())
-    if pending or any(
+    queue = deque([(u0, v0), (v0, u0)])
+    while queue:
+        a, b = queue.popleft()
+        c = third.get((a, b))
+        if c is None or c in pos:
+            continue
+        l_ac = length(radii, a, c)
+        alpha = _angle(l_ac, length(radii, a, b), length(radii, b, c))
+        dab = pos[b] - pos[a]
+        if not dab:  # radii too far apart for one scale of floats
+            raise PackingError("layout failed: coincident centers")
+        dab /= abs(dab)
+        pos[c] = pos[a] + l_ac * dab * cmath.exp(1j * alpha)
+        for w in g.neighbors(c):
+            if w in pos:
+                queue += ((c, w), (w, c))
+    scale = max(radii[v] for v in laid)
+    if len(pos) < len(laid) or any(
         abs(abs(pos[x] - pos[y]) - length(radii, x, y)) > 1e-6 * scale
         for x, y in map(g.endpoints, g.edges)
+        if x in pos and y in pos
     ):
         raise PackingError("layout failed: inconsistent edge lengths")
 
-    circles = {v: Circle(pos[v], radii[v]) for v in g.vertices if radii[v] > 0}
-    tangency = {}
+    circles = {v: Circle(pos[v], radii[v]) for v in g.vertices if v in pos and radii[v] > 0}
     ov = overlap or {}
-    for t in g.edges:
-        if ov.get(t, 0.0) == 0.0:
-            x, y = g.endpoints(t)
-            d = pos[y] - pos[x]
-            tangency[t] = pos[x] + radii[x] * d / abs(d)
+    tangent = [(t, *g.endpoints(t)) for t in g.edges if ov.get(t, 0.0) == 0.0]
+    tangency = {
+        t: pos[x] + radii[x] * (pos[y] - pos[x]) / abs(pos[y] - pos[x]) for t, x, y in tangent if x in pos and y in pos
+    }
     return CirclePacking(circles=circles, tangency=tangency, centers=pos)
 
 
@@ -334,7 +333,7 @@ def pack_and_layout(g: PlanarGraph) -> CirclePacking:
     if len(walk) != 3:
         raise GraphError("outer face must be a triangle")
     radii = pack_triangulation(g, {d[0]: 1.0 for d in walk})
-    return layout_centers(g, radii, 0)
+    return layout_centers(g, radii, {0})
 
 
 def packing_defects(g: PlanarGraph, packing: CirclePacking, overlap: dict | None = None) -> dict:
@@ -430,54 +429,33 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     first degree-3 vertex; one of the two always exists in a
     3-connected planar graph.  The triple is pinned
     at radius 1, every other circle closes up at 2*pi -- including the
-    hub itself, whose circle is laid out last by trilateration from its
-    already-placed neighbors.
+    hub itself.  The hub's star of flag triangles covers the same region
+    as the rest of the complex, so the kite is laid out by
+    layout_centers with the star's faces skipped, from the first ring
+    edge in dart order; the hub is then placed by trilateration from its
+    2 deg distances to the ring.
     """
     kite, overlap, fname, xname = kite_triangulation(g)
-    faces = g.faces()
     fidx = g.face_of()
-    hub, triple = None, None
-    for i, walk in enumerate(faces):
-        if len(walk) == 3:
-            hub, triple = fname[i], g.face_vertices(i)
-            break
+    tri = next((i for i, walk in enumerate(g.faces()) if len(walk) == 3), None)
+    deg3 = next((v for v in g.vertices if g.degree(v) == 3), None)
+    if tri is not None:
+        hub, triple = fname[tri], g.face_vertices(tri)
+    elif deg3 is not None:
+        hub, triple = deg3, [fname[fidx[(deg3, s)]] for s in range(3)]
     else:
-        for v in g.vertices:
-            if g.degree(v) == 3:
-                hub = v
-                triple = [fname[fidx[(v, s)]] for s in range(3)]
-                break
-    if hub is None:
         raise GraphError("no triangular face and no degree-3 vertex")
-    boundary = {xname[t]: 0.0 for t in g.edges}
-    for b in triple:
-        boundary[b] = 1.0
+    boundary = {xname[t]: 0.0 for t in g.edges} | dict.fromkeys(triple, 1.0)
     radii = pack_triangulation(kite, boundary, overlap=overlap)
 
-    # lay out the kite complex punctured at the hub (its star of flag
-    # triangles covers the same region as the rest of the complex, so
-    # the full sphere triangulation cannot be laid out flat directly)
-    sub = kite.subgraph([v for v in kite.vertices if v != hub])
-    hub_nbrs = set(kite.neighbors(hub))
-    sub_faces = sub.faces()
-    ring = [
-        i
-        for i, f in enumerate(sub_faces)
-        if len(f) == len(hub_nbrs) and {d[0] for d in f} == hub_nbrs
-    ]
-    if len(ring) != 1:
-        raise PackingError("ambiguous boundary ring after removing the hub")
-    packing = layout_centers(sub, {v: radii[v] for v in sub.vertices}, ring[0], overlap=overlap)
-
-    length = _side_length(kite, overlap)
-    hub_center = _trilaterate(
-        [
-            (packing.centers[u], length(radii, hub, u))
-            for u in kite.neighbors(hub)
-        ]
-    )
-    circles = dict(packing.circles)
-    circles[hub] = Circle(hub_center, radii[hub])
+    ring = kite.neighbors(hub)
+    if len(set(ring)) != len(ring):
+        raise PackingError("the hub's faces do not close into one ring")
+    star = {i for i, walk in enumerate(kite.faces()) if hub in {d[0] for d in walk}}
+    packing = layout_centers(kite, radii, star, overlap=overlap)
+    cos = [math.cos(overlap[t]) for t in kite.rot[hub]]
+    hub_center = _trilaterate([(packing.centers[u], edge_length(radii[hub], radii[u], c)) for u, c in zip(ring, cos)])
+    circles = packing.circles | {hub: Circle(hub_center, radii[hub])}
     return PrimalDualPacking(
         vertex_circles={v: circles[v] for v in g.vertices},
         face_circles={fname[i]: circles[fname[i]] for i in fname},

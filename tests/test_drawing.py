@@ -334,6 +334,26 @@ CHAIN_ERRORS = {
     ),
     "stubs_key_on_an_end": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0, 1], {"v1": "s"}), "not inside"),
     "stubs_key_outside": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0, 1], {"x": "s"}), "not inside"),
+    # a tag that names another edge, or one used twice, would overwrite it
+    "subdivide_other_edge_tag": (subdivide_arc, (_E, ["m"], [("e", "v1", "v2"), "x"]), "tags are not new"),
+    "subdivide_repeated_tag": (subdivide_arc, (_E, ["m", "n"], ["x", 0, "x"]), "tags are not new"),
+    "stubs_other_edge_tag": (
+        attach_bridge_stubs,
+        (_E, ["v0", "j", "v1"], [0, ("e", "v0", "v2")], {"j": "s"}),
+        "tags are not new",
+    ),
+    "stubs_repeated_tag": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0, 0], {"j": "s"}), "tags are not new"),
+    "stubs_stub_tag_names_an_edge": (
+        attach_bridge_stubs,
+        (_E, ["v0", "j", "v1"], [0, 1], {"j": ("e", "v1", "v2")}),
+        "tags are not new",
+    ),
+    "stubs_stub_tag_on_the_chain": (attach_bridge_stubs, (_E, ["v0", "j", "v1"], [0, 1], {"j": 1}), "tags are not new"),
+    "stubs_repeated_stub_tag": (
+        attach_bridge_stubs,
+        (_E, ["v0", "j", "k", "v1"], [0, 1, 2], {"j": "s", "k": "s"}),
+        "tags are not new",
+    ),
 }
 
 
@@ -344,6 +364,17 @@ def test_chain_step_raises_before_changing_the_drawing(case):
     with pytest.raises(DrawingError, match=message):
         fn(d, *args)
     assert d == triangle_drawing()
+
+
+def test_chain_step_leaves_the_drawing_whole_when_the_arc_cannot_be_split():
+    # a two-ray arc through infinity has no point at a fraction of its length
+    def two_rays():
+        return LombardiDrawing({"a": 0j, "b": 1 + 0j}, {"e": Arc(Line(1j, 0.0), 0j, 1 + 0j, 5 + 0j)}, {"e": ("a", "b")})
+
+    d = two_rays()
+    with pytest.raises(DrawingError, match="unbounded line arc"):
+        subdivide_arc(d, "e", ["m"], [0, 1])
+    assert d == two_rays()
 
 
 def test_glue_bridge_joins_two_claws():
@@ -832,7 +863,7 @@ def test_json_text_is_json_dumps_with_indent_2():
     # a lone vertex, a straight edge, and tags of every kind JSON holds
     lone = LombardiDrawing({"v": 0j})
     tags = LombardiDrawing(
-        {"plain": 0j, "naïve ✓": 1 + 0j, 7: 1j, 2.5: 3 + 1j, ("x", ("y", 2), ()): -1 + 0j, None: 2 + 2j, True: -3j}
+        {"plain": 0j, "naïve ✓": 1 + 0j, 7: 1j, 2.5: 3 + 1j, ("x", ("y", 2), ()): -1 + 0j, None: 2 + 2j, True: -3j, -5: 4 + 0j}
     )
     for t, (u, w) in {
         ("e", ()): ("plain", "naïve ✓"),
@@ -841,6 +872,8 @@ def test_json_text_is_json_dumps_with_indent_2():
         3: (7, ("x", ("y", 2), ())),
         (): ("plain", None),
         (("deep", (1, ("er",))),): (True, "plain"),
+        2**70: (-5, "plain"),  # ints beyond 64 bits and below zero
+        ("corner", -1, 2**64 + 1): (-5, 7),
     }.items():
         p, q = tags.positions[u], tags.positions[w]
         tags.arcs[t] = segment(p, q) if t == "straight" else arc_through(p, q, (p + q) / 2 + 0.3j * (q - p))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import load_graph
 from lombardi import packing
-from lombardi.graph import parse
+from lombardi.graph import PlanarGraph, parse
 from lombardi.packing import (
     PackingError,
     edge_length,
@@ -77,13 +77,39 @@ def newton_steps(monkeypatch):
     return steps
 
 
+@pytest.fixture
+def placements(monkeypatch):
+    """Records one entry per circle the layout places (one ``_angle`` each)."""
+    calls = []
+    angle = packing._angle
+
+    def counted(*args):
+        calls.append(1)
+        return angle(*args)
+
+    monkeypatch.setattr(packing, "_angle", counted)
+    return calls
+
+
+def assert_laid_lengths(g, centers, radii, overlap, name):
+    """Every edge of ``g`` between laid-out centers has its packing length."""
+    for t in g.edges:
+        u, w = g.endpoints(t)
+        if u in centers and w in centers:
+            want = edge_length(radii[u], radii[w], math.cos(overlap.get(t, 0.0)))
+            assert abs(abs(centers[u] - centers[w]) - want) <= 1e-8 * want, (name, t)
+
+
 @pytest.mark.parametrize("name", CUBIC_3CONNECTED)
-def test_dual_packing_of_cubic_fixtures(name, newton_steps):
+def test_dual_packing_of_cubic_fixtures(name, newton_steps, placements):
     # Newton converges quadratically: a handful of steps reach the defect bound
     g = load_graph(name)
     dualg, _ = g.dual()
     p = pack_and_layout(dualg)
     assert 0 < len(newton_steps) <= 8, (name, len(newton_steps))
+    # the seed edge's two circles go down first, every other circle once
+    assert len(placements) == len(dualg.vertices) - 2, name
+    assert_laid_lengths(dualg, p.centers, {v: c.radius for v, c in p.circles.items()}, {}, name)
     for t in dualg.edges:
         u, w = dualg.endpoints(t)
         cu, cw = p.circles[u], p.circles[w]
@@ -199,14 +225,21 @@ def test_primal_dual_pack_k4_closed_form():
 
 
 @pytest.mark.parametrize("name", CUBIC_3CONNECTED + ["octahedron"])
-def test_primal_dual_orthogonality(name, newton_steps):
+def test_primal_dual_orthogonality(name, newton_steps, placements):
     g = load_graph(name) if name != "k4" else parse(K4_TEXT)
     pdp = primal_dual_pack(g)
     assert 0 < len(newton_steps) <= 12, (name, len(newton_steps))
+    kite, overlap, _, xname = kite_triangulation(g)
+    # the layout places every circle once but the seed edge's two and the
+    # hub, which is trilaterated; each flag kite keeps its side lengths
+    assert len(placements) == len(kite.vertices) - 3, name
+    circles = {**pdp.vertex_circles, **pdp.face_circles}
+    centers = {v: c.center for v, c in circles.items() if v != pdp.hub}
+    centers.update((xname[t], z) for t, z in pdp.crossing.items())
+    radii = {v: c.radius for v, c in circles.items()} | dict.fromkeys(xname.values(), 0.0)
+    assert_laid_lengths(kite, centers, radii, overlap, name)
     # oracle: law-of-cosines angle sums over the flag kites close at 2*pi
     # at every circle but the three pinned at radius 1 beside the hub
-    kite, overlap, _, xname = kite_triangulation(g)
-    circles = {**pdp.vertex_circles, **pdp.face_circles}
     pinned = set(kite.neighbors(pdp.hub)) - set(xname.values())
     angle_sum = dict.fromkeys(set(circles) - pinned, 0.0)
     for walk in kite.faces():
@@ -242,6 +275,16 @@ def test_primal_dual_orthogonality(name, newton_steps):
                 lhs = abs(cv.center - cf.center) ** 2
                 rhs = cv.radius**2 + cf.radius**2
                 assert abs(lhs - rhs) < 1e-6 * max(1.0, rhs)
+
+
+def test_primal_dual_pack_lays_out_the_kite_itself(monkeypatch):
+    # no punctured copy of the kite: its hub's star is skipped in place
+    def refuse(self, vs):
+        raise AssertionError("primal_dual_pack built a subgraph")
+
+    monkeypatch.setattr(PlanarGraph, "subgraph", refuse)
+    pdp = primal_dual_pack(load_graph("tutte"))
+    assert set(pdp.crossing) == set(load_graph("tutte").edges)
 
 
 def test_primal_dual_hub_is_recorded():
