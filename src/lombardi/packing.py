@@ -10,12 +10,12 @@ for tangencies, Bobenko-Springborn 2004 for overlap angles), so its
 Jacobian is minus a weighted Laplacian and damped Newton converges
 quadratically; each step is solved by conjugate gradients.
 
-Two kinds of triangle occur, and each is solved in closed form: three
-mutually tangent circles (the dual packing of a cubic graph), whose
-angles come from the incircle through the tangency points, and a corner
-pinned at radius 0 opposite a side crossing at pi/2 (a flag kite of the
-primal-dual packing), a right triangle solved by ``right_kite`` with one
-term per vertex-face side.  Any other triangle raises PackingError.
+Two kinds of triangle occur, each solved in closed form by
+``triangle_angles``, for Newton and layout alike: three mutually tangent
+circles (the dual packing of a cubic graph), by the incircle through
+their tangency points, and a corner pinned at radius 0 opposite a side
+crossing at pi/2 (a flag kite of the primal-dual packing), by
+``right_kite``.  Any other triangle raises PackingError.
 
 Every packing stops on one rule: success once the largest angle-sum
 defect is at most ``_DEFECT_TOL``, and PackingError when a step cannot
@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 from .geometry import Circle
 from .graph import GraphError, PlanarGraph
 
-_DEFECT_TOL = 1e-10  # largest angle-sum defect a packing may leave, in radians
+# largest angle-sum defect a packing may leave, in radians.  A defect d
+# left in the radii returns as layout mismatch (side error over the
+# smaller circle) of up to about 3,400 d, which the gate's residual
+# tracks to within 1.3x: with 1e-10, medial 540 stopped at d = 5e-11,
+# mismatch 1.7e-7, residual 1.8e-7.  Newton passes 1e-12 to d ≤ 1e-14,
+# and the layout's rounding sets the residual
+_DEFECT_TOL = 1e-12
 # far above the 4-10 steps the packings of the fixtures and scaled inputs
 # take, and above the 24 steps in which a packing with no solution (the
 # primal-dual packing of g18, which is not 3-connected) meets the defect
@@ -54,8 +60,8 @@ class PackingError(RuntimeError):
 class CirclePacking:
     """A laid-out packing: one circle per triangulation vertex.
 
-    ``tangency`` holds, for every edge with overlap angle 0, the point
-    where its two circles touch.
+    ``tangency`` holds, for every edge of a tangent packing
+    (pack_and_layout), the point where its two circles touch.
     """
 
     circles: dict[str, Circle]
@@ -77,12 +83,6 @@ class PrimalDualPacking:
 
 def edge_length(r1: float, r2: float, cos_overlap: float) -> float:
     return math.sqrt(r1 * r1 + r2 * r2 + 2 * r1 * r2 * cos_overlap)
-
-
-def _angle(lv_u: float, lv_w: float, l_uw: float) -> float:
-    """Triangle angle at the vertex whose adjacent sides are lv_u, lv_w."""
-    c = (lv_u * lv_u + lv_w * lv_w - l_uw * l_uw) / (2 * lv_u * lv_w)
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def _side_length(g: PlanarGraph, overlap: dict | None):
@@ -158,7 +158,10 @@ def pack_triangulation(
                 f"packing did not converge within {step} Newton steps (defect {worst:.3e})"
             )
         step += 1
-        d = _solve_laplacian(pairs, weight, theta, rtol=min(0.1, math.sqrt(norm)))
+        # solve no finer than the stop needs: the floor binds on the last
+        # step alone, which lands the defect near 0.01 * _DEFECT_TOL
+        rtol = min(0.1, max(math.sqrt(norm), 0.01 * _DEFECT_TOL / worst))
+        d = _solve_laplacian(pairs, weight, theta, rtol=rtol)
         t = 1.0
         for _ in range(60):
             try:  # a step may overflow a radius or flatten a triangle
@@ -183,12 +186,10 @@ def _angle_system(radii, tris, kites, n, n_pairs):
     b)/d(log r_a) = w_ab ≥ 0, and the angles do not change when all three
     radii are scaled together.
 
-    A triangle of three tangent circles has an incircle of radius rho =
-    sqrt(r_a r_b r_c / (r_a + r_b + r_c)) through its tangency points, so
-    its angle at a is 2 atan(rho / r_a) and w_ab = rho / (r_a + r_b)
-    (Collins and Stephenson, A circle packing algorithm, 2003).
-    ``kites`` lists (a, b, m, slot): m right kites on side ab, each
-    solved in closed form by right_kite.
+    A triangle of three tangent circles takes its angles from
+    triangle_angles, and w_ab = rho / (r_a + r_b) with rho its incircle
+    radius.  ``kites`` lists (a, b, m, slot): m right kites on side ab,
+    each solved in closed form by right_kite.
     """
     theta = [-2 * math.pi] * len(radii)
     weight = [0.0] * n_pairs
@@ -199,14 +200,29 @@ def _angle_system(radii, tris, kites, n, n_pairs):
         weight[s] += m * w
     for (a, b, c), (sab, sbc, sca) in tris:
         ra, rb, rc = radii[a], radii[b], radii[c]
+        angle_a, angle_b, angle_c = triangle_angles(ra, rb, rc)
+        theta[a] += angle_a
+        theta[b] += angle_b
+        theta[c] += angle_c
         rho = math.sqrt(ra * rb * rc / (ra + rb + rc))
-        theta[a] += 2 * math.atan(rho / ra)
-        theta[b] += 2 * math.atan(rho / rb)
-        theta[c] += 2 * math.atan(rho / rc)
         weight[sab] += rho / (ra + rb)
         weight[sbc] += rho / (rb + rc)
         weight[sca] += rho / (rc + ra)
     return theta[:n], weight
+
+
+def triangle_angles(r_a: float, r_b: float, r_c: float) -> tuple[float, float, float]:
+    """Angles at a, b and c of the triangle of centers of circles a, b, c.
+
+    Three tangent circles: 2 atan(rho / r_a) at a, rho = sqrt(r_a r_b r_c /
+    (r_a + r_b + r_c)) being the radius of the incircle through their
+    tangency points (Collins and Stephenson 2003).  A right kite, whose
+    point circle has radius 0: right_kite's angles (pi/2 at the point).
+    """
+    if r_a and r_b and r_c:
+        rho = math.sqrt(r_a * r_b * r_c / (r_a + r_b + r_c))
+        return 2 * math.atan(rho / r_a), 2 * math.atan(rho / r_b), 2 * math.atan(rho / r_c)
+    return tuple(right_kite(r, s + t)[0] for r, s, t in ((r_a, r_b, r_c), (r_b, r_c, r_a), (r_c, r_a, r_b)))
 
 
 def right_kite(r_a: float, r_b: float) -> tuple[float, float, float]:
@@ -269,10 +285,11 @@ def layout_centers(
     faces: its circles go on the x-axis at their prescribed distance,
     the first centered at (-r, 0).  A FIFO queue holds the darts of
     placed edges; a dart ab of a laid face (a, b, c) with c unplaced
-    puts c at its distances from a and b on that face's side, and the
-    darts of c's edges to placed circles join the queue, so every
-    circle is placed once (Collins and Stephenson, A circle packing
-    algorithm, 2003).  A vertex on no laid face is not placed.
+    puts c at its distance from a, turned from ab by the face's angle at
+    a (triangle_angles), and the darts of c's edges to placed circles
+    join the queue, so every circle is placed once (Collins and
+    Stephenson, A circle packing algorithm, 2003).  A vertex on no laid
+    face is not placed.
     """
     length = _side_length(g, overlap)
     faces = g.faces()
@@ -296,13 +313,11 @@ def layout_centers(
         c = third.get((a, b))
         if c is None or c in pos:
             continue
-        l_ac = length(radii, a, c)
-        alpha = _angle(l_ac, length(radii, a, b), length(radii, b, c))
         dab = pos[b] - pos[a]
         if not dab:  # radii too far apart for one scale of floats
             raise PackingError("layout failed: coincident centers")
-        dab /= abs(dab)
-        pos[c] = pos[a] + l_ac * dab * cmath.exp(1j * alpha)
+        alpha = triangle_angles(radii[a], radii[b], radii[c])[0]
+        pos[c] = pos[a] + length(radii, a, c) * dab / abs(dab) * cmath.exp(1j * alpha)
         for w in g.neighbors(c):
             if w in pos:
                 queue += ((c, w), (w, c))
@@ -315,12 +330,7 @@ def layout_centers(
         raise PackingError("layout failed: inconsistent edge lengths")
 
     circles = {v: Circle(pos[v], radii[v]) for v in g.vertices if v in pos and radii[v] > 0}
-    ov = overlap or {}
-    tangent = [(t, *g.endpoints(t)) for t in g.edges if ov.get(t, 0.0) == 0.0]
-    tangency = {
-        t: pos[x] + radii[x] * (pos[y] - pos[x]) / abs(pos[y] - pos[x]) for t, x, y in tangent if x in pos and y in pos
-    }
-    return CirclePacking(circles=circles, tangency=tangency, centers=pos)
+    return CirclePacking(circles=circles, centers=pos)
 
 
 def pack_and_layout(g: PlanarGraph) -> CirclePacking:
@@ -333,7 +343,12 @@ def pack_and_layout(g: PlanarGraph) -> CirclePacking:
     if len(walk) != 3:
         raise GraphError("outer face must be a triangle")
     radii = pack_triangulation(g, {d[0]: 1.0 for d in walk})
-    return layout_centers(g, radii, {0})
+    packing = layout_centers(g, radii, {0})
+    pos = packing.centers
+    for t in g.edges:
+        x, y = g.endpoints(t)
+        packing.tangency[t] = pos[x] + radii[x] * (pos[y] - pos[x]) / abs(pos[y] - pos[x])
+    return packing
 
 
 def packing_defects(g: PlanarGraph, packing: CirclePacking, overlap: dict | None = None) -> dict:
@@ -432,8 +447,9 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     hub itself.  The hub's star of flag triangles covers the same region
     as the rest of the complex, so the kite is laid out by
     layout_centers with the star's faces skipped, from the first ring
-    edge in dart order; the hub is then placed by trilateration from its
-    2 deg distances to the ring.
+    edge in dart order; the hub then goes at its distance from x in a
+    star face (x, y, hub), turned from xy by the face's angle at x, but
+    to the side of the laid faces.
     """
     kite, overlap, fname, xname = kite_triangulation(g)
     fidx = g.face_of()
@@ -453,35 +469,16 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
         raise PackingError("the hub's faces do not close into one ring")
     star = {i for i, walk in enumerate(kite.faces()) if hub in {d[0] for d in walk}}
     packing = layout_centers(kite, radii, star, overlap=overlap)
-    cos = [math.cos(overlap[t]) for t in kite.rot[hub]]
-    hub_center = _trilaterate([(packing.centers[u], edge_length(radii[hub], radii[u], c)) for u, c in zip(ring, cos)])
-    circles = packing.circles | {hub: Circle(hub_center, radii[hub])}
+    walk = kite.faces()[min(star)]
+    k = [d[0] for d in walk].index(hub)
+    x, y = walk[k - 2][0], walk[k - 1][0]  # the star's face (x, y, hub)
+    xy = packing.centers[y] - packing.centers[x]
+    side = edge_length(radii[x], radii[hub], math.cos(overlap[kite.dart_tag(walk[k])]))
+    turn = cmath.exp(-1j * triangle_angles(radii[x], radii[y], radii[hub])[0])
+    circles = packing.circles | {hub: Circle(packing.centers[x] + side * xy / abs(xy) * turn, radii[hub])}
     return PrimalDualPacking(
         vertex_circles={v: circles[v] for v in g.vertices},
         face_circles={fname[i]: circles[fname[i]] for i in fname},
         crossing={t: packing.centers[xname[t]] for t in g.edges},
         hub=hub,
     )
-
-
-def _trilaterate(constraints: list[tuple[complex, float]]) -> complex:
-    """The point at given distances from given points (least ambiguity wins).
-
-    Uses the first two constraints to get the two circle-intersection
-    candidates and the remaining ones to pick between them.
-    """
-    (p1, d1), (p2, d2) = constraints[0], constraints[1]
-    d = abs(p2 - p1)
-    if d == 0:
-        raise PackingError("degenerate trilateration base")
-    a = (d * d + d1 * d1 - d2 * d2) / (2 * d)
-    h2 = d1 * d1 - a * a
-    h = math.sqrt(max(0.0, h2))
-    u = (p2 - p1) / d
-    base = p1 + a * u
-    cands = [base + 1j * h * u, base - 1j * h * u]
-
-    def err(c: complex) -> float:
-        return max(abs(abs(c - p) - dist) for p, dist in constraints)
-
-    return min(cands, key=err)

@@ -1,10 +1,11 @@
 """Circle packing: closed-form oracles, tangency and orthogonality checks."""
 
 import math
+import sys
 
 import pytest
 
-from conftest import load_graph
+from conftest import FIXTURES, load_graph
 from lombardi import packing
 from lombardi.graph import PlanarGraph, parse
 from lombardi.packing import (
@@ -16,6 +17,9 @@ from lombardi.packing import (
     primal_dual_pack,
     right_kite,
 )
+
+sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+import family  # noqa: E402
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
 
@@ -77,17 +81,37 @@ def newton_steps(monkeypatch):
     return steps
 
 
+def law_of_cosines(lv_u: float, lv_w: float, l_uw: float) -> float:
+    """Triangle angle at the vertex whose adjacent sides are lv_u, lv_w.
+
+    An oracle independent of the packing's closed forms.
+    """
+    c = (lv_u * lv_u + lv_w * lv_w - l_uw * l_uw) / (2 * lv_u * lv_w)
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
 @pytest.fixture
 def placements(monkeypatch):
-    """Records one entry per circle the layout places (one ``_angle`` each)."""
-    calls = []
-    angle = packing._angle
+    """Records one entry per circle the layout places: one
+    ``triangle_angles`` call each inside layout_centers (Newton's calls
+    are not counted)."""
+    calls, laying = [], []
+    angles, layout = packing.triangle_angles, packing.layout_centers
 
     def counted(*args):
-        calls.append(1)
-        return angle(*args)
+        if laying:
+            calls.append(1)
+        return angles(*args)
 
-    monkeypatch.setattr(packing, "_angle", counted)
+    def counted_layout(*args, **kw):
+        laying.append(1)
+        try:
+            return layout(*args, **kw)
+        finally:
+            laying.pop()
+
+    monkeypatch.setattr(packing, "triangle_angles", counted)
+    monkeypatch.setattr(packing, "layout_centers", counted_layout)
     return calls
 
 
@@ -148,8 +172,8 @@ def test_right_kite_matches_law_of_cosines(ratio):
     r_f = ratio * r_v
     angle_v, angle_f, w = right_kite(r_v, r_f)
     hyp = math.hypot(r_v, r_f)
-    assert abs(angle_v - packing._angle(r_v, hyp, r_f)) < 1e-9
-    assert abs(angle_f - packing._angle(r_f, hyp, r_v)) < 1e-9
+    assert abs(angle_v - law_of_cosines(r_v, hyp, r_f)) < 1e-9
+    assert abs(angle_f - law_of_cosines(r_f, hyp, r_v)) < 1e-9
     # w = d(angle at v)/d(log r_f) = -d(angle at f)/d(log r_f); difference
     # the smaller angle, whose rounding error is smallest
     k, sign = (0, 1) if angle_v <= angle_f else (1, -1)
@@ -171,7 +195,7 @@ def test_tangent_triangle_matches_law_of_cosines(ratio):
     got, weight = angles(radii)
     for k in range(3):
         r, s, t = radii[k], radii[(k + 1) % 3], radii[(k + 2) % 3]
-        assert abs(got[k] - packing._angle(r + s, r + t, s + t)) < 1e-9
+        assert abs(got[k] - law_of_cosines(r + s, r + t, s + t)) < 1e-9
     # w_ab = d(angle at a)/d(log r_b) = d(angle at b)/d(log r_a)
     h = 1e-4
     for side, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
@@ -181,6 +205,53 @@ def test_tangent_triangle_matches_law_of_cosines(ratio):
             down[by] *= math.exp(-h)
             fd = (angles(up)[0][at] - angles(down)[0][at]) / (2 * h)
             assert abs(fd - weight[side]) <= 1e-6 * weight[side], (side, at)
+
+
+def assert_sides_keep_lengths(g, radii, overlap):
+    """layout_centers lays every side of ``g`` at its prescribed length,
+    to 1e-12 of the side's smaller circle above the rounding of the
+    centers' coordinates (a few units in the last place of the largest)."""
+    centers = packing.layout_centers(g, radii, {0}, overlap=overlap).centers
+    rounding = 4 * math.ulp(max(map(abs, centers.values())))
+    for t in g.edges:
+        x, y = g.endpoints(t)
+        want = edge_length(radii[x], radii[y], math.cos(overlap.get(t, 0.0)))
+        small = min(r for r in (radii[x], radii[y]) if r > 0)
+        err = abs(abs(centers[x] - centers[y]) - want)
+        assert err <= 1e-12 * small + rounding, (radii, t, err / small)
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-5, 1e-4, 1e-3, 0.1])
+def test_layout_keeps_side_lengths_beside_a_large_circle(ratio):
+    # one face laid from a seed side in the other: the large circle's
+    # angle is small, and an angle taken from the three side lengths
+    # (law of cosines) loses the small circles' digits
+    g = parse("a b c\nb c a\nc a b\n")
+    tag = {frozenset(g.endpoints(t)): t for t in g.edges}
+    for big in "abc":
+        # three tangent circles, the two small ones of different sizes
+        small = [v for v in "abc" if v != big]
+        assert_sides_keep_lengths(g, {big: 1.0, small[0]: ratio, small[1]: 1.5 * ratio}, {})
+        # a right kite: a point circle beside the large circle and a
+        # small one, which cross at pi/2
+        for point, other in (small, small[::-1]):
+            right = {tag[frozenset((big, other))]: math.pi / 2}
+            assert_sides_keep_lengths(g, {big: 1.0, point: 0.0, other: ratio}, right)
+
+
+def test_dual_packing_of_trunc540_keeps_edge_lengths():
+    # the truncated icosahedron truncated twice: its packing holds circles
+    # far apart in size, and every edge keeps its length to 1e-10 of its
+    # smaller circle
+    rot = family.rotation_of(load_graph("truncated_icosahedron"))
+    dualg, _ = parse(family.to_text(family.truncate(family.truncate(rot)))).dual()
+    p = pack_and_layout(dualg)
+    worst = 0.0
+    for t in dualg.edges:
+        cx, cy = (p.circles[v] for v in dualg.endpoints(t))
+        gap = abs(abs(cx.center - cy.center) - (cx.radius + cy.radius))
+        worst = max(worst, gap / min(cx.radius, cy.radius))
+    assert worst <= 1e-10, worst
 
 
 def test_pack_rejects_triangles_without_a_closed_form():
@@ -231,7 +302,8 @@ def test_primal_dual_orthogonality(name, newton_steps, placements):
     assert 0 < len(newton_steps) <= 12, (name, len(newton_steps))
     kite, overlap, _, xname = kite_triangulation(g)
     # the layout places every circle once but the seed edge's two and the
-    # hub, which is trilaterated; each flag kite keeps its side lengths
+    # hub, which primal_dual_pack places after the layout; each flag kite
+    # keeps its side lengths
     assert len(placements) == len(kite.vertices) - 3, name
     circles = {**pdp.vertex_circles, **pdp.face_circles}
     centers = {v: c.center for v, c in circles.items() if v != pdp.hub}
@@ -252,7 +324,7 @@ def test_primal_dual_orthogonality(name, newton_steps, placements):
         ]
         for k, v in enumerate(vs):
             if v in angle_sum:
-                angle_sum[v] += packing._angle(sides[k], sides[k - 1], sides[(k + 1) % 3])
+                angle_sum[v] += law_of_cosines(sides[k], sides[k - 1], sides[(k + 1) % 3])
     assert len(angle_sum) == len(circles) - 3
     assert max(abs(s - 2 * math.pi) for s in angle_sum.values()) < 1e-9, name
     fo = g.face_of()
