@@ -410,13 +410,6 @@ def is_three_connected(g: PlanarGraph) -> bool:
     return all(k < 2 or (k == 2 and p in along_edge) for p, k in shared.items())
 
 
-def serialize(g: PlanarGraph) -> str:
-    lines = []
-    for v in g.vertices:
-        lines.append(" ".join([v] + g.neighbors(v)))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # SPQR decomposition of 2-edge-connected cubic multigraphs
 

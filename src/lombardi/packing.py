@@ -8,7 +8,9 @@ circles at pi/2 and pins point circles at radius 0).  In log-radii the
 system is the gradient of a convex functional (Colin de Verdière 1991
 for tangencies, Bobenko-Springborn 2004 for overlap angles), so its
 Jacobian is minus a weighted Laplacian and damped Newton converges
-quadratically; each step is solved by conjugate gradients.
+quadratically.  Each step eliminates the unknowns of at most three
+neighbours exactly (star-mesh reduction) and runs conjugate gradients on
+the rest, 30 on the dual of every truncation of the truncated icosahedron.
 
 Two kinds of triangle occur, each solved in closed form by
 ``triangle_angles``, for Newton and layout alike: three mutually tangent
@@ -42,9 +44,12 @@ from .graph import GraphError, PlanarGraph
 # left in the radii returns as layout mismatch (side error over the
 # smaller circle) of up to about 3,400 d, which the gate's residual
 # tracks to within 1.3x: with 1e-10, medial 540 stopped at d = 5e-11,
-# mismatch 1.7e-7, residual 1.8e-7.  Newton passes 1e-12 to d ≤ 1e-14,
-# and the layout's rounding sets the residual
-_DEFECT_TOL = 1e-12
+# mismatch 1.7e-7, residual 1.8e-7.  A step from d lands at up to ~2 d^2,
+# anywhere below the bound: with 1e-12, trunc180's exact step from 3.4e-7
+# stopped at 2.3e-13, residual 2.2e-11 (1.1e-12 a step later).  At 1e-13
+# only steps from 3e-8 to 2e-7 stop above rounding's 2e-15; every fixture
+# and benchmark input ends at d ≤ 2.4e-15, and rounding sets the residual
+_DEFECT_TOL = 1e-13
 # far above the 4-10 steps the packings of the fixtures and scaled inputs
 # take, and above the 24 steps in which a packing with no solution (the
 # primal-dual packing of g18, which is not 3-connected) meets the defect
@@ -83,16 +88,6 @@ class PrimalDualPacking:
 
 def edge_length(r1: float, r2: float, cos_overlap: float) -> float:
     return math.sqrt(r1 * r1 + r2 * r2 + 2 * r1 * r2 * cos_overlap)
-
-
-def _side_length(g: PlanarGraph, overlap: dict | None):
-    """length(radii, u, w): the side of the triangle of centers along edge uw."""
-    ov = overlap or {}
-    cos: dict[tuple[str, str], float] = {}
-    for t in g.edges:
-        u, w = g.endpoints(t)
-        cos[(u, w)] = cos[(w, u)] = math.cos(ov.get(t, 0.0))
-    return lambda radii, u, w: edge_length(radii[u], radii[w], cos[(u, w)])
 
 
 def pack_triangulation(
@@ -145,6 +140,7 @@ def pack_triangulation(
             tris.append((vs, [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]))
     kite_sides = [(a, b, m, side(a, b)) for (a, b), m in kites.items()]
     system = (tris, kite_sides, n, len(pairs))
+    order = _elimination(pairs, n)
     radii = [boundary.get(v, 1.0) for v in names]
     theta, weight = _angle_system(radii, *system)
     norm = sum(x * x for x in theta)
@@ -161,7 +157,7 @@ def pack_triangulation(
         # solve no finer than the stop needs: the floor binds on the last
         # step alone, which lands the defect near 0.01 * _DEFECT_TOL
         rtol = min(0.1, max(math.sqrt(norm), 0.01 * _DEFECT_TOL / worst))
-        d = _solve_laplacian(pairs, weight, theta, rtol=rtol)
+        d = _solve_laplacian(pairs, order, weight, theta, rtol=rtol)
         t = 1.0
         for _ in range(60):
             try:  # a step may overflow a radius or flatten a triangle
@@ -237,42 +233,103 @@ def right_kite(r_a: float, r_b: float) -> tuple[float, float, float]:
     return math.atan2(r_b, r_a), math.atan2(r_a, r_b), r_a * r_b / (r_a * r_a + r_b * r_b)
 
 
-def _solve_laplacian(pairs, weight, b, rtol):
-    """Solve L x = b to relative residual rtol by Jacobi-preconditioned CG.
+def _elimination(pairs, n):
+    """Star-mesh elimination order for the Laplacian on the sides ``pairs``.
+
+    In FIFO order, an unknown with at most three live neighbours (the
+    pinned index n counts as one and stays) is eliminated and its
+    neighbours are joined pairwise by mesh sides (Kron reduction, Dörfler
+    and Bullo 2013).  None when no unknown qualifies, else (each pair's
+    side, the number of sides, the steps (v, its (neighbour, side)s, its
+    (mesh side, side, side)s), the sides left, the unknowns left).
+    """
+    nbr, ends = [{} for _ in range(n + 1)], []  # nbr[v]: {neighbour: side}
+
+    def link(a, c):
+        if c not in nbr[a]:
+            nbr[a][c] = nbr[c][a] = len(ends)
+            ends.append((a, c))
+        return nbr[a][c]
+
+    slot = [link(i, j) for i, j in pairs]
+    if all(len(nbr[v]) > 3 for v in range(n)):
+        return None
+    steps, queue = [], deque(range(n))
+    while queue:
+        v = queue.popleft()
+        if nbr[v] is None or len(nbr[v]) > 3:
+            continue
+        star = sorted(nbr[v].items())
+        for a, _ in star:
+            del nbr[a][v]
+        queue.extend(a for a, _ in star if a < n)
+        steps.append((v, star, [(link(a, c), va, vc) for k, (a, va) in enumerate(star) for c, vc in star[k + 1 :]]))
+        nbr[v] = None
+    keep = [v for v in range(n) if nbr[v] is not None]
+    index = {v: k for k, v in enumerate(keep + [n])}
+    rest = [(index[i], index[j], e) for e, (i, j) in enumerate(ends) if i in index and j in index]
+    return slot, len(ends), steps, rest, keep
+
+
+def _solve_laplacian(pairs, order, weight, b, rtol):
+    """Solve L x = b to relative residual rtol.
 
     L is the Laplacian with weight ``weight[k]`` on the side ``pairs[k]``,
     restricted to the unknowns; index len(b) is a pinned vertex, held at 0.
+    Each step v of ``order`` (_elimination) adds w_va w_vb / W_v to side
+    ab and w_va b_v / W_v to b_a, W_v being v's weight sum: no term
+    cancels.  Jacobi-preconditioned CG solves the unknowns left, to rtol
+    of the full b (eliminated rows hold exactly), and then x_v = (b_v +
+    sum of w_va x_a) / W_v in reverse order.
     """
     n = len(b)
-    sides = [(i, j, w) for (i, j), w in zip(pairs, weight)]
-    diag = [0.0] * (n + 1)
-    for i, j, w in sides:
-        diag[i] += w
-        diag[j] += w
-    diag = diag[:n]
-    x = [0.0] * (n + 1)
-    r = list(b) + [0.0]
-    z = [ri / di for ri, di in zip(b, diag)] + [0.0]
-    p = z
+    y, keep, steps = list(b) + [0.0], range(n), []
+    if order is None:
+        sides = [(i, j, w) for (i, j), w in zip(pairs, weight)]
+    else:
+        slot, n_sides, steps, rest, keep = order
+        w = [0.0] * n_sides
+        for s, ws in zip(slot, weight):
+            w[s] += ws
+        for v, star, mesh in steps:
+            total = sum(w[s] for _, s in star)
+            for a, s in star:
+                y[a] += w[s] / total * y[v]
+            for s, sa, sc in mesh:
+                w[s] += w[sa] * w[sc] / total
+        sides = [(i, j, w[s]) for i, j, s in rest]
+    m = len(keep)
+    diag = [0.0] * (m + 1)
+    for i, j, ws in sides:
+        diag[i] += ws
+        diag[j] += ws
+    diag = diag[:m]
+    x = [0.0] * (m + 1)
+    r = [y[v] for v in keep] + [0.0]
+    p = z = [ri / di for ri, di in zip(r, diag)] + [0.0]
     rz = sum(map(operator.mul, r, z))
     stop = rtol * rtol * sum(map(operator.mul, b, b))
-    for _ in range(2 * n + 10):
-        q = [0.0] * (n + 1)
-        for i, j, w in sides:
-            f = w * (p[i] - p[j])
+    for _ in range(2 * m + 10):
+        if sum(map(operator.mul, r, r)) <= stop:
+            break
+        q = [0.0] * (m + 1)
+        for i, j, ws in sides:
+            f = ws * (p[i] - p[j])
             q[i] += f
             q[j] -= f
-        q[n] = 0.0
+        q[m] = 0.0
         alpha = rz / sum(map(operator.mul, p, q))
         x = [xi + alpha * pi for xi, pi in zip(x, p)]
         r = [ri - alpha * qi for ri, qi in zip(r, q)]
-        if sum(map(operator.mul, r, r)) <= stop:
-            break
         z = [ri / di for ri, di in zip(r, diag)] + [0.0]
         rz, rz_old = sum(map(operator.mul, r, z)), rz
-        beta = rz / rz_old
-        p = [zi + beta * pi for zi, pi in zip(z, p)]
-    return x[:n]
+        p = [zi + rz / rz_old * pi for zi, pi in zip(z, p)]
+    for v, xv in zip(keep, x):
+        y[v] = xv
+    y[n] = 0.0
+    for v, star, _ in reversed(steps):
+        y[v] = (y[v] + sum(w[s] * y[a] for a, s in star)) / sum(w[s] for _, s in star)
+    return y[:n]
 
 
 def layout_centers(
@@ -291,7 +348,15 @@ def layout_centers(
     Stephenson, A circle packing algorithm, 2003).  A vertex on no laid
     face is not placed.
     """
-    length = _side_length(g, overlap)
+    ov = overlap or {}
+    cos: dict[tuple[str, str], float] = {}
+    for t in g.edges:
+        u, w = g.endpoints(t)
+        cos[(u, w)] = cos[(w, u)] = math.cos(ov.get(t, 0.0))
+
+    def length(u, w):  # the side of the triangle of centers along edge uw
+        return edge_length(radii[u], radii[w], cos[(u, w)])
+
     faces = g.faces()
     third: dict[tuple[str, str], str] = {}  # dart ab of a laid face (a, b, c) -> c
     for i, walk in enumerate(faces):
@@ -306,7 +371,7 @@ def layout_centers(
     seed = next(d for d in g.darts() if d in skipped and d[0] in laid and g.head(d) in laid)
     u0, v0 = seed[0], g.head(seed)
     pos = {u0: complex(-radii[u0], 0.0)}
-    pos[v0] = pos[u0] + length(radii, u0, v0)
+    pos[v0] = pos[u0] + length(u0, v0)
     queue = deque([(u0, v0), (v0, u0)])
     while queue:
         a, b = queue.popleft()
@@ -317,13 +382,13 @@ def layout_centers(
         if not dab:  # radii too far apart for one scale of floats
             raise PackingError("layout failed: coincident centers")
         alpha = triangle_angles(radii[a], radii[b], radii[c])[0]
-        pos[c] = pos[a] + length(radii, a, c) * dab / abs(dab) * cmath.exp(1j * alpha)
+        pos[c] = pos[a] + length(a, c) * dab / abs(dab) * cmath.exp(1j * alpha)
         for w in g.neighbors(c):
             if w in pos:
                 queue += ((c, w), (w, c))
     scale = max(radii[v] for v in laid)
     if len(pos) < len(laid) or any(
-        abs(abs(pos[x] - pos[y]) - length(radii, x, y)) > 1e-6 * scale
+        abs(abs(pos[x] - pos[y]) - length(x, y)) > 1e-6 * scale
         for x, y in map(g.endpoints, g.edges)
         if x in pos and y in pos
     ):
@@ -349,24 +414,6 @@ def pack_and_layout(g: PlanarGraph) -> CirclePacking:
         x, y = g.endpoints(t)
         packing.tangency[t] = pos[x] + radii[x] * (pos[y] - pos[x]) / abs(pos[y] - pos[x])
     return packing
-
-
-def packing_defects(g: PlanarGraph, packing: CirclePacking, overlap: dict | None = None) -> dict:
-    """Max residuals of the laid-out packing: edge lengths and tangencies."""
-    length = _side_length(g, overlap)
-    radii = {v: packing.circles[v].radius for v in g.vertices}
-    worst_len = 0.0
-    for t in g.edges:
-        x, y = g.endpoints(t)
-        d = abs(packing.circles[x].center - packing.circles[y].center)
-        worst_len = max(worst_len, abs(d - length(radii, x, y)))
-    worst_contact = 0.0
-    for t, p in packing.tangency.items():
-        x, y = g.endpoints(t)
-        for v in (x, y):
-            c = packing.circles[v]
-            worst_contact = max(worst_contact, abs(abs(p - c.center) - c.radius))
-    return {"edge_length": worst_len, "tangency": worst_contact}
 
 
 # ---------------------------------------------------------------------------

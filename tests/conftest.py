@@ -89,6 +89,36 @@ def k4_gadgets(seed: int, k: int) -> str:
     )
 
 
+def goldberg(levels: int) -> str:
+    """A Goldberg graph as rotation-system text: the cubic dual of the
+    icosahedron with every triangle split into four ``levels`` times, so
+    20 * 4**levels vertices; its own dual has degrees 5 and 6 only."""
+    up, low = range(1, 6), range(6, 11)
+    faces = []
+    for i in range(5):
+        j = (i + 1) % 5
+        faces += [(0, up[i], up[j]), (up[i], low[i], up[j]), (up[j], low[i], low[j]), (11, low[j], low[i])]
+    n = 12
+    for _ in range(levels):
+        mid: dict = {}
+
+        def split(a, b):
+            return mid.setdefault(frozenset((a, b)), n + len(mid))
+
+        faces = [
+            t
+            for a, b, c in faces
+            for ab, bc, ca in [(split(a, b), split(b, c), split(c, a))]
+            for t in ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))
+        ]
+        n += len(mid)
+    across = {(x, y): f for f, (a, b, c) in enumerate(faces) for x, y in ((a, b), (b, c), (c, a))}
+    return "".join(
+        f"f{f} " + " ".join(f"f{across[(y, x)]}" for x, y in ((a, b), (b, c), (c, a))) + "\n"
+        for f, (a, b, c) in enumerate(faces)
+    )
+
+
 def nested_gadgets(depth: int) -> str:
     """K4 with ``depth`` gadgets nested as deep as they go: gadget 0 on
     edge r-s and gadget i on the c-d edge of gadget i-1, so every S node

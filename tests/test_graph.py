@@ -13,11 +13,15 @@ from lombardi.graph import (
     is_three_connected,
     is_virtual,
     parse,
-    serialize,
     spqr,
 )
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
+
+
+def serialize(g: PlanarGraph) -> str:
+    """The rotation-system text ``parse`` reads: one line per vertex."""
+    return "".join(" ".join([v] + g.neighbors(v)) + "\n" for v in g.vertices)
 
 
 def test_parse_serialize_round_trip():

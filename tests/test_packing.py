@@ -1,11 +1,15 @@
 """Circle packing: closed-form oracles, tangency and orthogonality checks."""
 
+import functools
 import math
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, load_graph
+from conftest import FIXTURES, goldberg, load_graph
 from lombardi import packing
 from lombardi.graph import PlanarGraph, parse
 from lombardi.packing import (
@@ -13,7 +17,6 @@ from lombardi.packing import (
     edge_length,
     kite_triangulation,
     pack_and_layout,
-    packing_defects,
     primal_dual_pack,
     right_kite,
 )
@@ -33,6 +36,22 @@ def descartes_inner_radius(k1: float, k2: float, k3: float) -> float:
     """Curvature of the circle tangent to three mutually tangent circles."""
     k4 = k1 + k2 + k3 + 2 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
     return 1.0 / k4
+
+
+def packing_defects(g: PlanarGraph, p: packing.CirclePacking) -> dict:
+    """Largest residuals of a laid-out tangent packing: each edge's center
+    distance against r + s, and each tangency point's distance from its
+    two circles against their radii."""
+    worst_len = 0.0
+    for t in g.edges:
+        cx, cy = (p.circles[v] for v in g.endpoints(t))
+        worst_len = max(worst_len, abs(abs(cx.center - cy.center) - edge_length(cx.radius, cy.radius, 1.0)))
+    worst_contact = 0.0
+    for t, z in p.tangency.items():
+        for v in g.endpoints(t):
+            c = p.circles[v]
+            worst_contact = max(worst_contact, abs(abs(z - c.center) - c.radius))
+    return {"edge_length": worst_len, "tangency": worst_contact}
 
 
 def k4_dual_packing():
@@ -140,6 +159,140 @@ def test_dual_packing_of_cubic_fixtures(name, newton_steps, placements):
         gap = abs(cu.center - cw.center) - (cu.radius + cw.radius)
         assert abs(gap) < 1e-7 * max(1.0, cu.radius + cw.radius), (name, t)
     assert max(packing_defects(dualg, p).values()) < 1e-9, name
+
+
+class _Captured(Exception):
+    """Stops a packing at its first Newton step's linear solve."""
+
+
+def newton_system(monkeypatch, pack, g):
+    """(pairs, order, weight, b) of the first Newton step of ``pack(g)``."""
+    got = []
+
+    def capture(*args, **kw):
+        got.append(args)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(packing, "_solve_laplacian", capture)
+        with pytest.raises(_Captured):
+            pack(g)
+    return got[0]
+
+
+def laplacian_times(pairs, weight, x):
+    """L x for the Laplacian with ``weight[k]`` on side ``pairs[k]``; the
+    index len(x) is the pinned vertex, held at 0."""
+    x = list(x) + [0.0]
+    out = [0.0] * len(x)
+    for (i, j), w in zip(pairs, weight):
+        out[i] += w * (x[i] - x[j])
+        out[j] += w * (x[j] - x[i])
+    return out[:-1]
+
+
+def dense_solve(pairs, weight, b):
+    """x with L x = b, by Gaussian elimination on L stored as a dense matrix.
+
+    Pivots go in order of ascending degree, and each update runs over
+    the pivot row's nonzero columns only.
+    """
+    n = len(b)
+    a = [[0.0] * n for _ in range(n)]
+    for (i, j), w in zip(pairs, weight):
+        for u, v in ((i, j), (j, i)):
+            if u < n:
+                a[u][u] += w
+                if v < n:
+                    a[u][v] -= w
+    y, live, later = list(b), [True] * n, {}
+    for k in sorted(range(n), key=lambda v: n - a[v].count(0.0)):
+        live[k] = False
+        row = a[k]
+        later[k] = cols = [j for j in range(n) if live[j] and row[j]]
+        for i in cols:
+            f = a[i][k] / row[k]
+            for j in cols:
+                a[i][j] -= f * row[j]
+            y[i] -= f * y[k]
+    x = [0.0] * n
+    for k in reversed(later):
+        x[k] = (y[k] - sum(a[k][j] * x[j] for j in later[k])) / a[k][k]
+    return x
+
+
+def assert_solves(pairs, order, weight, b, rtol):
+    """_solve_laplacian meets rtol and agrees with Gaussian elimination."""
+    x = packing._solve_laplacian(pairs, order, weight, b, rtol=rtol)
+    r = [bi - li for bi, li in zip(b, laplacian_times(pairs, weight, x))]
+    assert math.hypot(*r) <= rtol * math.hypot(*b)
+    want = dense_solve(pairs, weight, b)
+    assert max(abs(xi - wi) for xi, wi in zip(x, want)) <= 1e-8 * max(map(abs, want))
+
+
+@functools.cache
+def trunc(times: int) -> PlanarGraph:
+    """The truncated icosahedron truncated ``times`` more times."""
+    rot = family.rotation_of(load_graph("truncated_icosahedron"))
+    for _ in range(times):
+        rot = family.truncate(rot)
+    return parse(family.to_text(rot))
+
+
+@pytest.mark.parametrize(
+    "pack, g",
+    [
+        (pack_and_layout, lambda: load_graph("tutte").dual()[0]),  # 3 of 22 unknowns eliminated
+        (primal_dual_pack, lambda: load_graph("tutte")),  # 49 of 68, adding mesh sides
+        (pack_and_layout, lambda: trunc(2).dual()[0]),  # 239 of 269
+        (pack_and_layout, lambda: parse(goldberg(1)).dual()[0]),  # none: CG on every unknown
+    ],
+    ids=["tutte-dual", "tutte-kite", "trunc540-dual", "goldberg80-dual"],
+)
+def test_solve_laplacian_matches_gaussian_elimination(monkeypatch, pack, g):
+    pairs, order, weight, b = newton_system(monkeypatch, pack, g())
+    assert_solves(pairs, order, weight, b, rtol=1e-10)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_stacked_triangulations_reduce_fully(n, seed):
+    # a vertex stacked into a triangle has three neighbours, so star-mesh
+    # elimination takes every unknown and leaves CG nothing; the outer
+    # triangle is pinned, its sides joining the pinned index to itself
+    rng = random.Random(seed)
+    faces, pairs = [(n, n, n)], [(n, n)] * 3
+    for v in range(n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+        pairs += [(v, a), (v, b), (v, c)]
+    weight = [10 ** rng.uniform(-3, 3) for _ in pairs]
+    b = [rng.uniform(-1, 1) for _ in range(n)]
+    order = packing._elimination(pairs, n)
+    assert order[4] == []  # no unknown is left to CG
+    assert_solves(pairs, order, weight, b, rtol=1e-12)
+
+
+def test_star_mesh_remainder_is_flat_in_n(monkeypatch):
+    # the duals of the truncations at 180, 540 and 1,620 vertices all leave
+    # CG the same unknowns; duals with no vertex of degree 3 or less
+    # (Goldberg's, the dodecahedron's, the truncated icosahedron's) keep
+    # every unknown and skip the elimination tables
+    left = []
+    elimination = packing._elimination
+
+    def record(pairs, n):
+        order = elimination(pairs, n)
+        left.append(None if order is None else len(order[4]))
+        return order
+
+    monkeypatch.setattr(packing, "_elimination", record)
+    monkeypatch.setattr(packing, "_MAX_NEWTON_STEPS", 0)
+    graphs = [trunc(1), trunc(2), trunc(3), parse(goldberg(2)), load_graph("dodecahedron"), trunc(0)]
+    for g in graphs:
+        with pytest.raises(PackingError, match="within 0 Newton steps"):
+            pack_and_layout(g.dual()[0])
+    assert left == [30, 30, 30, None, None, None]
 
 
 def test_pack_nonconvergence_raises(monkeypatch):
