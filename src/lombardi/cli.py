@@ -10,6 +10,7 @@ subcubic mode, not 3-connected in medial mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,8 +163,8 @@ def _artifact_paths(cfg: RunConfig) -> dict[str, Path]:
 def run(cfg: RunConfig) -> int:
     """Execute one drawing (or verification) run; returns the exit status."""
     try:
-        text = Path(cfg.input).read_text()
-    except OSError as err:
+        text = Path(cfg.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return 2
 
@@ -206,7 +207,9 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The flag parser: built by the first ``main`` call, reused and never mutated by the rest."""
     p = argparse.ArgumentParser(
         prog="lombardi",
         description="Planar Lombardi drawings of subcubic planar graphs "

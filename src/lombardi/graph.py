@@ -5,8 +5,10 @@ cyclic order of its incident edge tags.  Each edge tag appears exactly
 twice (at its two distinct endpoints); parallel edges carry distinct
 tags, self loops are not supported.  Faces are traced from the rotation
 system and Euler's formula certifies that the rotation system describes
-a sphere embedding.  A graph is not written to after construction and
-keeps its faces, components and DFS from first use: do not mutate them.
+a sphere embedding; derived graphs (dual, medial, flag kites) check
+their source, which is one exactly when they are.  A graph is not
+written to after construction and keeps its faces, components and DFS
+from first use: do not mutate them.
 
 The structure checks run in near-linear time on one iterative DFS:
 bridges and cut vertices by lowpoints, 2-edge-cut classes by
@@ -201,13 +203,13 @@ class PlanarGraph:
         faces.  Returns (dual, face_of) with face_of mapping primal darts
         to dual vertex names.
         """
+        self.check_planar()  # the dual of a sphere embedding is one too
         faces = self.faces()
         fidx = self.face_of()
         rot = {}
         for i, walk in enumerate(faces):
             rot[f"f{i}"] = [self.dart_tag(d) for d in walk]
         dualg = PlanarGraph(rot)
-        dualg.check_planar()
         face_name = {d: f"f{fidx[d]}" for d in fidx}
         return dualg, face_name
 
@@ -218,6 +220,7 @@ class PlanarGraph:
         order); returns (medial, vertex_of_edge) mapping edge tags to medial
         vertex names.
         """
+        self.check_planar()  # the medial of a sphere embedding is one too
         mname = {tag: f"m{k}" for k, tag in enumerate(self.edges)}
         faces = self.faces()
         # corner (f, i) joins edge of dart i and edge of dart i+1 in face f
@@ -239,9 +242,7 @@ class PlanarGraph:
                 corner_at[t]["out"],
                 corner_at[d]["in"],
             ]
-        med = PlanarGraph(rot)
-        med.check_planar()
-        return med, mname
+        return PlanarGraph(rot), mname
 
     # -- bridges and blocks -------------------------------------------------
 

@@ -161,13 +161,23 @@ def optimize_min_radius(
     when no circle u outside the face has f_u(Y) - g > ``_GAP_REL`` * g
     or when g does not rise, else the face plus u is the next support.
     A lone horocycle has no face, so then u is the next worst at
-    ``start``.  Returns the last face's map and its ``_min_radius``;
-    ``history`` gets that at ``start``, then the best so far per round.
+    ``start``.  The ascent steers by g alone: each subset of a support
+    is solved once per call, and ``_min_radius`` runs once, at the
+    returned map.  Returns the last face's map and its ``_min_radius``;
+    a given ``history`` gets that at ``start``, then the best so far per
+    round, scoring every round's map.
     """
     coef = [_hyperboloid_coefficients(p.circles[v]) for v in p.interior_names()]
-    best_w, obj = start, _min_radius(p, start)
-    history = [] if history is None else history
-    history.append(obj)
+    solved: dict = {}
+
+    def face_max(s: tuple):
+        if (key := frozenset(s)) not in solved:
+            solved[key] = _face_max(coef, s)
+        return solved[key]
+
+    best_w, obj = start, None if history is None else _min_radius(p, start)
+    if history is not None:
+        history.append(obj)
     y, g, face = 2 * start / (1 - abs(start) ** 2), -math.inf, ()
     while True:
         sq = math.sqrt(1 + abs(y) ** 2)
@@ -176,18 +186,18 @@ def optimize_min_radius(
         if u is None or f[u] - g <= _GAP_REL * g:
             break
         support = (*face, u)
-        faces = [
-            (r, s) for m in (1, 2, 3) for s in combinations(support, m) if (r := _face_max(coef, s))
-        ]
+        faces = [(r, s) for m in (1, 2, 3) for s in combinations(support, m) if (r := face_max(s))]
         if not faces and not face:
             face = support  # a horocycle alone: add the next circle worst at start
             continue
         (g_new, y, w), face = max(faces, key=lambda r: r[0][0], default=((g, y, best_w), face))
         if not g_new > g:
             break
-        g, best_w, obj = g_new, w, _min_radius(p, w)
-        history.append(max(history[-1], obj))
-    return disk_automorphism(best_w), obj
+        g, best_w = g_new, w
+        if history is not None:
+            obj = _min_radius(p, w)
+            history.append(max(history[-1], obj))
+    return disk_automorphism(best_w), _min_radius(p, best_w) if obj is None else obj
 
 
 def apply_to_normalized(p: NormalizedPacking, m: Mobius) -> NormalizedPacking:

@@ -432,6 +432,7 @@ def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict, dict, dict]:
 
     Returns (kite graph, overlap angles, face names, edge-point names).
     """
+    g.check_planar()  # the flag subdivision of a sphere embedding is one too
     faces = g.faces()
     fidx = g.face_of()
     fname = {i: f"f{i}" for i in range(len(faces))}
@@ -471,7 +472,6 @@ def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict, dict, dict]:
             ("fx", fidx[dw], e),
         ]
     kite = PlanarGraph(rot)
-    kite.check_planar()
     if any(len(f) != 3 for f in kite.faces()):
         raise GraphError("flag subdivision is not a triangulation")
     return kite, overlap, fname, xname

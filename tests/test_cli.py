@@ -9,8 +9,8 @@ import shutil
 import pytest
 
 from conftest import FIXTURES, load_graph
-from lombardi.cli import RunConfig, _default_outer_face, emit_svg, main, run
-from lombardi.drawing import LombardiDrawing, draw_subcubic, to_json
+from lombardi.cli import RunConfig, _build_parser, _default_outer_face, emit_svg, main, run
+from lombardi.drawing import LombardiDrawing, draw_medial, draw_subcubic, json_text, to_json
 from lombardi.geometry import Arc, Circle, arc_through, segment
 from lombardi.graph import parse
 
@@ -242,6 +242,37 @@ def test_cli_rejects_unsupported_inputs(tmp_path):
     assert main([str(dis), "--output", str(tmp_path / "c.svg")]) == 2
     # missing file
     assert main([str(tmp_path / "nope.txt")]) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify-only"]], ids=["draw", "verify-only"])
+def test_cli_undecodable_input_is_unreadable(tmp_path, capsys, extra):
+    # input is read as UTF-8 whatever the locale; bytes that do not decode
+    # are unreadable input, not a crash
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([str(bad), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read input: ")
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_cli_main_reuses_one_parser(tmp_path, capsys):
+    # in-process calls share the first call's parser, and no call's flags
+    # reach the next: each writes what drawing its input alone gives
+    inp = k4_input(tmp_path)
+    medial = [str(inp), "--mode", "medial", "--output", str(tmp_path / "medial")]
+    subcubic = [str(inp), "--format", "json", "--output", str(tmp_path / "subcubic")]
+    assert main(medial) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([str(inp), "--mode", "bogus"])
+    assert exc.value.code == 2
+    assert main(subcubic) == 0
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert _build_parser.cache_info().misses == 1
+    g = parse(inp.read_text())
+    assert (tmp_path / "medial.svg").read_text() == emit_svg(draw_medial(g))
+    want = json_text(to_json(draw_subcubic(g, outer_face=_default_outer_face(g)))) + "\n"
+    assert (tmp_path / "subcubic.json").read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.txt", "medial.svg", "subcubic.json"]
 
 
 def test_cli_one_vertex_input_draws(tmp_path):

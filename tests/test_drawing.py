@@ -38,7 +38,7 @@ from lombardi.drawing import (
 from lombardi.geometry import Arc, Circle, Line, Mobius, arc_through, inversion, segment
 from lombardi import graph
 from lombardi.graph import GraphError, PlanarGraph, is_three_connected, parse
-from lombardi.packing import primal_dual_pack
+from lombardi.packing import kite_triangulation, primal_dual_pack
 
 sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
 import family  # noqa: E402
@@ -605,6 +605,35 @@ def test_draw_subcubic_multigraph(rot):
     assert set(d.arcs) == set(g.edges)
     rep = verify(d, g)
     assert rep.passed, rep.summary()
+
+
+def k33() -> PlanarGraph:
+    """K3,3 with one rotation system.  It is cubic and 3-connected, and no
+    rotation system of it is planar: V-E+F = 2 needs 5 faces, each of at
+    least 4 of its 18 darts."""
+    a, b = ["a1", "a2", "a3"], ["b1", "b2", "b3"]
+    rot = {u: [(u, w) for w in b] for u in a}
+    rot.update({w: [(u, w) for u in reversed(a)] for w in b})
+    return PlanarGraph(rot)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        draw_subcubic,
+        draw_3connected,
+        draw_medial,
+        lambda g: g.dual(),
+        lambda g: g.medial(),
+        kite_triangulation,
+    ],
+    ids=["draw_subcubic", "draw_3connected", "draw_medial", "dual", "medial", "kite_triangulation"],
+)
+def test_a_non_planar_rotation_system_is_a_graph_error(build):
+    # graphs derived from a rotation system are planar exactly when it is,
+    # so each of these checks its source rather than what it builds
+    with pytest.raises(GraphError, match="not planar"):
+        build(k33())
 
 
 def test_draw_subcubic_raises_drawing_error_for_geometry_failures():

@@ -130,10 +130,9 @@ def test_connectivity():
     assert len(cut.connected_components()) == 4
 
 
-def test_a_cubic_draw_traverses_each_graph_once(monkeypatch, tmp_path):
-    # a graph keeps its faces, components and DFS: one CLI draw of a
-    # 3-connected cubic graph builds the input and its dual, traces and
-    # searches each once, and runs one DFS (bridges, then 2-cut classes)
+def count_traversals(monkeypatch) -> Counter:
+    """Count graphs built and the face traces, component searches and
+    DFS runs made on them from now on."""
     counts = Counter()
     for method, kept in (("faces", "_faces"), ("connected_components", "_components"), ("_dfs", "_dfs_result")):
 
@@ -149,10 +148,31 @@ def test_a_cubic_draw_traverses_each_graph_once(monkeypatch, tmp_path):
         init(self, rot)
 
     monkeypatch.setattr(PlanarGraph, "__init__", counted_init)
+    return counts
+
+
+def test_a_cubic_draw_traverses_each_graph_once(monkeypatch, tmp_path):
+    # a graph keeps its faces, components and DFS: one CLI draw of a
+    # 3-connected cubic graph builds the input and its dual, traces both
+    # (packing reads the dual's faces), searches only the input for
+    # components (the dual is planar because its source is) and runs one
+    # DFS (bridges, then 2-cut classes)
+    counts = count_traversals(monkeypatch)
     path = tmp_path / "truncated_icosahedron.txt"
     shutil.copy(FIXTURES / path.name, path)
     assert main([str(path), "--format", "both"]) == 0
-    assert counts == {"graphs": 2, "faces": 2, "connected_components": 2, "_dfs": 1}
+    assert counts == {"graphs": 2, "faces": 2, "connected_components": 1, "_dfs": 1}
+
+
+def test_a_medial_draw_checks_only_the_input_for_planarity(monkeypatch, tmp_path):
+    # the input, its flag kites and its medial graph are built; only the
+    # input is searched for components, and the medial graph's faces are
+    # never traced (the kites' are, to test that they are triangles)
+    counts = count_traversals(monkeypatch)
+    path = tmp_path / "tutte.txt"
+    shutil.copy(FIXTURES / path.name, path)
+    assert main([str(path), "--mode", "medial", "--format", "json"]) == 0
+    assert counts == {"graphs": 3, "faces": 2, "connected_components": 1, "_dfs": 1}
 
 
 def test_derived_structure_is_kept():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import load_graph
+from lombardi import mobius_opt
 from lombardi.graph import parse
 from lombardi.mobius_opt import (
     NormalizedPacking,
@@ -199,6 +200,51 @@ def test_optimizer_monotone_history_and_start_invariance():
         w0 = 0.7 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         _, obj = optimize_min_radius(norm, start=w0)
         assert abs(obj - obj0) < 1e-8
+
+
+CUBIC = ["k4", "cube", "frucht", "dodecahedron", "tutte", "truncated_icosahedron"]
+
+
+def optimizer_runs():
+    """(packing, start) pairs: each cubic fixture from the identity, and
+    K4 from the random starts of the start-invariance test above."""
+    for name in CUBIC:
+        yield normalized(load_graph(name)), 0j
+    rng = random.Random(17)
+    norm = k4_normalized()
+    for _ in range(3):
+        yield norm, 0.7 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def test_optimizer_scores_only_what_it_returns(monkeypatch):
+    # the ascent steers by the dual value alone: without a history the
+    # objective is computed once, at the returned map, and each face of a
+    # support is solved once; a history scores every round as before, and
+    # either way the map and objective are the same to the bit
+    scored, solved = [], []
+    real_min_radius, real_face_max = mobius_opt._min_radius, mobius_opt._face_max
+
+    def min_radius(p, w):
+        scored.append(w)
+        return real_min_radius(p, w)
+
+    def face_max(coef, face):
+        solved.append(frozenset(face))
+        return real_face_max(coef, face)
+
+    monkeypatch.setattr(mobius_opt, "_min_radius", min_radius)
+    monkeypatch.setattr(mobius_opt, "_face_max", face_max)
+    for norm, start in optimizer_runs():
+        scored.clear()
+        solved.clear()
+        m, obj = optimize_min_radius(norm, start=start)
+        assert scored == [-m.b]  # disk_automorphism(w) has b = -w
+        assert len(set(solved)) == len(solved)
+        scored.clear()
+        history: list = []
+        m_hist, obj_hist = optimize_min_radius(norm, start=start, history=history)
+        assert len(scored) == len(history)
+        assert repr((m_hist, obj_hist)) == repr((m, obj))  # repr keeps every bit
 
 
 def test_apply_to_normalized_keeps_outer():
