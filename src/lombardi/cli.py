@@ -4,7 +4,8 @@ Input format: one line per vertex, listing the vertex name followed by
 its neighbors in clockwise order.  Exit status 0 means a drawing was
 produced and verified; 1 means a convergence or internal failure; 2
 means the input is unsupported (unreadable, disconnected, degree > 3 in
-subcubic mode, not 3-connected in medial mode).
+subcubic mode, not 3-connected in medial mode) or an output file cannot
+be written.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from .drawing import (
     to_json,
     verify,
 )
-from .geometry import Circle, is_finite
+from .geometry import INF, Circle
 from .graph import GraphError, PlanarGraph, parse
 from .packing import PackingError
-
-_FMT = "{:.9f}"  # fixed decimal precision for reproducible artifacts
 
 
 @dataclass
@@ -56,84 +55,74 @@ class RunConfig:
             raise ValueError("angle_tol must be positive and finite")
 
 
-def _num(x: float) -> str:
-    s = _FMT.format(x)
-    return "0.000000000" if s == "-0.000000000" else s
-
-
 def _svg_bounds(d: LombardiDrawing) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-
-    def add(z: complex) -> None:
-        xs.append(z.real)
-        ys.append(-z.imag)
-
-    for z in d.positions.values():
-        add(z)
+    pts = list(d.positions.values())
     for a in d.arcs.values():
-        add(a.p)
-        add(a.q)
+        pts += (a.p, a.q)
         if isinstance(a.support, Circle):
-            for z in a.axis_extremes():
-                add(z)
-    if not xs:
+            pts += a.axis_extremes()
+    if not pts:
         return (0.0, 0.0, 1.0, 1.0)
+    xs = [z.real for z in pts]
+    ys = [-z.imag for z in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * (max(x1 - x0, y1 - y0) or 1.0)  # a lone vertex gets a unit canvas
     return (x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
 
 
-def _arc_path(a) -> str:
-    for z in (a.p, a.q, a.witness):
-        if not is_finite(z):
-            raise DrawingError("cannot emit an arc through infinity")
-    p = complex(a.p.real, -a.p.imag)
-    q = complex(a.q.real, -a.q.imag)
-    if not isinstance(a.support, Circle):
-        return f"M {_num(p.real)} {_num(p.imag)} L {_num(q.real)} {_num(q.imag)}"
-    c = complex(a.support.center.real, -a.support.center.imag)
-    w = complex(a.witness.real, -a.witness.imag)
-    r = a.support.radius
-    ap = math.atan2((p - c).imag, (p - c).real)
-    aq = math.atan2((q - c).imag, (q - c).real)
-    aw = math.atan2((w - c).imag, (w - c).real)
-    dq = (aq - ap) % (2 * math.pi)
-    dw = (aw - ap) % (2 * math.pi)
-    sweep = 1 if dw <= dq else 0
-    swept = dq if sweep else 2 * math.pi - dq
-    large = 1 if swept > math.pi else 0
-    return (
-        f"M {_num(p.real)} {_num(p.imag)} "
-        f"A {_num(r)} {_num(r)} 0 {large} {sweep} {_num(q.real)} {_num(q.imag)}"
-    )
+# SVG records, every number written with 9 decimals
+_SVG_LINE = '<path d="M %.9f %.9f L %.9f %.9f"/>'
+_SVG_ARC = '<path d="M %.9f %.9f A %.9f %.9f 0 %d %d %.9f %.9f"/>'
+_SVG_DOT = '<circle cx="%.9f" cy="%.9f" r="%.9f"/>'
 
 
 def emit_svg(d: LombardiDrawing) -> str:
-    """Deterministic SVG: one path per edge, one dot per vertex."""
+    """Deterministic SVG: one path per edge, one dot per vertex.
+
+    y points down, and a negative number that rounds to zero is written
+    as 0.000000000.
+    """
     x, y, wdt, hgt = _svg_bounds(d)
     diag = math.hypot(wdt, hgt)
-    stroke = 0.004 * diag
-    dot = 0.008 * diag
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_num(x)} {_num(y)} {_num(wdt)} {_num(hgt)}">',
-        f'<g fill="none" stroke="black" stroke-width="{_num(stroke)}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9f %.9f %.9f %.9f">' % (x, y, wdt, hgt),
+        '<g fill="none" stroke="black" stroke-width="%.9f">' % (0.004 * diag),
     ]
     for t in sorted(d.arcs, key=repr):
-        lines.append(f'<path d="{_arc_path(d.arcs[t])}"/>')
+        a = d.arcs[t]
+        p, q, w = a.p, a.q, a.witness
+        if w is INF or p - p + (q - q) + (w - w):  # 0 if all three are finite, else nan
+            raise DrawingError("cannot emit an arc through infinity")
+        p = complex(p.real, -p.imag)
+        q = complex(q.real, -q.imag)
+        if not isinstance(a.support, Circle):
+            lines.append(_SVG_LINE % (p.real, p.imag, q.real, q.imag))
+            continue
+        c = complex(a.support.center.real, -a.support.center.imag)
+        w = complex(w.real, -w.imag)
+        r = a.support.radius
+        ap = math.atan2((p - c).imag, (p - c).real)
+        aq = math.atan2((q - c).imag, (q - c).real)
+        aw = math.atan2((w - c).imag, (w - c).real)
+        dq = (aq - ap) % (2 * math.pi)
+        dw = (aw - ap) % (2 * math.pi)
+        sweep = 1 if dw <= dq else 0
+        swept = dq if sweep else 2 * math.pi - dq
+        large = 1 if swept > math.pi else 0
+        lines.append(_SVG_ARC % (p.real, p.imag, r, r, large, sweep, q.real, q.imag))
     lines.append("</g>")
     lines.append('<g fill="black" stroke="none">')
+    dot = 0.008 * diag
     for v in sorted(d.positions, key=repr):
         z = d.positions[v]
-        lines.append(
-            f'<circle cx="{_num(z.real)}" cy="{_num(-z.imag)}" r="{_num(dot)}"/>'
-        )
+        lines.append(_SVG_DOT % (z.real, -z.imag, dot))
     lines.append("</g>")
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # %.9f prints -0.000000000 for a negative number that rounds to zero
+    # and for no other, so one pass writes each such number as 0
+    return ("\n".join(lines) + "\n").replace("-0.000000000", "0.000000000")
 
 
 def _default_outer_face(g: PlanarGraph) -> int:
@@ -199,10 +188,12 @@ def run(cfg: RunConfig) -> int:
 
     print(d.report.summary())  # the entry point's gate already verified d
     for kind, path in _artifact_paths(cfg).items():
-        if kind == "svg":
-            path.write_text(emit_svg(d))
-        else:
-            path.write_text(json_text(to_json(d)) + "\n")
+        text = emit_svg(d) if kind == "svg" else json_text(to_json(d)) + "\n"
+        try:
+            path.write_text(text)
+        except OSError as err:
+            print(f"error: cannot write output: {err}", file=sys.stderr)
+            return 2
         print(f"wrote {path}")
     return 0
 

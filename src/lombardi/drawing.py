@@ -1209,45 +1209,39 @@ def to_json(d: LombardiDrawing) -> dict:
     return {"vertices": verts, "edges": edges, "outer_face": d.outer_face}
 
 
-# the layout of ``json.dumps(to_json(d), indent=2)``; %r of a float is
-# the text ``json`` writes for a finite one
+# the layout of ``json.dumps(to_json(d), indent=2)``, one record per %
+# operation; %r of a float is the text ``json`` writes for a finite one
 _JSON_VERTEX = """{
       "id": %s,
       "x": %r,
       "y": %r
     }"""
 _JSON_EDGE = """{
-      "id": %s,
-      "u": %s,
-      "w": %s,
-      "support": %s,
-      "px": %r,
-      "py": %r,
-      "qx": %r,
-      "qy": %r,
-      "wx": %r,
-      "wy": %r
+      "id": %%s,
+      "u": %%s,
+      "w": %%s,
+      "support": {
+        "kind": "%s",
+        "%s": %%r,
+        "%s": %%r,
+        "%s": %%r
+      },
+      "px": %%r,
+      "py": %%r,
+      "qx": %%r,
+      "qy": %%r,
+      "wx": %%r,
+      "wy": %%r
     }"""
-_JSON_CIRCLE = """{
-        "kind": "circle",
-        "cx": %r,
-        "cy": %r,
-        "r": %r
-      }"""
-_JSON_LINE = """{
-        "kind": "line",
-        "nx": %r,
-        "ny": %r,
-        "offset": %r
-      }"""
+_JSON_CIRCLE_EDGE = _JSON_EDGE % ("circle", "cx", "cy", "r")
+_JSON_LINE_EDGE = _JSON_EDGE % ("line", "nx", "ny", "offset")
 
 
-def _finite(*xs: float) -> tuple:
-    """``xs``, once each is known to be finite (ValueError otherwise)."""
+def _check_finite(xs: tuple) -> None:
+    """ValueError for the first of ``xs`` that is not finite."""
     for x in xs:
         if not math.isfinite(x):
             raise ValueError(f"{x!r} has no JSON text")
-    return xs
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -1266,9 +1260,10 @@ def _json_value(x, indent: str) -> str:
     if type(x) is int:
         return int.__repr__(x)
     if isinstance(x, list):
-        return _json_list([_json_value(v, indent + "  ") for v in x], indent)
+        inner = indent + "  "
+        return _json_list([encode_basestring_ascii(v) if type(v) is str else _json_value(v, inner) for v in x], indent)
     if isinstance(x, float):
-        _finite(x)
+        _check_finite((x,))
         return float.__repr__(x)
     return json.dumps(x)  # bool, None and int subclasses; TypeError for the rest, as json's
 
@@ -1276,28 +1271,37 @@ def _json_value(x, indent: str) -> str:
 def json_text(obj: dict) -> str:
     """``json.dumps(obj, indent=2)`` for a dict in ``to_json``'s layout,
     except that a non-finite number raises ValueError instead of being
-    written as NaN or Infinity."""
-    verts = [
-        _JSON_VERTEX % (_json_value(v["id"], "      "), *_finite(v["x"], v["y"]))
-        for v in obj["vertices"]
-    ]
+    written as NaN or Infinity.
+
+    Each vertex and edge is one % operation; each distinct str tag is
+    encoded once.  A record's numbers are checked by one finite sum
+    (a sum that overflows is checked number by number).
+    """
+    encode = functools.cache(encode_basestring_ascii)
+
+    def tag(x) -> str:
+        return encode(x) if type(x) is str else _json_value(x, "      ")
+
+    verts = []
+    for v in obj["vertices"]:
+        i, xy = tag(v["id"]), (v["x"], v["y"])
+        if not math.isfinite(sum(xy)):
+            _check_finite(xy)
+        verts.append(_JSON_VERTEX % (i, *xy))
     edges = []
     for e in obj["edges"]:
         s = e["support"]
         if s["kind"] == "circle":
-            support = _JSON_CIRCLE % _finite(s["cx"], s["cy"], s["r"])
+            record, support = _JSON_CIRCLE_EDGE, (s["cx"], s["cy"], s["r"])
         else:
-            support = _JSON_LINE % _finite(s["nx"], s["ny"], s["offset"])
-        edges.append(
-            _JSON_EDGE
-            % (
-                _json_value(e["id"], "      "),
-                _json_value(e["u"], "      "),
-                _json_value(e["w"], "      "),
-                support,
-                *_finite(e["px"], e["py"], e["qx"], e["qy"], e["wx"], e["wy"]),
-            )
-        )
+            record, support = _JSON_LINE_EDGE, (s["nx"], s["ny"], s["offset"])
+        if not math.isfinite(sum(support)):
+            _check_finite(support)
+        tags = tag(e["id"]), tag(e["u"]), tag(e["w"])
+        ends = e["px"], e["py"], e["qx"], e["qy"], e["wx"], e["wy"]
+        if not math.isfinite(sum(ends)):
+            _check_finite(ends)
+        edges.append(record % (*tags, *support, *ends))
     return '{\n  "vertices": %s,\n  "edges": %s,\n  "outer_face": %s\n}' % (
         _json_list(verts, "  "),
         _json_list(edges, "  "),

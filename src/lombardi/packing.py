@@ -8,9 +8,11 @@ circles at pi/2 and pins point circles at radius 0).  In log-radii the
 system is the gradient of a convex functional (Colin de Verdière 1991
 for tangencies, Bobenko-Springborn 2004 for overlap angles), so its
 Jacobian is minus a weighted Laplacian and damped Newton converges
-quadratically.  Each step eliminates the unknowns of at most three
-neighbours exactly (star-mesh reduction) and runs conjugate gradients on
-the rest, 30 on the dual of every truncation of the truncated icosahedron.
+quadratically.  Each step solves its Laplacian exactly, eliminating
+every unknown in minimum-degree order (star-mesh reduction), unless that
+costs more than ``_FILL_RATIO`` mesh updates per side of the system;
+then Jacobi-preconditioned conjugate gradients solve it whole (the duals
+of Goldberg polyhedra).
 
 Two kinds of triangle occur, each solved in closed form by
 ``triangle_angles``, for Newton and layout alike: three mutually tangent
@@ -32,6 +34,7 @@ once and places its third circle (Collins and Stephenson 2003).
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 import operator
 from collections import deque
@@ -47,14 +50,26 @@ from .graph import GraphError, PlanarGraph
 # mismatch 1.7e-7, residual 1.8e-7.  A step from d lands at up to ~2 d^2,
 # anywhere below the bound: with 1e-12, trunc180's exact step from 3.4e-7
 # stopped at 2.3e-13, residual 2.2e-11 (1.1e-12 a step later).  At 1e-13
-# only steps from 3e-8 to 2e-7 stop above rounding's 2e-15; every fixture
-# and benchmark input ends at d ≤ 2.4e-15, and rounding sets the residual
+# only steps from about 3e-8 to 2.5e-7 stop above rounding's 2e-15: of the
+# fixtures and benchmark inputs, the truncated icosahedron's flag kites
+# (from 2.5e-7 to 9.9e-14, residual 6.1e-12); the rest end at d ≤ 2.4e-15,
+# and rounding sets the residual
 _DEFECT_TOL = 1e-13
 # far above the 4-10 steps the packings of the fixtures and scaled inputs
 # take, and above the 24 steps in which a packing with no solution (the
 # primal-dual packing of g18, which is not 3-connected) meets the defect
 # bound by shrinking circles to radius 3e-35, too small to lay out
 _MAX_NEWTON_STEPS = 100
+# mesh updates per side of the system that an exact solve may make.  Per
+# Newton step the elimination makes one multiply-add per update and CG
+# about two per side per iteration, so the exact solve wins while the
+# ratio is small against CG's iteration count: its linear algebra took
+# 0.78x CG's on the truncated icosahedron's dual (ratio 6.3), 0.88x on
+# goldberg(1)'s (8.9) and 1.18x on goldberg(2)'s (38).  The crossover lies
+# between; 8 stays below it because an attempt that runs over budget is
+# lost work, up to 8 updates per side (about 3 % of a 1,280-vertex
+# Goldberg draw).  Every fixture and benchmark packing needs at most 6.3
+_FILL_RATIO = 8
 
 
 class PackingError(RuntimeError):
@@ -121,23 +136,25 @@ def pack_triangulation(
     # instead counted on that side in ``kites``
     tris = []
     kites: dict[tuple[int, int], int] = {}  # side (a, b), a < b -> its right kites
+    tangent = not ov and 0.0 not in boundary.values()  # no overlap, no point circle
     for walk in g.faces():
         vs = [index[d[0]] for d in walk]
         if min(vs) >= n:
             continue
         if len(walk) != 3:
             raise PackingError("packing requires a triangulation around every interior vertex")
-        for k in range(3):
-            if boundary.get(walk[k][0]) == 0.0 and (
-                ov.get(g.dart_tag(walk[(k + 1) % 3])) == math.pi / 2
-            ):
-                ab = tuple(sorted((vs[(k + 1) % 3], vs[(k + 2) % 3])))
+        if not tangent:
+            k = next(
+                (k for k in range(3) if boundary.get(walk[k][0]) == 0.0 and ov.get(g.dart_tag(walk[k - 2])) == math.pi / 2),
+                None,
+            )
+            if k is not None:
+                ab = tuple(sorted((vs[k - 2], vs[k - 1])))
                 kites[ab] = kites.get(ab, 0) + 1
-                break
-        else:
+                continue
             if any(ov.get(g.dart_tag(d), 0.0) or boundary.get(d[0]) == 0.0 for d in walk):
                 raise PackingError("packing solves only tangent triangles and right kites")
-            tris.append((vs, [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]))
+        tris.append((vs, [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]))
     kite_sides = [(a, b, m, side(a, b)) for (a, b), m in kites.items()]
     system = (tris, kite_sides, n, len(pairs))
     order = _elimination(pairs, n)
@@ -154,8 +171,10 @@ def pack_triangulation(
                 f"packing did not converge within {step} Newton steps (defect {worst:.3e})"
             )
         step += 1
-        # solve no finer than the stop needs: the floor binds on the last
-        # step alone, which lands the defect near 0.01 * _DEFECT_TOL
+        # CG solves no finer than the stop needs: the floor binds on its
+        # last step alone, which lands the defect near 0.01 * _DEFECT_TOL.
+        # An exact solve ignores rtol; its step from d lands at about 2 d^2
+        # (see _DEFECT_TOL)
         rtol = min(0.1, max(math.sqrt(norm), 0.01 * _DEFECT_TOL / worst))
         d = _solve_laplacian(pairs, order, weight, theta, rtol=rtol)
         t = 1.0
@@ -236,76 +255,105 @@ def right_kite(r_a: float, r_b: float) -> tuple[float, float, float]:
 def _elimination(pairs, n):
     """Star-mesh elimination order for the Laplacian on the sides ``pairs``.
 
-    In FIFO order, an unknown with at most three live neighbours (the
-    pinned index n counts as one and stays) is eliminated and its
-    neighbours are joined pairwise by mesh sides (Kron reduction, Dörfler
-    and Bullo 2013).  None when no unknown qualifies, else (each pair's
-    side, the number of sides, the steps (v, its (neighbour, side)s, its
-    (mesh side, side, side)s), the sides left, the unknowns left).
+    Eliminating an unknown joins its live neighbours (the pinned index n
+    counts as one and stays) pairwise by mesh sides (Kron reduction,
+    Dörfler and Bullo 2013).  Every unknown goes, in minimum-degree order;
+    None as soon as that takes more than _FILL_RATIO mesh updates per side
+    of the system, and conjugate gradients then solve it whole.  Else
+    (each pair's side, the number of sides, the steps (v, its neighbours,
+    their sides, its mesh updates as flat triples side, i, j, joining its
+    i-th and j-th neighbours)).  Heap keys and mesh updates are ints, not
+    tuples, which the garbage collector does not track: as tuples, the
+    attempt that runs over budget on a 1,280-vertex Goldberg graph's dual
+    set off collections that made its draw 5 % slower.
     """
-    nbr, ends = [{} for _ in range(n + 1)], []  # nbr[v]: {neighbour: side}
-
-    def link(a, c):
-        if c not in nbr[a]:
-            nbr[a][c] = nbr[c][a] = len(ends)
-            ends.append((a, c))
-        return nbr[a][c]
-
-    slot = [link(i, j) for i, j in pairs]
-    if all(len(nbr[v]) > 3 for v in range(n)):
-        return None
-    steps, queue = [], deque(range(n))
+    nbr, ends, slot = [{} for _ in range(n + 1)], [], []  # nbr[v]: {neighbour: side}
+    for i, j in pairs:
+        s = nbr[i].get(j)
+        if s is None:
+            s = nbr[i][j] = nbr[j][i] = len(ends)
+            ends.append((i, j))
+        slot.append(s)
+    budget = _FILL_RATIO * len(ends)
+    queue = [len(nbr[v]) * (n + 1) + v for v in range(n)]  # keyed degree * (n + 1) + v
+    heapq.heapify(queue)
+    steps = []
     while queue:
-        v = queue.popleft()
-        if nbr[v] is None or len(nbr[v]) > 3:
-            continue
-        star = sorted(nbr[v].items())
-        for a, _ in star:
-            del nbr[a][v]
-        queue.extend(a for a, _ in star if a < n)
-        steps.append((v, star, [(link(a, c), va, vc) for k, (a, va) in enumerate(star) for c, vc in star[k + 1 :]]))
-        nbr[v] = None
-    keep = [v for v in range(n) if nbr[v] is not None]
-    index = {v: k for k, v in enumerate(keep + [n])}
-    rest = [(index[i], index[j], e) for e, (i, j) in enumerate(ends) if i in index and j in index]
-    return slot, len(ends), steps, rest, keep
+        degree, v = divmod(heapq.heappop(queue), n + 1)
+        if nbr[v] is None or len(nbr[v]) != degree:
+            continue  # eliminated, or queued again at its new degree
+        star, nbr[v] = nbr[v], None
+        live = sorted(star)
+        k = len(live)
+        budget -= k * (k - 1) // 2
+        if budget < 0:
+            return None
+        mesh = []
+        for i, a in enumerate(live):
+            na = nbr[a]
+            del na[v]
+            for j in range(i + 1, k):
+                c = live[j]
+                s = na.get(c)
+                if s is None:
+                    s = na[c] = nbr[c][a] = len(ends)
+                    ends.append((a, c))
+                mesh += s, i, j
+        steps.append((v, live, [star[a] for a in live], mesh))
+        for a in live:
+            if a < n:
+                heapq.heappush(queue, len(nbr[a]) * (n + 1) + a)
+    return slot, len(ends), steps
 
 
 def _solve_laplacian(pairs, order, weight, b, rtol):
-    """Solve L x = b to relative residual rtol.
+    """Solve L x = b: exactly by ``order`` (_elimination), by CG when it is None.
 
     L is the Laplacian with weight ``weight[k]`` on the side ``pairs[k]``,
     restricted to the unknowns; index len(b) is a pinned vertex, held at 0.
-    Each step v of ``order`` (_elimination) adds w_va w_vb / W_v to side
-    ab and w_va b_v / W_v to b_a, W_v being v's weight sum: no term
-    cancels.  Jacobi-preconditioned CG solves the unknowns left, to rtol
-    of the full b (eliminated rows hold exactly), and then x_v = (b_v +
-    sum of w_va x_a) / W_v in reverse order.
+    With no order, Jacobi-preconditioned CG solves to relative residual
+    rtol.  Else each step v of ``order`` adds w_va w_vb / W_v to side ab
+    and w_va b_v / W_v to b_a, W_v being v's weight sum: no term cancels;
+    then x_v = (b_v + sum of w_va x_a) / W_v in reverse order, and rtol is
+    not used.
     """
-    n = len(b)
-    y, keep, steps = list(b) + [0.0], range(n), []
     if order is None:
-        sides = [(i, j, w) for (i, j), w in zip(pairs, weight)]
-    else:
-        slot, n_sides, steps, rest, keep = order
-        w = [0.0] * n_sides
-        for s, ws in zip(slot, weight):
-            w[s] += ws
-        for v, star, mesh in steps:
-            total = sum(w[s] for _, s in star)
-            for a, s in star:
-                y[a] += w[s] / total * y[v]
-            for s, sa, sc in mesh:
-                w[s] += w[sa] * w[sc] / total
-        sides = [(i, j, w[s]) for i, j, s in rest]
-    m = len(keep)
+        return _conjugate_gradients([(i, j, w) for (i, j), w in zip(pairs, weight)], b, rtol)
+    n = len(b)
+    slot, n_sides, steps = order
+    w = [0.0] * n_sides
+    for s, ws in zip(slot, weight):
+        w[s] += ws
+    y, stars = list(b) + [0.0], []
+    for v, live, star, mesh in steps:
+        ws = [w[s] for s in star]
+        total = sum(ws)
+        for a, wa in zip(live, ws):
+            y[a] += wa / total * y[v]
+        flat = iter(mesh)
+        for s, i, j in zip(flat, flat, flat):
+            w[s] += ws[i] * ws[j] / total
+        stars.append((ws, total))
+    y[n] = 0.0
+    for (v, live, _, _), (ws, total) in zip(reversed(steps), reversed(stars)):
+        y[v] = (y[v] + sum(map(operator.mul, ws, [y[a] for a in live]))) / total
+    return y[:n]
+
+
+def _conjugate_gradients(sides, b, rtol):
+    """x with L x = b to residual rtol |b|, by Jacobi-preconditioned CG.
+
+    L is the Laplacian with weight ws on each side (i, j, ws) of
+    ``sides``; index len(b) is the pinned vertex.
+    """
+    m = len(b)
     diag = [0.0] * (m + 1)
     for i, j, ws in sides:
         diag[i] += ws
         diag[j] += ws
     diag = diag[:m]
     x = [0.0] * (m + 1)
-    r = [y[v] for v in keep] + [0.0]
+    r = list(b) + [0.0]
     p = z = [ri / di for ri, di in zip(r, diag)] + [0.0]
     rz = sum(map(operator.mul, r, z))
     stop = rtol * rtol * sum(map(operator.mul, b, b))
@@ -324,12 +372,7 @@ def _solve_laplacian(pairs, order, weight, b, rtol):
         z = [ri / di for ri, di in zip(r, diag)] + [0.0]
         rz, rz_old = sum(map(operator.mul, r, z)), rz
         p = [zi + rz / rz_old * pi for zi, pi in zip(z, p)]
-    for v, xv in zip(keep, x):
-        y[v] = xv
-    y[n] = 0.0
-    for v, star, _ in reversed(steps):
-        y[v] = (y[v] + sum(w[s] * y[a] for a, s in star)) / sum(w[s] for _, s in star)
-    return y[:n]
+    return x[:m]
 
 
 def layout_centers(
@@ -349,10 +392,11 @@ def layout_centers(
     face is not placed.
     """
     ov = overlap or {}
+    ends = [g.endpoints(t) for t in g.edges]
+    cos_of = {phi: math.cos(phi) for phi in {0.0, *ov.values()}}
     cos: dict[tuple[str, str], float] = {}
-    for t in g.edges:
-        u, w = g.endpoints(t)
-        cos[(u, w)] = cos[(w, u)] = math.cos(ov.get(t, 0.0))
+    for t, (u, w) in zip(g.edges, ends):
+        cos[(u, w)] = cos[(w, u)] = cos_of[ov.get(t, 0.0)]
 
     def length(u, w):  # the side of the triangle of centers along edge uw
         return edge_length(radii[u], radii[w], cos[(u, w)])
@@ -389,7 +433,7 @@ def layout_centers(
     scale = max(radii[v] for v in laid)
     if len(pos) < len(laid) or any(
         abs(abs(pos[x] - pos[y]) - length(x, y)) > 1e-6 * scale
-        for x, y in map(g.endpoints, g.edges)
+        for x, y in ends
         if x in pos and y in pos
     ):
         raise PackingError("layout failed: inconsistent edge lengths")
@@ -460,11 +504,8 @@ def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict, dict, dict]:
             order.append(("fx", j, e))
             overlap[("fx", j, e)] = 0.0
         rot[fname[j]] = list(reversed(order))
-    darts_of_tag: dict = {}
-    for d in g.darts():
-        darts_of_tag.setdefault(g.dart_tag(d), []).append(d)
     for e in g.edges:
-        du, dw = darts_of_tag[e]
+        du, dw = g.darts_of(e)
         rot[xname[e]] = [
             ("vx", du[0], e),
             ("fx", fidx[du], e),
@@ -514,7 +555,8 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     ring = kite.neighbors(hub)
     if len(set(ring)) != len(ring):
         raise PackingError("the hub's faces do not close into one ring")
-    star = {i for i, walk in enumerate(kite.faces()) if hub in {d[0] for d in walk}}
+    kite_face = kite.face_of()
+    star = {kite_face[(hub, s)] for s in range(kite.degree(hub))}
     packing = layout_centers(kite, radii, star, overlap=overlap)
     walk = kite.faces()[min(star)]
     k = [d[0] for d in walk].index(hub)

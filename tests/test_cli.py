@@ -255,6 +255,18 @@ def test_cli_undecodable_input_is_unreadable(tmp_path, capsys, extra):
     assert not (tmp_path / "bad.svg").exists()
 
 
+@pytest.mark.parametrize("fmt", ["svg", "json", "both"])
+def test_cli_unwritable_output_is_reported(tmp_path, capsys, fmt):
+    # a drawing that cannot be written is an error on stderr with exit 2,
+    # after the gate's report, not a traceback
+    out = tmp_path / "no" / "such" / "dir" / "x"
+    assert main([str(FIXTURES / "k4.txt"), "--format", fmt, "--output", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out.startswith("angle residual ") and "wrote" not in printed.out
+    assert printed.err.startswith("error: cannot write output: ") and printed.err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
+
+
 def test_cli_main_reuses_one_parser(tmp_path, capsys):
     # in-process calls share the first call's parser, and no call's flags
     # reach the next: each writes what drawing its input alone gives

@@ -240,18 +240,24 @@ def trunc(times: int) -> PlanarGraph:
 
 
 @pytest.mark.parametrize(
-    "pack, g",
+    "pack, g, exact",
     [
-        (pack_and_layout, lambda: load_graph("tutte").dual()[0]),  # 3 of 22 unknowns eliminated
-        (primal_dual_pack, lambda: load_graph("tutte")),  # 49 of 68, adding mesh sides
-        (pack_and_layout, lambda: trunc(2).dual()[0]),  # 239 of 269
-        (pack_and_layout, lambda: parse(goldberg(1)).dual()[0]),  # none: CG on every unknown
+        (pack_and_layout, lambda: load_graph("tutte").dual()[0], True),  # all 22 unknowns eliminated
+        (primal_dual_pack, lambda: load_graph("tutte"), True),  # all 68, adding mesh sides
+        (pack_and_layout, lambda: trunc(2).dual()[0], True),  # all 269
+        (pack_and_layout, lambda: parse(goldberg(1)).dual()[0], False),  # over the fill budget: CG
+        (pack_and_layout, lambda: parse(goldberg(2)).dual()[0], False),  # far over it: CG
     ],
-    ids=["tutte-dual", "tutte-kite", "trunc540-dual", "goldberg80-dual"],
+    ids=["tutte-dual", "tutte-kite", "trunc540-dual", "goldberg80-dual", "goldberg320-dual"],
 )
-def test_solve_laplacian_matches_gaussian_elimination(monkeypatch, pack, g):
+def test_solve_laplacian_matches_gaussian_elimination(monkeypatch, pack, g, exact):
     pairs, order, weight, b = newton_system(monkeypatch, pack, g())
+    assert (order is not None) == exact
     assert_solves(pairs, order, weight, b, rtol=1e-10)
+    if exact:  # no CG: exact whatever rtol allows
+        x = packing._solve_laplacian(pairs, order, weight, b, rtol=0.5)
+        r = [bi - li for bi, li in zip(b, laplacian_times(pairs, weight, x))]
+        assert math.hypot(*r) <= 1e-12 * math.hypot(*b)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -269,30 +275,30 @@ def test_stacked_triangulations_reduce_fully(n, seed):
     weight = [10 ** rng.uniform(-3, 3) for _ in pairs]
     b = [rng.uniform(-1, 1) for _ in range(n)]
     order = packing._elimination(pairs, n)
-    assert order[4] == []  # no unknown is left to CG
+    assert order is not None  # no CG
     assert_solves(pairs, order, weight, b, rtol=1e-12)
 
 
 def test_star_mesh_remainder_is_flat_in_n(monkeypatch):
-    # the duals of the truncations at 180, 540 and 1,620 vertices all leave
-    # CG the same unknowns; duals with no vertex of degree 3 or less
-    # (Goldberg's, the dodecahedron's, the truncated icosahedron's) keep
-    # every unknown and skip the elimination tables
-    left = []
+    # minimum degree eliminates every unknown of the duals of the
+    # truncations at 180, 540 and 1,620 vertices, of the dodecahedron and
+    # of the truncated icosahedron, so CG has nothing left at any n;
+    # goldberg(2)'s dual runs over the fill budget and CG solves it whole
+    exact = []
     elimination = packing._elimination
 
     def record(pairs, n):
         order = elimination(pairs, n)
-        left.append(None if order is None else len(order[4]))
+        exact.append(order is not None)
         return order
 
     monkeypatch.setattr(packing, "_elimination", record)
     monkeypatch.setattr(packing, "_MAX_NEWTON_STEPS", 0)
-    graphs = [trunc(1), trunc(2), trunc(3), parse(goldberg(2)), load_graph("dodecahedron"), trunc(0)]
+    graphs = [trunc(1), trunc(2), trunc(3), load_graph("dodecahedron"), trunc(0), parse(goldberg(2))]
     for g in graphs:
         with pytest.raises(PackingError, match="within 0 Newton steps"):
             pack_and_layout(g.dual()[0])
-    assert left == [30, 30, 30, None, None, None]
+    assert exact == [True, True, True, True, True, False]
 
 
 def test_pack_nonconvergence_raises(monkeypatch):
