@@ -5,7 +5,7 @@ its neighbors in clockwise order.  Exit status 0 means a drawing was
 produced and verified; 1 means a convergence or internal failure; 2
 means the input is unsupported (unreadable, disconnected, degree > 3 in
 subcubic mode, not 3-connected in medial mode) or an output file cannot
-be written.
+be written, the input file itself among them.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import argparse
 import functools
 import json
 import math
+import os.path
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from .drawing import (
     ANGLE_TOL,
@@ -29,30 +28,26 @@ from .drawing import (
     to_json,
     verify,
 )
-from .geometry import INF, Circle
+from .geometry import INF, Circle, Record
 from .graph import GraphError, PlanarGraph, parse
 from .packing import PackingError
 
 
-@dataclass
-class RunConfig:
-    input: str
-    mode: str = "subcubic"  # subcubic | medial
-    format: str = "svg"  # svg | json | both
-    outer_face: int | None = None
-    angle_tol: float = ANGLE_TOL
-    verify_only: bool = False
-    output: str | None = None
+class RunConfig(Record):
+    __slots__ = _fields = ("input", "mode", "format", "outer_face", "angle_tol", "verify_only", "output")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("subcubic", "medial"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.format not in ("svg", "json", "both"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.mode == "medial" and self.outer_face is not None:
+    def __init__(self, input: str, mode: str = "subcubic", format: str = "svg", outer_face: int | None = None,
+                 angle_tol: float = ANGLE_TOL, verify_only: bool = False, output: str | None = None):
+        if mode not in ("subcubic", "medial"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if format not in ("svg", "json", "both"):
+            raise ValueError(f"unknown format {format!r}")
+        if mode == "medial" and outer_face is not None:
             raise ValueError("outer_face applies to subcubic mode only")
-        if not 0 < self.angle_tol < math.inf:
+        if not 0 < angle_tol < math.inf:
             raise ValueError("angle_tol must be positive and finite")
+        self.input, self.mode, self.format, self.outer_face = input, mode, format, outer_face
+        self.angle_tol, self.verify_only, self.output = angle_tol, verify_only, output
 
 
 def _svg_bounds(d: LombardiDrawing) -> tuple[float, float, float, float]:
@@ -137,22 +132,18 @@ def _default_outer_face(g: PlanarGraph) -> int:
     )
 
 
-def _artifact_paths(cfg: RunConfig) -> dict[str, Path]:
-    base = Path(cfg.output) if cfg.output else Path(cfg.input)
-    if base.suffix.lower() in (".svg", ".json", ".txt"):
-        base = base.with_suffix("")
-    out: dict[str, Path] = {}
-    if cfg.format in ("svg", "both"):
-        out["svg"] = base.with_suffix(".svg")
-    if cfg.format in ("json", "both"):
-        out["json"] = base.with_suffix(".json")
-    return out
+def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
+    root, ext = os.path.splitext(os.path.normpath(cfg.output or cfg.input))
+    base = root if ext.lower() in (".svg", ".json", ".txt") else root + ext
+    kinds = ("svg", "json") if cfg.format == "both" else (cfg.format,)
+    return {kind: f"{base}.{kind}" for kind in kinds}
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one drawing (or verification) run; returns the exit status."""
     try:
-        text = Path(cfg.input).read_text(encoding="utf-8")
+        with open(cfg.input, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return 2
@@ -166,6 +157,12 @@ def run(cfg: RunConfig) -> int:
         rep = verify(d, tol_angle=cfg.angle_tol)
         print(rep.summary())
         return 0 if rep.passed else 1
+
+    paths = _artifact_paths(cfg)
+    clash = [path for path in paths.values() if os.path.exists(path) and os.path.samefile(path, cfg.input)]
+    if clash:
+        print(f"error: cannot write output: {clash[0]} is the input file", file=sys.stderr)
+        return 2
 
     try:
         g = parse(text)
@@ -187,10 +184,11 @@ def run(cfg: RunConfig) -> int:
         return 1
 
     print(d.report.summary())  # the entry point's gate already verified d
-    for kind, path in _artifact_paths(cfg).items():
+    for kind, path in paths.items():
         text = emit_svg(d) if kind == "svg" else json_text(to_json(d)) + "\n"
         try:
-            path.write_text(text)
+            with open(path, "w") as f:
+                f.write(text)
         except OSError as err:
             print(f"error: cannot write output: {err}", file=sys.stderr)
             return 2
@@ -205,16 +203,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lombardi",
         description="Planar Lombardi drawings of subcubic planar graphs "
         "and of medial graphs of polyhedral graphs.",
+        argument_default=argparse.SUPPRESS,  # a flag left out takes RunConfig's default
     )
     p.add_argument("input", help="rotation-system text file (or drawing JSON with --verify-only)")
-    p.add_argument("--mode", choices=("subcubic", "medial"), default=RunConfig.mode)
-    p.add_argument("--format", choices=("svg", "json", "both"), default=RunConfig.format)
-    p.add_argument(
-        "--outer-face", type=int, default=RunConfig.outer_face, help="outer face index in subcubic mode (default: longest face)"
-    )
-    p.add_argument("--angle-tol", type=float, default=RunConfig.angle_tol)
+    p.add_argument("--mode", choices=("subcubic", "medial"))
+    p.add_argument("--format", choices=("svg", "json", "both"))
+    p.add_argument("--outer-face", type=int, help="outer face index in subcubic mode (default: longest face)")
+    p.add_argument("--angle-tol", type=float)
     p.add_argument("--verify-only", action="store_true", help="re-verify a drawing JSON dump")
-    p.add_argument("--output", default=RunConfig.output, help="artifact path base (default: beside the input)")
+    p.add_argument("--output", help="artifact path base (default: beside the input)")
     return p
 
 

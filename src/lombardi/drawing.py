@@ -43,7 +43,6 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .geometry import (
@@ -52,6 +51,7 @@ from .geometry import (
     Circle,
     Line,
     Mobius,
+    Record,
     arc_intersections,
     arc_through,
     inversion,
@@ -86,8 +86,7 @@ class DrawingError(RuntimeError):
 # Drawing container and verification
 
 
-@dataclass
-class LombardiDrawing:
+class LombardiDrawing(Record):
     """A set of vertex positions and one circular arc per edge.
 
     ``edges`` maps each edge tag to its (u, w) endpoint names; the arc
@@ -96,30 +95,39 @@ class LombardiDrawing:
     graph's face that the draw put outermost on request, else None.
     ``report`` is the verification report of the gate that passed the
     drawing (``draw_subcubic``, ``draw_medial``), None if it was not
-    gated; it is not serialized.
+    gated; it is not serialized, compared or shown by ``repr``.
     """
 
-    positions: dict[str, complex]
-    arcs: dict = field(default_factory=dict)
-    edges: dict = field(default_factory=dict)
-    outer_face: int | None = None
-    report: VerificationReport | None = field(default=None, compare=False, repr=False)
+    _fields = ("positions", "arcs", "edges", "outer_face")
+    __slots__ = (*_fields, "report")
+
+    def __init__(self, positions: dict[str, complex], arcs: dict | None = None, edges: dict | None = None,
+                 outer_face: int | None = None, report: VerificationReport | None = None):
+        self.positions, self.outer_face, self.report = positions, outer_face, report
+        self.arcs = {} if arcs is None else arcs
+        self.edges = {} if edges is None else edges
+
+    def __reduce__(self):
+        return LombardiDrawing, (*self._values, self.report)
 
     def degree(self, v: str) -> int:
         return sum(1 for u, w in self.edges.values() for x in (u, w) if x == v)
 
 
-@dataclass
-class VerificationReport:
-    max_angle_residual: float = 0.0
-    worst_angle_vertex: object = None
-    max_endpoint_error: float = 0.0
-    crossings: list = field(default_factory=list)
-    coincident: list = field(default_factory=list)
-    endpoint_ok: bool = True
-    angles_ok: bool = True
-    noncrossing_ok: bool = True
-    distinct_ok: bool = True
+class VerificationReport(Record):
+    __slots__ = _fields = ("max_angle_residual", "worst_angle_vertex", "max_endpoint_error", "crossings",
+                           "coincident", "endpoint_ok", "angles_ok", "noncrossing_ok", "distinct_ok")
+
+    def __init__(self, max_angle_residual: float = 0.0, worst_angle_vertex: object = None,
+                 max_endpoint_error: float = 0.0, crossings: list | None = None, coincident: list | None = None,
+                 endpoint_ok: bool = True, angles_ok: bool = True, noncrossing_ok: bool = True,
+                 distinct_ok: bool = True):
+        self.max_angle_residual, self.worst_angle_vertex, self.max_endpoint_error = (
+            max_angle_residual, worst_angle_vertex, max_endpoint_error)
+        self.crossings = [] if crossings is None else crossings
+        self.coincident = [] if coincident is None else coincident
+        self.endpoint_ok, self.angles_ok, self.noncrossing_ok, self.distinct_ok = (
+            endpoint_ok, angles_ok, noncrossing_ok, distinct_ok)
 
     @property
     def passed(self) -> bool:

@@ -16,17 +16,18 @@ cannot hold them: an image point at INF, or a support so close to the
 pole that the form's leading coefficient cancels.
 
 ``INF`` is tested by identity (``is_inf``): its class hands out one
-instance, to unpickling and copying as well.  ``Arc`` is frozen and no
-code writes to one after construction, so an arc computes its angular
-sweep once, on first use, and keeps it.
+instance, to unpickling and copying as well.  Records compare, hash,
+print and pickle the values their ``_fields`` name, as dataclasses do
+(``Record``); ``Arc`` is frozen and no code writes to one after
+construction, so an arc computes its angular sweep once, on first use,
+and keeps it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Union
+import operator
 
 
 class _PointAtInfinity:
@@ -48,7 +49,7 @@ class _PointAtInfinity:
 
 INF = _PointAtInfinity()
 
-Point = Union[complex, _PointAtInfinity]
+Point = complex | _PointAtInfinity
 
 #: default tolerance for exact geometric identities
 GEOM_TOL = 1e-10
@@ -73,16 +74,48 @@ def near(p: Point, q: Point, tol: float = GEOM_TOL) -> bool:
     return abs(p - q) <= tol
 
 
-@dataclass(frozen=True)
-class Circle:
+_set = object.__setattr__  # how a frozen record's __init__ writes its fields
+
+
+class Record:
+    """Compares, hashes, prints and pickles the values ``_fields`` names, in
+    ``__init__``'s order; ``frozen=True`` makes assignment raise AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=False):
+        cls._values = property(operator.attrgetter(*cls._fields))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+    def _frozen(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Circle(Record, frozen=True):
     """A circle with finite center and positive radius."""
 
-    center: complex
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+    def __init__(self, center: complex, radius: float):
+        if not (radius > 0):
+            raise ValueError(f"circle radius must be positive, got {radius}")
+        _set(self, "center", center)
+        _set(self, "radius", radius)
 
     def point_at(self, theta: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * theta)
@@ -102,17 +135,16 @@ class Circle:
         return abs(p - self.center) < self.radius
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record, frozen=True):
     """The line { z : Re(conj(normal) * z) == offset } with unit normal."""
 
-    normal: complex
-    offset: float
+    __slots__ = _fields = ("normal", "offset")
 
-    def __post_init__(self):
-        n = abs(self.normal)
-        if not (abs(n - 1.0) <= 1e-9):
+    def __init__(self, normal: complex, offset: float):
+        if not (abs(abs(normal) - 1.0) <= 1e-9):
             raise ValueError("line normal must be a unit vector")
+        _set(self, "normal", normal)
+        _set(self, "offset", offset)
 
     @property
     def direction(self) -> complex:
@@ -143,7 +175,7 @@ class Line:
         return self.signed_distance(p) < 0
 
 
-GeneralizedCircle = Union[Circle, Line]
+GeneralizedCircle = Circle | Line
 
 
 def line_through(p: complex, q: complex) -> Line:
@@ -204,8 +236,7 @@ def support_distance(s: GeneralizedCircle, z: complex) -> float:
 # Moebius transformations
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record, frozen=True):
     """z -> (a*w + b) / (c*w + d) where w = conj(z) if conj else z.
 
     With conj=False this is orientation preserving (a fractional linear
@@ -213,18 +244,19 @@ class Mobius:
     inversion or a line reflection).
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    conj: bool = False
+    __slots__ = _fields = ("a", "b", "c", "d", "conj")
 
-    def __post_init__(self):
+    def __init__(self, a: complex, b: complex, c: complex, d: complex, conj: bool = False):
         # relative to the rounding scale of ad - bc, so that translations
         # and scalings of any size pass
-        ad, bc = self.a * self.d, self.b * self.c
+        ad, bc = a * d, b * c
         if abs(ad - bc) <= 1e-14 * (abs(ad) + abs(bc)):
             raise ValueError("degenerate Moebius coefficients (det ~ 0)")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "conj", conj)
 
     # -- point action -------------------------------------------------
 
@@ -388,8 +420,7 @@ _TWO_PI = 2 * math.pi
 _AXES = tuple((th, complex(math.cos(th), math.sin(th))) for th in (k * math.pi / 2 for k in range(4)))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record, frozen=True):
     """A directed arc of a generalized circle from p to q.
 
     The witness is a third extended point of the support that the arc
@@ -398,19 +429,21 @@ class Arc:
     or witness), making it a ray or a two-ray complement of a segment.
     """
 
-    support: GeneralizedCircle
-    p: Point
-    q: Point
-    witness: Point
+    _fields = ("support", "p", "q", "witness")
+    __slots__ = (*_fields, "_swept")
 
-    def __post_init__(self):
-        if isinstance(self.support, Circle):
-            if is_inf(self.p) or is_inf(self.q) or is_inf(self.witness):
+    def __init__(self, support: GeneralizedCircle, p: Point, q: Point, witness: Point):
+        if isinstance(support, Circle):
+            if is_inf(p) or is_inf(q) or is_inf(witness):
                 raise ValueError("arcs of circles have finite endpoints and witness")
-        for u, v in ((self.p, self.q), (self.p, self.witness), (self.q, self.witness)):
+        for u, v in ((p, q), (p, witness), (q, witness)):
             # equal non-finite coordinates are left to verify to report
             if u == v and (is_inf(u) or cmath.isfinite(u)):
                 raise ValueError("arc endpoints and witness must be pairwise distinct")
+        _set(self, "support", support)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "witness", witness)
 
     # circle arc helpers ------------------------------------------------
 
@@ -420,7 +453,7 @@ class Arc:
         Computed on the first call and kept outside the fields, which
         ``==``, ``hash`` and ``repr`` read alone.
         """
-        swept = self.__dict__.get("_swept")
+        swept = getattr(self, "_swept", None)
         if swept is None:
             c: Circle = self.support  # type: ignore[assignment]
             tp = c.angle_of(self.p)
@@ -429,7 +462,7 @@ class Arc:
             ccw_q = (tq - tp) % _TWO_PI
             ccw_w = (tw - tp) % _TWO_PI
             swept = (tp, ccw_q, True) if ccw_w <= ccw_q else (tp, _TWO_PI - ccw_q, False)
-            object.__setattr__(self, "_swept", swept)  # frozen: bypass the field guard
+            _set(self, "_swept", swept)
         return swept
 
     def axis_extremes(self) -> list[complex]:

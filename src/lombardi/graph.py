@@ -24,7 +24,8 @@ import operator
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+
+from .geometry import Record
 
 
 Dart = tuple[str, int]  # (vertex, slot in its rotation)
@@ -415,8 +416,7 @@ def is_three_connected(g: PlanarGraph) -> bool:
 # SPQR decomposition of 2-edge-connected cubic multigraphs
 
 
-@dataclass
-class SpqrNode:
+class SpqrNode(Record):
     """A node of the nested SPQR decomposition.
 
     ``kind`` is 'S', 'P' or 'R'.  An S node's skeleton is a cycle and
@@ -425,9 +425,10 @@ class SpqrNode:
     edge; P and R nodes have no sides.
     """
 
-    kind: str
-    skeleton: PlanarGraph
-    sides: dict = field(default_factory=dict)
+    __slots__ = _fields = ("kind", "skeleton", "sides")
+
+    def __init__(self, kind: str, skeleton: PlanarGraph, sides: dict | None = None):
+        self.kind, self.skeleton, self.sides = kind, skeleton, {} if sides is None else sides
 
 
 def _two_cut_classes(g: PlanarGraph) -> list[list]:

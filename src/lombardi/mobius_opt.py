@@ -26,20 +26,19 @@ rho^2 = (eta(P_k, P_k) - h'H^-1 h) / (1 - c'H^-1 c), lambda = -H^-1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Circle, Mobius, inversion, mobius_scale_translate
+from .geometry import Circle, Mobius, Record, inversion, mobius_scale_translate
 from .packing import CirclePacking
 
 
-@dataclass
-class NormalizedPacking:
+class NormalizedPacking(Record):
     """A packing whose designated outer circle is the unit circle."""
 
-    circles: dict[str, Circle]
-    tangency: dict
-    outer: str
+    __slots__ = _fields = ("circles", "tangency", "outer")
+
+    def __init__(self, circles: dict[str, Circle], tangency: dict, outer: str):
+        self.circles, self.tangency, self.outer = circles, tangency, outer
 
     def interior_names(self):
         return [v for v in self.circles if v != self.outer]

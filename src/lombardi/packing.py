@@ -38,9 +38,7 @@ import heapq
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
-
-from .geometry import Circle
+from .geometry import Circle, Record
 from .graph import GraphError, PlanarGraph
 
 # largest angle-sum defect a packing may leave, in radians.  A defect d
@@ -76,29 +74,32 @@ class PackingError(RuntimeError):
     """The radii failed to converge or the layout is inconsistent."""
 
 
-@dataclass
-class CirclePacking:
+class CirclePacking(Record):
     """A laid-out packing: one circle per triangulation vertex.
 
     ``tangency`` holds, for every edge of a tangent packing
     (pack_and_layout), the point where its two circles touch.
     """
 
-    circles: dict[str, Circle]
-    tangency: dict = field(default_factory=dict)
-    centers: dict[str, complex] = field(default_factory=dict)
+    __slots__ = _fields = ("circles", "tangency", "centers")
+
+    def __init__(self, circles: dict[str, Circle], tangency: dict | None = None, centers: dict | None = None):
+        self.circles, self.tangency = circles, {} if tangency is None else tangency
+        self.centers = {} if centers is None else centers
 
 
-@dataclass
-class PrimalDualPacking:
+class PrimalDualPacking(Record):
     """Orthogonal primal-dual circle representation of a polyhedral graph."""
 
-    vertex_circles: dict[str, Circle]
-    face_circles: dict[str, Circle]
-    crossing: dict  # primal edge tag -> the common crossing/tangency point
-    # the puncture circle of the flat layout (a vertex or face name);
-    # its disk is the exterior of the drawn circle
-    hub: str = ""
+    __slots__ = _fields = ("vertex_circles", "face_circles", "crossing", "hub")
+
+    def __init__(self, vertex_circles: dict[str, Circle], face_circles: dict[str, Circle], crossing: dict,
+                 hub: str = ""):
+        self.vertex_circles, self.face_circles = vertex_circles, face_circles
+        self.crossing = crossing  # primal edge tag -> the common crossing/tangency point
+        # the puncture circle of the flat layout (a vertex or face name);
+        # its disk is the exterior of the drawn circle
+        self.hub = hub
 
 
 def edge_length(r1: float, r2: float, cos_overlap: float) -> float:

@@ -3,11 +3,15 @@
 import cmath
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import lombardi
 from conftest import FIXTURES, load_graph
 from lombardi.cli import RunConfig, _build_parser, _default_outer_face, emit_svg, main, run
 from lombardi.drawing import LombardiDrawing, draw_medial, draw_subcubic, json_text, to_json
@@ -161,6 +165,74 @@ def test_cli_output_flag(tmp_path):
     out = tmp_path / "custom.svg"
     assert main([str(inp), "--output", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, flags, written",
+    [
+        ("k4.final.txt", [], ["k4.final.svg", "k4.final.json"]),
+        ("k4.TXT", [], ["k4.svg", "k4.json"]),
+        ("k4", [], ["k4.svg", "k4.json"]),
+        ("k4.txt", ["--output", "out.v3"], ["out.v3.svg", "out.v3.json"]),
+        ("k4.txt", ["--output", "out.svg.json"], ["out.svg.svg", "out.svg.json"]),
+        ("k4.txt", ["--output", "sub.d/out"], ["sub.d/out.svg", "sub.d/out.json"]),
+        ("k4.txt", ["--output", "./sub.d//out.TXT"], ["sub.d/out.svg", "sub.d/out.json"]),
+        ("k4.txt", ["--output", "sub.d/"], ["sub.d.svg", "sub.d.json"]),
+    ],
+)
+def test_cli_output_names_keep_the_whole_file_name(tmp_path, monkeypatch, capsys, name, flags, written):
+    # one trailing .txt, .svg or .json is dropped, then .svg and .json appended
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub.d").mkdir()
+    shutil.copy(FIXTURES / "k4.txt", tmp_path / name)
+    assert main([name, "--format", "both", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"wrote {w}" for w in written]
+    assert all((tmp_path / w).is_file() for w in written)
+    assert len(list(tmp_path.rglob("*"))) == 2 + len(written)
+
+
+def test_cli_inputs_differing_before_the_suffix_write_different_files(tmp_path):
+    for name in ("g.a.txt", "g.b.txt"):
+        shutil.copy(FIXTURES / "k4.txt", tmp_path / name)
+    assert main([str(tmp_path / "g.a.txt"), "--format", "both"]) == 0
+    assert main([str(tmp_path / "g.b.txt"), "--mode", "medial", "--format", "both"]) == 0
+    names = ["g.a.json", "g.a.svg", "g.a.txt", "g.b.json", "g.b.svg", "g.b.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert (tmp_path / "g.a.svg").read_text() != (tmp_path / "g.b.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, flags, clash",
+    [
+        ("g.json", ["--format", "json"], "g.json"),
+        ("g.json", ["--format", "both"], "g.json"),
+        ("g.svg", [], "g.svg"),
+        ("g.txt", ["--format", "both", "--output", "alias.json"], "alias.json"),  # a link to the input
+    ],
+)
+def test_cli_never_overwrites_its_input(tmp_path, monkeypatch, capsys, name, flags, clash):
+    # a rotation system saved under an artifact's name is refused before
+    # anything is drawn or written
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURES / "k4.txt", tmp_path / name)
+    os.symlink(name, tmp_path / "alias.json")
+    before = (tmp_path / name).read_bytes()
+    assert main([name, *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write output: {clash} is the input file\n")
+    assert (tmp_path / name).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "alias.json"])
+
+
+def test_cli_import_generates_no_code():
+    # each CLI run is a fresh process: importing lombardi.cli must not load
+    # dataclasses (code generation), inspect, typing or pathlib
+    src = os.path.dirname(os.path.dirname(lombardi.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import lombardi.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'pathlib') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_cli_verify_only_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import pickle
 import sys
 
 import pytest
@@ -932,3 +933,16 @@ def test_draws_leave_the_input_graph_unchanged():
                 pass
             after = (g.rot, g.vertices, g.edges, g.faces())
             assert after == before, f"{path.stem}: {draw.__name__} changed its input"
+
+
+def test_drawing_equality_and_repr_ignore_the_report():
+    d = draw_subcubic(load_graph("k4"))
+    bare = LombardiDrawing(d.positions, d.arcs, d.edges, d.outer_face)
+    assert d.report is not None and bare.report is None
+    assert d == bare and repr(d) == repr(bare)
+    assert repr(bare) == (
+        f"LombardiDrawing(positions={d.positions!r}, arcs={d.arcs!r}, edges={d.edges!r}, outer_face={d.outer_face!r})"
+    )
+    assert d != LombardiDrawing(d.positions, d.arcs, d.edges, 0 if d.outer_face is None else None)
+    back = pickle.loads(pickle.dumps(d))  # the report travels along, as a field it is
+    assert back == d and back.report == d.report and back.report.passed

@@ -867,6 +867,56 @@ def test_arc_sweep_is_kept_outside_the_fields():
         assert math.isclose(rswept, swept[1])
 
 
+RECORDS = [
+    Circle(0.1j, 2.0),
+    Line(1j, -0.5),
+    Mobius(2 + 1j, 0.3, 0.5, 1),
+    Mobius(1, 0, 0, 1, conj=True),
+    arc_through(1 + 0j, -1 + 0j, 1j),
+    segment(0j, 1 + 1j),
+    Arc(Line(1j, 0.0), INF, 0j, 1 + 0j),
+]
+FIELDS = {
+    Circle: ("center", "radius"),
+    Line: ("normal", "offset"),
+    Mobius: ("a", "b", "c", "d", "conj"),
+    Arc: ("support", "p", "q", "witness"),
+}
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=repr)
+def test_geometry_records_are_frozen_values(rec):
+    if isinstance(rec, Arc) and isinstance(rec.support, Circle):
+        swept = rec._sweep()  # pickled with its sweep cached
+    fields = FIELDS[type(rec)]
+    twin = type(rec)(*(getattr(rec, f) for f in fields))
+    assert twin is not rec and twin == rec and hash(twin) == hash(rec) and not twin != rec
+    assert rec != Circle(5j, 7.0) and rec != fields
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is type(rec) and back == rec and hash(back) == hash(rec)
+    assert copy.deepcopy(rec) == rec and copy.copy(rec) == rec
+    if isinstance(rec, Arc) and isinstance(rec.support, Circle):
+        assert back._sweep() == swept
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert twin == rec  # the refused writes changed nothing
+
+
+def test_geometry_record_repr_is_the_dataclass_text():
+    assert repr(Circle(0.1j, 2.0)) == "Circle(center=0.1j, radius=2.0)"
+    assert repr(Line(1j, -0.5)) == "Line(normal=1j, offset=-0.5)"
+    assert repr(Mobius(2, 0.5j, 0, 1)) == "Mobius(a=2, b=0.5j, c=0, d=1, conj=False)"
+    assert repr(Arc(Line(1j, 0.0), INF, 0j, 1 + 0j)) == (
+        "Arc(support=Line(normal=1j, offset=0.0), p=INF, q=0j, witness=(1+0j))"
+    )
+    assert repr(Arc(Circle(0j, 1.0), 1 + 0j, -1 + 0j, 1j)) == (
+        "Arc(support=Circle(center=0j, radius=1.0), p=(1+0j), q=(-1+0j), witness=1j)"
+    )
+
+
 def test_inf_is_one_instance():
     assert _PointAtInfinity() is INF
     assert pickle.loads(pickle.dumps(INF)) is INF
