@@ -133,7 +133,10 @@ def _default_outer_face(g: PlanarGraph) -> int:
 
 
 def _artifact_paths(cfg: RunConfig) -> dict[str, str]:
-    root, ext = os.path.splitext(os.path.normpath(cfg.output or cfg.input))
+    name = cfg.output or cfg.input
+    if cfg.output and (cfg.output.endswith((os.sep, os.altsep or os.sep)) or os.path.isdir(cfg.output)):
+        name = os.path.join(cfg.output, os.path.basename(cfg.input))  # a directory: the input's name in it
+    root, ext = os.path.splitext(os.path.normpath(name))
     base = root if ext.lower() in (".svg", ".json", ".txt") else root + ext
     kinds = ("svg", "json") if cfg.format == "both" else (cfg.format,)
     return {kind: f"{base}.{kind}" for kind in kinds}
@@ -211,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-face", type=int, help="outer face index in subcubic mode (default: longest face)")
     p.add_argument("--angle-tol", type=float)
     p.add_argument("--verify-only", action="store_true", help="re-verify a drawing JSON dump")
-    p.add_argument("--output", help="artifact path base (default: beside the input)")
+    p.add_argument("--output", help="artifact path base, or a directory to write the input's name into "
+                   "(default: beside the input)")
     return p
 
 

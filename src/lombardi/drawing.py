@@ -14,12 +14,15 @@ return, once, at their ``angle_tol``, and keep that report on it as
 construction step (packing read-off, SPQR and bridge gluing, and stubs
 and subdivision, in place) builds its result once, without retries,
 and leaves it unverified.  A geometric ``ValueError`` inside a draw is
-re-raised as ``DrawingError``.  ``verify`` reads each arc once into a
-record that all its criteria share, and finds crossing candidates by a
-sort-and-sweep over the records' padded bounding boxes, so a
-verification costs about E log E for E arcs rather than E^2 pair
-tests; the candidate pairs, nearly all meeting only at a shared
-endpoint, are its largest share of time.
+re-raised as ``DrawingError``.  ``verify`` makes one pass over the
+arcs, which yields each arc's endpoint error, its tangent phase at both
+ends and its padded bounding box, and finds crossing candidates by a
+sort-and-sweep over the boxes, so a verification costs about E log E
+for E arcs rather than E^2 pair tests.  Nearly every candidate is two
+circle arcs through one shared endpoint z; their circles meet at most
+once more, at z's mirror image in the line of centres, which
+``verify`` takes in closed form, leaving every other pair to the
+general two-support solve.
 
 Edge tags belong to the caller: a drawing of ``g`` carries exactly
 ``g``'s tags, whatever hashable values they are, and ``draw_subcubic``
@@ -75,6 +78,7 @@ from .mobius_opt import (
 from .packing import pack_and_layout, primal_dual_pack
 
 _TWO_PI = 2.0 * math.pi
+_RIGHT, _TOP, _LEFT, _BOTTOM = (k * math.pi / 2 for k in range(4))  # the angles of Arc.axis_extremes
 ANGLE_TOL = 1e-6  # the default gate: largest angular-spacing residual, in radians
 
 
@@ -208,61 +212,71 @@ def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
     return hi - lo > tol_len
 
 
-def _arc_record(a: Arc, tol: float) -> tuple:
-    """``verify``'s record of one arc: (finite, ``_support_noise(a)``, box,
-    circle).  ``circle`` is (centre, radius, 1j or -1j as the arc runs
-    ccw or cw) for a finite circle arc, else None.  ``box`` is the padded
-    (x0, x1, y0, y1) of a finite arc, None when it is not finite or unbounded.
+def _line_box(a: Arc, tol: float) -> tuple:
+    """(finite, box) of an arc on a Line for ``verify``: box is the padded
+    (x0, x1, y0, y1) of the segment, None when the arc is not finite or
+    unbounded.
 
-    The box is the arc's endpoints, its ends on a circle (off p and q in
-    JSON input) and its support's axis extremes on it, padded to hold
-    every point the crossing test of ``verify`` can place on it: every x
-    with ``a.contains(x, tol)``, and every point where another arc on a
-    ``same_support`` overlaps it.  On a circle of radius r,
-    ``Arc.contains`` widens the radius by tol*max(r, 1) and the arc by
-    at most tol of length, ``same_support`` lets centres and radii
-    differ by 1e-9*r, and positions on the support carry rounding noise
-    of about 1e-14*(|centre| + r).  On a line, ``Arc.contains`` widens
-    the distance and the coordinate each by tol*max(1, |p|, |q|, |w|,
-    |x|), which grows with absolute position, not with the drawing; x
-    then stays within 5*tol*size of the segment (size bounds |p|, |q|,
-    |w| and the support's distance from them), and ``same_support``'s
-    1e-9 on the normal and offset moves a projection by less than
-    3e-9*size.  Rays, two-ray line arcs (also a segment whose witness is
-    not clearly inside it) and lines at tol >= 0.2, where x is not
-    bounded, give None.
+    The pad holds every point the crossing test of ``verify`` can place
+    on the arc: every x with ``a.contains(x, tol)``, and every point where
+    another arc on a ``same_support`` overlaps it.  ``Arc.contains`` widens
+    the distance and the coordinate each by tol*max(1, |p|, |q|, |w|, |x|),
+    which grows with absolute position, not with the drawing; x then stays
+    within 5*tol*size of the segment (size bounds |p|, |q|, |w| and the
+    support's distance from them), and ``same_support``'s 1e-9 on the
+    normal and offset moves a projection by less than 3e-9*size.  Rays,
+    two-ray arcs (also a segment whose witness is not clearly inside it)
+    and lines at tol >= 0.2, where x is not bounded, give None.
     """
     s, p, q, w = a.support, a.p, a.q, a.witness
-    if isinstance(s, Circle):
-        c, r = s.center, s.radius
-        noise = r * 1e-14
-        if not is_finite(p, q, w, c, r):
-            return False, noise, None, None
-        tp, sweep, ccw = a._sweep()
-        circle = (c, r, 1j if ccw else -1j)
-        ends = (tp, tp + sweep) if ccw else (tp - sweep, tp)
-        zs = [p, q, c + r * cmath.exp(1j * ends[0]), c + r * cmath.exp(1j * ends[1]), *a.axis_extremes()]
-        pad = tol * max(r, 1.0) + tol + 2e-9 * r + 1e-14 * (abs(c) + r)
-    else:
-        if not is_finite(p, q, w, s.normal, s.offset):
-            return False, 0.0, None, None
-        if tol >= 0.2:
-            return True, 0.0, None, None
-        d, f = s.direction, s.foot()
-        t1, t2 = sorted((s.coord(p), s.coord(q)))
-        tw = s.coord(w)
-        size = max(1.0, abs(p), abs(q), abs(w))
-        size += max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
-        # the other arc's frame moves the witness against the ends by at
-        # most 1e-9 * |w - end|, and must not make this a two-ray arc
-        if min(tw - t1, t2 - tw) <= 2e-9 * (abs(w - p) + abs(w - q)) + 1e-12 * size:
-            return True, 0.0, None, None
-        noise, circle, zs = 0.0, None, [p, q, f + d * t1, f + d * t2]
-        pad = (5 * tol + 3e-9 + 1e-14) * size
-    xs = [z.real for z in zs]
-    ys = [z.imag for z in zs]
+    if not is_finite(p, q, w, s.normal, s.offset):
+        return False, None
+    if tol >= 0.2:
+        return True, None
+    d, f = s.direction, s.foot()
+    t1, t2 = sorted((s.coord(p), s.coord(q)))
+    tw = s.coord(w)
+    size = max(1.0, abs(p), abs(q), abs(w))
+    size += max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
+    # the other arc's frame moves the witness against the ends by at
+    # most 1e-9 * |w - end|, and must not make this a two-ray arc
+    if min(tw - t1, t2 - tw) <= 2e-9 * (abs(w - p) + abs(w - q)) + 1e-12 * size:
+        return True, None
+    xs = [p.real, q.real, (f + d * t1).real, (f + d * t2).real]
+    ys = [p.imag, q.imag, (f + d * t1).imag, (f + d * t2).imag]
+    pad = (5 * tol + 3e-9 + 1e-14) * size
     box = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
-    return True, noise, box if is_finite(*box) else None, circle
+    return True, box if is_finite(*box) else None
+
+
+def _mirror_meeting(o1: complex, r1: float, o2: complex, r2: float, z: complex, tol: float):
+    """The point other than ``z`` where two circles through ``z`` meet:
+    ``z``'s mirror image x in their line of centres.
+
+    None where ``support_intersections(..., tol)`` need not find x beside
+    a point at ``z``: ``z`` more than ``tol`` off either circle; centres
+    within max(tol, 1e-9) of the larger radius R of each other (nearly
+    concentric, or ``same_support``), or too far apart or too near for
+    the general solve to find any point; x within 4*tol*max(R, 1) of
+    ``z``, where that solve, reading ``tol`` relative to the radius,
+    merges the two points into one; or a general solve too coarse to
+    agree.  It rounds the centres' difference at their size and takes
+    the half chord h = |x - z|/2 from r1**2 - a**2, which moves its points
+    by about 2e-16*R*(|z| + R + R**2/h)/d for centre distance d; x is
+    kept only while five times that stays below ``tol``.
+    """
+    v = z - o1
+    if not (abs(abs(v) - r1) <= tol and abs(abs(z - o2) - r2) <= tol):
+        return None
+    e = o2 - o1
+    dist, big, both = abs(e), (r1 if r1 > r2 else r2), r1 + r2
+    if dist <= (tol if tol > 1e-9 else 1e-9) * big or not abs(r1 - r2) - tol * both <= dist <= both + tol * both:
+        return None
+    x = o1 + e / e.conjugate() * v.conjugate()
+    dz = abs(x - z)
+    if dz <= 4 * tol * (big if big > 1.0 else 1.0) or 1e-15 * big * (abs(z) + big + 2 * big * big / dz) > tol * dist:
+        return None
+    return x
 
 
 def _crossing_candidates(boxes: list) -> list[tuple[int, int]]:
@@ -309,27 +323,36 @@ def verify(
     spaced at 2*pi/deg; (c) no two arcs intersect except at shared
     endpoints; (d) vertex positions are pairwise distinct.  When ``g`` is
     given, the drawing's vertex set, edge set and each edge's endpoints
-    must match it (DrawingError otherwise).
+    must match it (DrawingError otherwise).  The point tolerance is
+    ``tol_geom`` times the extent of the finite positions (at least 1).
 
-    Each arc is read once (``_arc_record``) and each vertex's finiteness
-    tested once.  From a finite circle arc's record (a) measures the ends'
-    distance to the support and (b) takes the tangents as
-    ``Arc.tangent_direction`` would; other arc-ends call that method.
+    One pass over the arcs does all per-arc work.  For a finite circle
+    arc between finite vertices it measures the four end-to-vertex
+    distances and each end's distance from the centre once, and takes
+    from them (a)'s error and the tangent phase at both ends, as
+    ``Arc.tangent_direction`` would give it.  It also builds the arc's
+    box from its ends and the axis extremes it covers, padded to hold
+    every point the crossing test can place on it.  A line arc, or an arc
+    or vertex that is not finite, leaves its tangents to
+    ``Arc.tangent_direction``.  (b) then only sorts and scans each
+    vertex's phases.
 
-    (c) tests only the pairs of arcs whose padded bounding boxes overlap,
-    found by a sort-and-sweep; an unbounded arc (a ray or
-    a two-ray line arc) or a non-finite one is tested against every arc.
-    The pad covers every slack of the pair test, so the crossings are
-    those of testing all pairs, in the same order.  A pair on two supports
-    costs one support intersection (at most two points), and the points
-    at a shared endpoint or outside either arc's box are dropped before
-    any membership test, so the many pairs that meet only there make no
-    ``Arc.contains`` call.  (d)
-    likewise compares only positions within the point tolerance of each
-    other in x and in y; that tolerance is ``tol_geom`` times the extent
-    of the finite positions.  With K candidate pairs the cost is
-    O(E log E + K log K) plus one box test per pair of arcs whose
-    x-extents overlap, instead of E^2/2 pair tests.
+    (c) tests only the pairs of arcs whose boxes overlap, found by a
+    sort-and-sweep; an unbounded arc (a ray or a two-ray line arc) or a
+    non-finite one is tested against every arc.  The pad covers every
+    slack of the pair test, so the crossings are those of testing all
+    pairs, in the same order.  Most pairs are two circle arcs with one
+    shared endpoint z, and two circles through z meet at most once more,
+    at z's mirror image x in their line of centres (``_mirror_meeting``):
+    the pair crosses when x is farther than the shared-endpoint radius
+    from z, inside both boxes, and on both arcs.  Every other pair, and
+    one that fails ``_mirror_meeting``'s conditions, goes to
+    ``arc_intersections``, which drops the points at a shared endpoint or
+    outside either box before any membership test.  (d) likewise
+    compares only positions within the point tolerance of each other in
+    x and in y.  With K candidate pairs the cost is O(E log E + K log K)
+    plus one box test per pair of arcs whose x-extents overlap, instead
+    of E^2/2 pair tests.
     """
     rep = VerificationReport()
     if set(d.arcs) != set(d.edges):
@@ -340,12 +363,13 @@ def verify(
         if set(g.edges) != set(d.arcs):
             raise DrawingError("drawing and graph have different edge sets")
         for t in g.edges:
-            if set(d.edges[t]) != set(g.endpoints(t)):
+            e, f = d.edges[t], g.endpoints(t)
+            if e != f and set(e) != set(f):
                 raise DrawingError(f"edge {t!r} joins different vertices in drawing and graph")
 
     pos = d.positions
     names = list(pos)
-    vfin = {v: is_finite(z) for v, z in pos.items()}  # read by (a), (b) and (d)
+    vfin = {v: is_finite(z) for v, z in pos.items()}  # read by (a) to (d)
     fin = [i for i, v in enumerate(names) if vfin[v]]
     scale = 1.0
     if fin:
@@ -354,81 +378,141 @@ def verify(
     tol_pt = tol_geom * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
 
-    rec = {t: _arc_record(a, tol_pt) for t, a in d.arcs.items()}  # read by (a), (b) and (c)
-    # (a) endpoint coincidence, and endpoints on the support
-    for t, (u, w) in d.edges.items():
-        a = d.arcs[t]
-        finite, noise, _, circle = rec[t]
-        if not (vfin[u] and vfin[w] and finite):
-            rep.max_endpoint_error = math.inf
-            continue
-        # the ends matched to u, w either way round; an end far from both
-        # vertices counts by its distance to the nearer
-        pu, pw, qu, qw = abs(a.p - pos[u]), abs(a.p - pos[w]), abs(a.q - pos[u]), abs(a.q - pos[w])
-        err = max(min(pu + qw, pw + qu), min(pu, pw), min(qu, qw))
-        if circle is None:
-            off = max(support_distance(a.support, a.p), support_distance(a.support, a.q))
+    # one pass over the arcs: (a)'s error, (b)'s phases and (c)'s records
+    emax = 0.0
+    phases: dict[str, list] = {v: [] for v in pos}  # per vertex, its arc-ends in arc order
+    slow = set()  # vertices with an arc-end left to Arc.tangent_direction (an Arc in phases)
+    tags, arcs = list(d.arcs), list(d.arcs.values())
+    ends = [d.edges[t] for t in tags]
+    boxes, circles, excl = [], [], []
+    for a, (u, w) in zip(arcs, ends):
+        s, p, q = a.support, a.p, a.q
+        box = circle = None
+        on_circle = isinstance(s, Circle)
+        fast = False  # whether this pass takes (b)'s phases, which needs a non-zero |p - c| and |q - c|
+        if on_circle:
+            c, r = s.center, s.radius
+            noise = r * 1e-14
+            finite = is_finite(p, q, a.witness, c, r)
+            if finite:
+                tp, sweep, ccw = a._sweep()
+                pc, qc = abs(p - c), abs(q - c)
+                dev = abs(pc - r) if abs(pc - r) > abs(qc - r) else abs(qc - r)  # of the ends from the circle
+                fast = pc != 0.0 != qc
+                x0, x1 = (p.real, q.real) if p.real < q.real else (q.real, p.real)
+                y0, y1 = (p.imag, q.imag) if p.imag < q.imag else (q.imag, p.imag)
+                # the circle's rightmost, top, leftmost and lowest points, where the arc covers them
+                lo, cx, cy = tp if ccw else tp - sweep, c.real, c.imag
+                if (_RIGHT - lo) % _TWO_PI <= sweep and cx + r > x1:
+                    x1 = cx + r
+                if (_TOP - lo) % _TWO_PI <= sweep and cy + r > y1:
+                    y1 = cy + r
+                if (_LEFT - lo) % _TWO_PI <= sweep and cx - r < x0:
+                    x0 = cx - r
+                if (_BOTTOM - lo) % _TWO_PI <= sweep and cy - r < y0:
+                    y0 = cy - r
+                # the arc's ends on its circle lie within dev of p and q;
+                # Arc.contains widens the radius by tol*max(r, 1) and the arc
+                # by at most tol of length, same_support lets centres and radii
+                # differ by 1e-9*r, and positions on the support carry rounding
+                # noise of about 1e-14*(|centre| + r)
+                pad = dev + tol_pt * (r if r > 1.0 else 1.0) + tol_pt + 2e-9 * r + 1e-14 * (abs(c) + r)
+                x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+                if -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf:
+                    box, circle = (x0, x1, y0, y1), (c, r)
         else:
-            c, r, _ = circle
-            off = max(abs(abs(a.p - c) - r), abs(abs(a.q - c) - r))
-        if off > max(tol_pt, noise):
-            err = max(err, off)
-        rep.max_endpoint_error = max(rep.max_endpoint_error, err)
-    rep.endpoint_ok = rep.max_endpoint_error <= tol_pt
+            noise = 0.0
+            finite, box = _line_box(a, tol_pt)
+        boxes.append(box)
+        circles.append(circle)
+        excl.append(noise if noise > match_tol else match_tol)  # radius around a shared endpoint
+
+        if not (finite and vfin[u] and vfin[w]):
+            emax, fast = math.inf, False
+        else:
+            # (a) the ends matched to u, w either way round; an end far from
+            # both vertices counts by its distance to the nearer
+            zu, zw = pos[u], pos[w]
+            pu, pw, qu, qw = abs(p - zu), abs(p - zw), abs(q - zu), abs(q - zw)
+            # max(min(pu + qw, pw + qu), min(pu, pw), min(qu, qw)) without the calls
+            err = pu + qw if pu + qw < pw + qu else pw + qu
+            if (pu if pu < pw else pw) > err:
+                err = pu if pu < pw else pw
+            if (qu if qu < qw else qw) > err:
+                err = qu if qu < qw else qw
+            off = dev if on_circle else max(support_distance(s, p), support_distance(s, q))
+            if off > (tol_pt if tol_pt > noise else noise) and off > err:
+                err = off
+            if err > emax:
+                emax = err
+        if fast:
+            # (b) Arc.tangent_direction's circle case: the nearer end's
+            # radius turned a quarter, reversed at q
+            turn = 1j if ccw else -1j
+            for v, dp, dq in ((u, pu, qu), (w, pw, qw)):
+                if dp <= match_tol or dq <= match_tol:
+                    tan = (p - c) / pc * turn if dp <= dq else -((q - c) / qc * turn)
+                    phases[v].append(cmath.phase(tan))
+                else:  # tangent_direction raises: the arc does not reach v
+                    phases[v].append(a)
+                    slow.add(v)
+        else:
+            phases[u].append(a)
+            phases[w].append(a)
+            slow.update((u, w))
+    rep.max_endpoint_error = emax
+    rep.endpoint_ok = emax <= tol_pt
 
     # (b) equal angular spacing at each vertex
-    incident: dict[str, list] = {v: [] for v in pos}
-    for t, (u, w) in d.edges.items():
-        incident[u].append(t)
-        incident[w].append(t)
-    for v, tags in incident.items():
-        k = len(tags)
+    worst, worst_v = 0.0, None
+    for v, dirs in phases.items():
+        k = len(dirs)
         if k < 2:
             continue
-        z, dirs = pos[v], []
-        try:
-            for t in tags:
-                a, circle = d.arcs[t], rec[t][3]
-                if circle is None or not vfin[v]:
-                    dirs.append(cmath.phase(a.tangent_direction(z, tol=match_tol)))
-                    continue
-                # Arc.tangent_direction's circle case, on the record
-                dp, dq = abs(a.p - z), abs(a.q - z)
-                if min(dp, dq) > match_tol:
-                    raise ValueError("not an arc endpoint")
-                c, _, turn = circle
-                end = a.p if dp <= dq else a.q
-                tan = (end - c) / abs(end - c) * turn
-                dirs.append(cmath.phase(tan if dp <= dq else -tan))
-        except ValueError:
-            # an arc does not even reach this vertex; that is an angle
-            # failure to report, not an internal error
-            rep.max_angle_residual = math.inf
-            rep.worst_angle_vertex = v
-            continue
+        if v in slow:
+            try:
+                z = pos[v]
+                dirs = [x if isinstance(x, float) else cmath.phase(x.tangent_direction(z, tol=match_tol)) for x in dirs]
+            except ValueError:
+                # an arc does not even reach this vertex; that is an angle
+                # failure to report, not an internal error
+                worst, worst_v = math.inf, v
+                continue
         dirs.sort()
         want = _TWO_PI / k
-        for i in range(k):
-            gap = (dirs[(i + 1) % k] - dirs[i]) % _TWO_PI
-            if abs(gap - want) > rep.max_angle_residual:
-                rep.max_angle_residual = abs(gap - want)
-                rep.worst_angle_vertex = v
-    rep.angles_ok = rep.max_angle_residual <= tol_angle
+        for here, there in zip(dirs, dirs[1:] + dirs[:1]):
+            res = abs((there - here) % _TWO_PI - want)
+            if res > worst:
+                worst, worst_v = res, v
+    rep.max_angle_residual, rep.worst_angle_vertex = worst, worst_v
+    rep.angles_ok = worst <= tol_angle
 
     # (c) no two arcs cross except at shared endpoints
-    tags = list(d.arcs)
-    arcs = [d.arcs[t] for t in tags]
-    ends = [set(d.edges[t]) for t in tags]
-    excl = [max(match_tol, rec[t][1]) for t in tags]  # radius around a shared endpoint
-    boxes = [rec[t][2] for t in tags]
     for i, j in _crossing_candidates(boxes):
         a1, a2 = arcs[i], arcs[j]
-        shared, by = [pos[v] for v in ends[i] & ends[j]], max(excl[i], excl[j])
-        pts = arc_intersections(a1, a2, tol_pt, shared, by, (boxes[i], boxes[j]))
-        if pts is None:  # one support
-            crossed = _arcs_overlap_on_support(a1, a2, match_tol)
-        else:  # a finite meeting point away from the shared endpoints
-            crossed = len(pts) > pts.count(INF)
+        by = excl[i] if excl[i] > excl[j] else excl[j]
+        x, c1, c2 = None, circles[i], circles[j]
+        if c1 is not None and c2 is not None:
+            (ui, wi), ej = ends[i], ends[j]
+            zv = (None if wi in ej else ui) if ui in ej else (wi if wi in ej else None)
+            if zv is not None and vfin[zv]:
+                z = pos[zv]
+                x = _mirror_meeting(c1[0], c1[1], c2[0], c2[1], z, tol_pt)
+        if x is not None:
+            b1, b2 = boxes[i], boxes[j]
+            crossed = (
+                abs(x - z) > by
+                and b1[0] <= x.real <= b1[1] and b1[2] <= x.imag <= b1[3]
+                and b2[0] <= x.real <= b2[1] and b2[2] <= x.imag <= b2[3]
+                and a1.contains(x, tol_pt) and a2.contains(x, tol_pt)
+            )
+        else:
+            shared = [pos[v] for v in set(ends[i]) & set(ends[j])]
+            pts = arc_intersections(a1, a2, tol_pt, shared, by, (boxes[i], boxes[j]))
+            if pts is None:  # one support
+                crossed = _arcs_overlap_on_support(a1, a2, match_tol)
+            else:  # a finite meeting point away from the shared endpoints
+                crossed = len(pts) > pts.count(INF)
         if crossed:
             rep.crossings.append((tags[i], tags[j]))
     rep.noncrossing_ok = not rep.crossings

@@ -444,6 +444,7 @@ class Arc(Record, frozen=True):
         _set(self, "p", p)
         _set(self, "q", q)
         _set(self, "witness", witness)
+        _set(self, "_swept", None)
 
     # circle arc helpers ------------------------------------------------
 
@@ -453,14 +454,12 @@ class Arc(Record, frozen=True):
         Computed on the first call and kept outside the fields, which
         ``==``, ``hash`` and ``repr`` read alone.
         """
-        swept = getattr(self, "_swept", None)
+        swept = self._swept
         if swept is None:
-            c: Circle = self.support  # type: ignore[assignment]
-            tp = c.angle_of(self.p)
-            tq = c.angle_of(self.q)
-            tw = c.angle_of(self.witness)
-            ccw_q = (tq - tp) % _TWO_PI
-            ccw_w = (tw - tp) % _TWO_PI
+            c = self.support.center
+            tp = cmath.phase(self.p - c)  # Circle.angle_of, as are tq and tw
+            ccw_q = (cmath.phase(self.q - c) - tp) % _TWO_PI
+            ccw_w = (cmath.phase(self.witness - c) - tp) % _TWO_PI
             swept = (tp, ccw_q, True) if ccw_w <= ccw_q else (tp, _TWO_PI - ccw_q, False)
             _set(self, "_swept", swept)
         return swept

@@ -177,7 +177,8 @@ def test_cli_output_flag(tmp_path):
         ("k4.txt", ["--output", "out.svg.json"], ["out.svg.svg", "out.svg.json"]),
         ("k4.txt", ["--output", "sub.d/out"], ["sub.d/out.svg", "sub.d/out.json"]),
         ("k4.txt", ["--output", "./sub.d//out.TXT"], ["sub.d/out.svg", "sub.d/out.json"]),
-        ("k4.txt", ["--output", "sub.d/"], ["sub.d.svg", "sub.d.json"]),
+        ("k4.txt", ["--output", "sub.d/"], ["sub.d/k4.svg", "sub.d/k4.json"]),
+        ("k4.final.txt", ["--output", "sub.d"], ["sub.d/k4.final.svg", "sub.d/k4.final.json"]),
     ],
 )
 def test_cli_output_names_keep_the_whole_file_name(tmp_path, monkeypatch, capsys, name, flags, written):

@@ -6,16 +6,21 @@ import cmath
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn, drawn_medial
+import lombardi.drawing as drawing
+from conftest import FIXTURES, drawn, drawn_medial, load_graph, nested_gadgets
 from lombardi.drawing import (
+    DrawingError,
     LombardiDrawing,
     _arcs_overlap_on_support,
+    _mirror_meeting,
     _support_noise,
+    draw_subcubic,
     from_json,
     to_json,
     verify,
@@ -34,6 +39,10 @@ from lombardi.geometry import (
     same_support,
     segment,
 )
+from lombardi.graph import parse
+
+sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+import family  # noqa: E402
 
 SUBCUBIC = [
     "k4", "cube", "dodecahedron", "frucht", "tutte", "truncated_icosahedron",
@@ -369,3 +378,135 @@ def test_arc_intersections_excludes_before_membership_as_a_filter_after_it(d):
                 for by in (0.0, 1e-9, max(match_tol, _support_noise(a1, a2))):
                     kept = [x for x in full if is_inf(x) or all(abs(x - z) > by for z in away)]
                     assert arc_intersections(a1, a2, tol_pt, away, by) == kept
+
+
+def _pre_gate(monkeypatch, text: str) -> LombardiDrawing:
+    """The drawing that ``draw_subcubic`` hands its gate for ``text``,
+    whether or not it passes."""
+    seen = []
+    check = drawing._check
+    monkeypatch.setattr(drawing, "_check", lambda d, g, tol: seen.append(d) or check(d, g, tol))
+    try:
+        draw_subcubic(parse(text))
+    except DrawingError:
+        pass
+    monkeypatch.undo()
+    (d,) = seen
+    return d
+
+
+def test_sweep_matches_all_pairs_on_drawings_that_cross(monkeypatch):
+    # drawings the gate refuses for crossings, most of them pairs of arcs
+    # that share an endpoint and meet once more
+    texts = {"nested-12": nested_gadgets(12)}
+    for name, copies in (("k4", 5), ("k4", 6), ("cube", 5)):
+        rot = family.necklace(family.rotation_of(load_graph(name)), copies)
+        texts[f"{name}_x{copies}"] = family.to_text(rot)
+        texts[f"{name}_x{copies}-seed1"] = family.to_text(family.relabel(rot, 1))
+    for label, text in texts.items():
+        assert assert_agrees(_pre_gate(monkeypatch, text)), label
+
+
+def _mirror_kept(a1: Arc, a2: Arc, z: complex, tol: float, by: float):
+    """What (c) of ``verify`` keeps of a pair of circle arcs through ``z``
+    by the closed form, before the boxes: None when it does not apply."""
+    s1, s2 = a1.support, a2.support
+    x = _mirror_meeting(s1.center, s1.radius, s2.center, s2.radius, z, tol)
+    if x is None:
+        return None
+    return [x] if abs(x - z) > by and a1.contains(x, tol) and a2.contains(x, tol) else []
+
+
+@st.composite
+def _arc_pairs_through_a_point(draw):
+    """(a1, a2, z, tol, by): two circle arcs with an end at z, at a point
+    tolerance and shared-endpoint radius as ``verify`` sets them for
+    drawings ``scale`` across."""
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    scale = rng.choice([1.0, 1e3, 1e9])
+    shift = rng.choice([0, 1e6 * scale])
+
+    def point():
+        return scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) + shift
+
+    z = point()
+    arcs = []
+    for _ in range(2):
+        kind = rng.choice(["through", "through", "tangent", "reaches", "flat"])
+        if kind == "flat":  # a circle far larger than the drawing
+            o = z + scale * 10.0 ** rng.randint(2, 9) * cmath.exp(1j * rng.uniform(-3, 3))
+            c = Circle(o, abs(z - o))
+            ends = [z, c.point_at(c.angle_of(z) + rng.choice([1, -1]) * scale / c.radius)]
+            arcs.append(Arc(c, *ends[:: rng.choice([1, -1])], c.point_at(c.angle_of(z) + rng.uniform(-3, 3))))
+            continue
+        if kind == "tangent" and arcs:  # a circle nearly tangent to the first at z, or nearly equal
+            o1 = arcs[0].support.center
+            turn = cmath.exp(1j * rng.choice([1e-12, 1e-9, 1e-6, 1e-3]))
+            o2 = z + (o1 - z) * rng.choice([-2.0, 0.5, 1.0, 3.0]) * turn
+            c = Circle(o2, abs(z - o2))
+            ends = [z, c.point_at(c.angle_of(z) + rng.uniform(0.1, 3))]
+            arcs.append(Arc(c, *ends[:: rng.choice([1, -1])], c.point_at(c.angle_of(z) + 0.05)))
+            continue
+        if kind == "reaches" and arcs:  # ends where the first arc's circle meets it again
+            c = arcs[0].support
+            far = c.point_at(c.angle_of(z) + rng.uniform(-3, 3))
+            ends = [z, far]
+            w = point()
+        else:
+            ends, w = [z, point()], point()
+        try:
+            a = arc_through(*ends[:: rng.choice([1, -1])], w)
+        except ValueError:
+            continue
+        if isinstance(a.support, Circle):
+            arcs.append(a)
+    if len(arcs) < 2:
+        arcs = [arc_through(z, z + scale, z + scale * (0.5 + 0.5j)), arc_through(z, z + scale * 1j, z - 0.3 * scale)]
+    tol = rng.choice([1e-12, 1e-9, 1e-7]) * scale
+    by = max(1e-6 * scale, 10 * tol, *(a.support.radius * 1e-14 for a in arcs[:2]))
+    return arcs[0], arcs[1], z, tol, by
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_arc_pairs_through_a_point())
+def test_mirror_meeting_keeps_what_arc_intersections_keeps(pair):
+    a1, a2, z, tol, by = pair
+    kept = _mirror_kept(a1, a2, z, tol, by)
+    if kept is None:
+        return
+    general = arc_intersections(a1, a2, tol, [z], by)
+    assert len(general) == len(kept)
+    size = max(a1.support.radius, a2.support.radius)
+    assert all(abs(x - y) <= 1e-6 * size for x, y in zip(kept, general))
+
+
+def test_mirror_meeting_leaves_a_collapsing_pair_to_the_general_solve():
+    # a drawing 1e9 across has a point tolerance of 1, which
+    # support_intersections reads relative to the radius: it merges the
+    # two meeting points 0 and 1500 of these circles into their midpoint
+    # 750, within the shared-endpoint radius 1000 of 0.  Unguarded, the
+    # closed form would report the crossing at 1500 that the general
+    # solve misses, so the guard must leave this pair to that solve
+    c1, c2 = Circle(750 + 5000j, abs(750 + 5000j)), Circle(750 - 3000j, abs(750 - 3000j))
+    arcs = [Arc(c, 0j, c.point_at(c.angle_of(1500) + s * 0.2), 1500 + 0j) for c, s in ((c1, 1), (c2, -1))]
+    assert _mirror_meeting(c1.center, c1.radius, c2.center, c2.radius, 0j, 1.0) is None
+    d = from_arcs(arcs, [1e9 + 0j])
+    assert verify(d).crossings == [] == assert_agrees(d)
+
+
+def test_mirror_meeting_leaves_separated_circles_to_the_general_solve():
+    # two half-unit circles 1.2e-9 apart, both within the point tolerance
+    # 1e-9 of a vertex z = 1.8e-5j: the general solve finds no meeting
+    # point, while z's mirror image -z lies on both arcs within that
+    # tolerance and 3.6e-5 from z, farther than the shared-endpoint radius
+    eps, z = 0.6e-9, 1.8e-5j
+    c1, c2 = Circle(complex(-0.5 - eps, 0), 0.5), Circle(complex(0.5 + eps, 0), 0.5)
+    arcs = [Arc(c1, z, c1.point_at(-0.5), c1.point_at(-0.1)), Arc(c2, z, c2.point_at(3.6), c2.point_at(3.2))]
+    assert _mirror_meeting(c1.center, c1.radius, c2.center, c2.radius, z, 1e-9) is None
+    assert verify(from_arcs(arcs)).crossings == [] == assert_agrees(from_arcs(arcs))
