@@ -146,48 +146,6 @@ class VerificationReport(Record):
         )
 
 
-def _interval_of(arc: Arc) -> tuple[float, float]:
-    """The ccw angular interval [a, b] covered by a circle arc."""
-    tp, sweep, ccw = arc._sweep()
-    return (tp, tp + sweep) if ccw else (tp - sweep, tp)
-
-
-def _circular_overlap(i1: tuple[float, float], i2: tuple[float, float]) -> float:
-    """Total overlap length of two angular intervals on the circle."""
-    a1, b1 = i1
-    a1 %= _TWO_PI
-    b1 = a1 + (i1[1] - i1[0])
-    a2, b2 = i2
-    a2 %= _TWO_PI
-    b2 = a2 + (i2[1] - i2[0])
-    total = 0.0
-    for shift in (-_TWO_PI, 0.0, _TWO_PI):
-        lo = max(a1, a2 + shift)
-        hi = min(b1, b2 + shift)
-        total += max(0.0, hi - lo)
-    return total
-
-
-def _line_coord_interval(arc: Arc, frame: Line | None = None) -> tuple[float, float] | None:
-    """Parametric interval of a finite segment-like line arc, else None.
-
-    Coordinates are measured in the ``frame`` line's parametrization
-    (defaulting to the arc's own support) so two arcs on the same line
-    can be compared even when their supports have opposite directions.
-    """
-    line: Line = frame if frame is not None else arc.support  # type: ignore[assignment]
-    if is_inf(arc.p) or is_inf(arc.q):
-        return None
-    t1 = line.coord(arc.p)
-    t2 = line.coord(arc.q)
-    lo, hi = min(t1, t2), max(t1, t2)
-    if not is_inf(arc.witness):
-        tw = line.coord(arc.witness)
-        if not (lo - 1e-12 <= tw <= hi + 1e-12):
-            return None  # complement (two-ray) arc: unbounded
-    return lo, hi
-
-
 def _support_noise(*arcs: Arc) -> float:
     """Absolute rounding noise of positions computed on the arcs' supports.
 
@@ -198,24 +156,30 @@ def _support_noise(*arcs: Arc) -> float:
 
 
 def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
-    """Whether two arcs on the same support share more than endpoints."""
+    """Whether two arcs on the same support share more than endpoints.
+
+    A ray or a two-ray line arc counts as overlapping.  A segment ``a2``'s
+    ends are measured on ``a1``'s support, whose direction may be the
+    opposite of its own.
+    """
     if isinstance(a1.support, Circle):
-        r = a1.support.radius
-        ov = _circular_overlap(_interval_of(a1), _interval_of(a2))
-        return ov * r > max(tol_len, _support_noise(a1, a2))
-    i1 = _line_coord_interval(a1)
-    i2 = _line_coord_interval(a2, frame=a1.support)
-    if i1 is None or i2 is None:
-        return True  # unbounded overlap candidates: treat as crossing
-    lo = max(i1[0], i2[0])
-    hi = min(i1[1], i2[1])
-    return hi - lo > tol_len
+        # each arc as the ccw angular interval [s, s + w], s in [0, 2*pi)
+        (s1, w1), (s2, w2) = (((tp if ccw else tp - w) % _TWO_PI, w) for tp, w, ccw in (a1._sweep(), a2._sweep()))
+        ov = 0.0
+        for shift in (-_TWO_PI, 0.0, _TWO_PI):
+            ov += max(0.0, min(s1 + w1, s2 + w2 + shift) - max(s1, s2 + shift))
+        return ov * a1.support.radius > max(tol_len, _support_noise(a1, a2))
+    lo, hi, kind, _ = a1._sweep()
+    if kind != "segment" or a2._sweep()[2] != "segment":
+        return True
+    t1, t2 = a1.support.coord(a2.p), a1.support.coord(a2.q)
+    return min(hi, max(t1, t2)) - max(lo, min(t1, t2)) > tol_len
 
 
 def _line_box(a: Arc, tol: float) -> tuple:
     """(finite, box) of an arc on a Line for ``verify``: box is the padded
-    (x0, x1, y0, y1) of the segment, None when the arc is not finite or
-    unbounded.
+    (x0, x1, y0, y1) of a segment, None when the arc is not finite or is
+    a ray or a two-ray arc.
 
     The pad holds every point the crossing test of ``verify`` can place
     on the arc: every x with ``a.contains(x, tol)``, and every point where
@@ -224,24 +188,17 @@ def _line_box(a: Arc, tol: float) -> tuple:
     which grows with absolute position, not with the drawing; x then stays
     within 5*tol*size of the segment (size bounds |p|, |q|, |w| and the
     support's distance from them), and ``same_support``'s 1e-9 on the
-    normal and offset moves a projection by less than 3e-9*size.  Rays,
-    two-ray arcs (also a segment whose witness is not clearly inside it)
-    and lines at tol >= 0.2, where x is not bounded, give None.
+    normal and offset moves a projection by less than 3e-9*size.  At
+    tol >= 0.2, where x is not bounded, a segment gives None as well.
     """
     s, p, q, w = a.support, a.p, a.q, a.witness
     if not is_finite(p, q, w, s.normal, s.offset):
         return False, None
-    if tol >= 0.2:
+    t1, t2, kind, size = a._sweep()
+    if kind != "segment" or tol >= 0.2:
         return True, None
     d, f = s.direction, s.foot()
-    t1, t2 = sorted((s.coord(p), s.coord(q)))
-    tw = s.coord(w)
-    size = max(1.0, abs(p), abs(q), abs(w))
-    size += max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
-    # the other arc's frame moves the witness against the ends by at
-    # most 1e-9 * |w - end|, and must not make this a two-ray arc
-    if min(tw - t1, t2 - tw) <= 2e-9 * (abs(w - p) + abs(w - q)) + 1e-12 * size:
-        return True, None
+    size = max(size, 1.0) + max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
     xs = [p.real, q.real, (f + d * t1).real, (f + d * t2).real]
     ys = [p.imag, q.imag, (f + d * t1).imag, (f + d * t2).imag]
     pad = (5 * tol + 3e-9 + 1e-14) * size
@@ -575,7 +532,7 @@ def _arc_point(a: Arc, frac: float) -> complex:
     if isinstance(a.support, Circle):
         tp, sweep, ccw = a._sweep()
         return a.support.point_at(tp + (sweep * frac if ccw else -sweep * frac))
-    if _line_coord_interval(a) is None:
+    if a._sweep()[2] != "segment":
         raise DrawingError("cannot parametrize an unbounded line arc")
     return a.p + (a.q - a.p) * frac
 
@@ -1402,12 +1359,20 @@ def json_text(obj: dict) -> str:
 
 
 def from_json(obj: dict) -> LombardiDrawing:
-    """Inverse of ``to_json``; raises ``ValueError`` on an inconsistent dump."""
-    positions = {_tag_from_json(v["id"]): complex(v["x"], v["y"]) for v in obj["vertices"]}
+    """Inverse of ``to_json``; raises ``ValueError`` on an inconsistent dump,
+    such as one that repeats a vertex or edge id."""
+    positions = {}
+    for v in obj["vertices"]:
+        tag = _tag_from_json(v["id"])
+        if tag in positions:
+            raise ValueError(f"vertex {tag!r} appears twice")
+        positions[tag] = complex(v["x"], v["y"])
     arcs = {}
     edges = {}
     for e in obj["edges"]:
         tag = _tag_from_json(e["id"])
+        if tag in arcs:
+            raise ValueError(f"edge {tag!r} appears twice")
         arcs[tag] = Arc(
             _support_from_json(e["support"]),
             complex(e["px"], e["py"]),

@@ -19,8 +19,11 @@ pole that the form's leading coefficient cancels.
 instance, to unpickling and copying as well.  Records compare, hash,
 print and pickle the values their ``_fields`` name, as dataclasses do
 (``Record``); ``Arc`` is frozen and no code writes to one after
-construction, so an arc computes its angular sweep once, on first use,
-and keeps it.
+construction, so an arc decides its parametrization once, on first use,
+and keeps it: a circle arc's start angle, sweep and orientation, or a
+line arc's coordinate span on its support and its kind, a segment, a ray
+or a two-ray arc.  The kind comes from the witness's coordinate alone;
+a tolerance widens an arc's membership and never changes its kind.
 """
 
 from __future__ import annotations
@@ -425,8 +428,12 @@ class Arc(Record, frozen=True):
 
     The witness is a third extended point of the support that the arc
     passes through; it selects which of the two arcs between p and q is
-    meant.  On a Line support the arc may pass through INF (as endpoint
-    or witness), making it a ray or a two-ray complement of a segment.
+    meant.  An arc of a Line is of one of three kinds: a segment, whose
+    witness lies strictly between p and q; a ray, with p or q at INF; or
+    a two-ray arc, the complement of the segment between p and q, whose
+    witness is INF or lies outside them.  ``_sweep`` decides the kind
+    once, and every reader takes it from there: ``tol`` widens what
+    ``contains`` accepts but never turns one kind into another.
     """
 
     _fields = ("support", "p", "q", "witness")
@@ -446,23 +453,41 @@ class Arc(Record, frozen=True):
         _set(self, "witness", witness)
         _set(self, "_swept", None)
 
-    # circle arc helpers ------------------------------------------------
+    def _sweep(self) -> tuple:
+        """The arc's one parametrization, computed on the first call and
+        kept outside the fields, which ``==``, ``hash`` and ``repr`` read alone.
 
-    def _sweep(self) -> tuple[float, float, bool]:
-        """(start angle, swept angle, ccw?) for a Circle support.
-
-        Computed on the first call and kept outside the fields, which
-        ``==``, ``hash`` and ``repr`` read alone.
+        A Circle support gives (start angle, swept angle, ccw?).  A Line
+        support gives (lo, hi, kind, size) in its ``Line.coord``: a
+        "segment" or "ray" is lo <= t <= hi, a ray's INF end being -inf or
+        inf on its (finite) witness's side, and a "two-ray" arc is t <= lo
+        or t >= hi; size is the largest finite |p|, |q|, |witness|.  Only
+        a witness strictly between two finite ends makes a segment.
         """
         swept = self._swept
         if swept is None:
-            c = self.support.center
-            tp = cmath.phase(self.p - c)  # Circle.angle_of, as are tq and tw
-            ccw_q = (cmath.phase(self.q - c) - tp) % _TWO_PI
-            ccw_w = (cmath.phase(self.witness - c) - tp) % _TWO_PI
-            swept = (tp, ccw_q, True) if ccw_w <= ccw_q else (tp, _TWO_PI - ccw_q, False)
+            s, p, q, w = self.support, self.p, self.q, self.witness
+            if isinstance(s, Circle):
+                c = s.center
+                tp = cmath.phase(p - c)  # Circle.angle_of, as are tq and tw
+                ccw_q = (cmath.phase(q - c) - tp) % _TWO_PI
+                ccw_w = (cmath.phase(w - c) - tp) % _TWO_PI
+                swept = (tp, ccw_q, True) if ccw_w <= ccw_q else (tp, _TWO_PI - ccw_q, False)
+            else:
+                coord = s.coord
+                size = max(abs(v) for v in (p, q, w) if v is not INF)
+                if p is INF or q is INF:
+                    t0 = coord(q if p is INF else p)
+                    swept = (t0, math.inf, "ray", size) if coord(w) >= t0 else (-math.inf, t0, "ray", size)
+                else:
+                    tp, tq = coord(p), coord(q)
+                    lo, hi = (tq, tp) if tq < tp else (tp, tq)
+                    kind = "segment" if w is not INF and lo < coord(w) < hi else "two-ray"
+                    swept = (lo, hi, kind, size)
             _set(self, "_swept", swept)
         return swept
+
+    # circle arc helpers ------------------------------------------------
 
     def axis_extremes(self) -> list[complex]:
         """The points of a circle arc where its circle is leftmost,
@@ -496,32 +521,17 @@ class Arc(Record, frozen=True):
             off = (tx - tp) % _TWO_PI if ccw else (tp - tx) % _TWO_PI
             slack = tol / max(c.radius, tol)
             return off <= sweep + slack or off >= _TWO_PI - slack
-        # line support: parametrize by signed coordinate along direction
         line: Line = self.support
         if not line.contains(x, tol):
             return False
-        if is_inf(x):
-            return is_inf(self.p) or is_inf(self.q) or is_inf(self.witness)
-        coord = line.coord
-        tx = coord(x)
-        scale = max((abs(v) for v in (self.p, self.q, self.witness, x) if not is_inf(v)), default=1.0)
-        eps = tol * max(scale, 1.0)
-        if is_inf(self.p) or is_inf(self.q):
-            fin = self.q if is_inf(self.p) else self.p
-            t0 = coord(fin)
-            if is_inf(self.witness):
-                raise ValueError("a ray needs a finite witness")
-            tw = coord(self.witness)
-            if tw >= t0:
-                return tx >= t0 - eps
-            return tx <= t0 + eps
-        t1, t2 = sorted((coord(self.p), coord(self.q)))
-        if is_inf(self.witness):
-            return tx <= t1 + eps or tx >= t2 - eps
-        tw = coord(self.witness)
-        if t1 - eps <= tw <= t2 + eps:
-            return t1 - eps <= tx <= t2 + eps
-        return tx <= t1 + eps or tx >= t2 - eps
+        lo, hi, kind, size = self._sweep()
+        if x is INF:
+            return kind != "segment"
+        tx = line.coord(x)
+        eps = tol * max(size, abs(x), 1.0)
+        if kind == "two-ray":
+            return tx <= lo + eps or tx >= hi - eps
+        return lo - eps <= tx <= hi + eps
 
     # tangents -----------------------------------------------------------
 
@@ -549,21 +559,11 @@ class Arc(Record, frozen=True):
             t = radial * (1j if ccw else -1j)
             return t if at_p else -t  # into the arc from whichever end
         line = self.support
-        d = line.direction
-        coord = line.coord
-        other = self.q if at_p else self.p
-        if is_inf(other):
-            w = self.witness
-            if is_inf(w):
-                raise ValueError("a ray needs a finite witness")
-            sgn = 1.0 if coord(w) >= coord(endpoint) else -1.0
-            return d * sgn
-        if is_inf(self.witness) or not self.contains((endpoint + other) / 2, 1e-9):
-            # complement arc: leaves the endpoint away from the other endpoint
-            sgn = -1.0 if coord(other) > coord(endpoint) else 1.0
-        else:
-            sgn = 1.0 if coord(other) > coord(endpoint) else -1.0
-        return d * sgn
+        _, hi, kind, _ = self._sweep()
+        # a span leaves its lower end upward and its upper end downward;
+        # a two-ray arc leaves each end the other way
+        up = line.coord(endpoint) != hi
+        return line.direction * (1.0 if up != (kind == "two-ray") else -1.0)
 
     def midpoint(self) -> complex:
         """A finite interior point of the arc (the angular/parametric middle)."""
@@ -572,12 +572,9 @@ class Arc(Record, frozen=True):
             tp, sweep, ccw = self._sweep()
             t = tp + (sweep / 2 if ccw else -sweep / 2)
             return c.point_at(t)
-        if not is_inf(self.p) and not is_inf(self.q) and not is_inf(self.witness):
-            m = (self.p + self.q) / 2
-            if self.contains(m, 1e-9):
-                return m
-            return self.witness
-        return self.witness if not is_inf(self.witness) else (self.p if not is_inf(self.p) else self.q)
+        if self._sweep()[2] == "segment":
+            return (self.p + self.q) / 2
+        return self.p if is_inf(self.witness) else self.witness
 
 
 def arc_through(p: Point, q: Point, witness: Point) -> Arc:

@@ -261,6 +261,22 @@ def test_cli_verify_only_rejects_edge_to_unknown_vertex(tmp_path, capsys):
     assert "not a drawing dump" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records", ["vertices", "edges"])
+def test_cli_verify_only_rejects_a_repeated_id(tmp_path, capsys, records):
+    # the last record again under the first one's id: read as a dict, it
+    # would replace the first, and verify would judge a drawing the file
+    # does not hold
+    inp = k4_input(tmp_path)
+    assert main([str(inp), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "k4.json").read_text())
+    obj[records].append({**obj[records][-1], "id": obj[records][0]["id"]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([str(bad), "--verify-only"]) == 2
+    assert "not a drawing dump" in capsys.readouterr().err
+
+
 def test_cli_verify_only_rejects_non_finite_drawing(tmp_path, capsys):
     cycle = tmp_path / "c3.txt"
     cycle.write_text("a b c\nb c a\nc a b\n")

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import transform
-from lombardi.drawing import LombardiDrawing
+from lombardi.drawing import LombardiDrawing, _arcs_overlap_on_support, _line_box
 from lombardi.geometry import (
     INF,
     Arc,
@@ -113,6 +113,30 @@ def test_segment_is_line_arc():
     assert not s.contains(3 + 3j)
     assert abs(s.tangent_direction(0j) - unit(2 + 2j)) < 1e-12
     assert abs(s.tangent_direction(2 + 2j) - unit(-2 - 2j)) < 1e-12
+    # four arcs of the x-axis, one of each kind; the last is the x-axis
+    # outside [-1, 1], whose witness lies 1e-3 past an end: a tolerance
+    # of 1e-2 widens what it holds but must not make it the segment
+    x_axis = Line(1j, 0.0)
+    arcs = {
+        "segment": Arc(x_axis, -1 + 0j, 1 + 0j, 0.5 + 0j),
+        "ray": Arc(x_axis, 1 + 0j, INF, 2 + 0j),
+        "two-ray through INF": Arc(x_axis, -1 + 0j, 1 + 0j, INF),
+        "two-ray": Arc(x_axis, -1 + 0j, 1 + 0j, 1.001 + 0j),
+    }
+    far = Arc(x_axis, 10 + 0j, 11 + 0j, 10.5 + 0j)
+    for name, a in arcs.items():
+        bounded = name == "segment"
+        for tol in (1e-9, 1e-2):
+            assert a.contains(0j, tol) == bounded, (name, tol)
+            assert a.contains(5 + 0j, tol) != bounded, (name, tol)
+            assert a.contains(INF, tol) != bounded, (name, tol)
+            for end in (a.p, a.q):
+                if not is_inf(end):
+                    assert a.contains(end + 0.5 * a.tangent_direction(end, tol), tol), (name, tol)
+            mid = a.midpoint()
+            assert a.contains(mid, tol) and (-1 < mid.real < 1) == bounded, (name, tol)
+            assert (_line_box(a, tol)[1] is not None) == bounded, (name, tol)
+            assert _arcs_overlap_on_support(a, far, tol) != bounded, (name, tol)
 
 
 def test_circle_arc_tangent_directions():

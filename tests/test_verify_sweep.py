@@ -290,7 +290,7 @@ def test_sweep_matches_all_pairs_on_rays_and_two_ray_arcs():
 
 
 _NUDGES = (0.0, 1e-10, -1e-10, 3e-9, -3e-9, 1e-7)
-_KINDS = ["arc"] * 6 + ["fan"] * 3 + ["ray", "two-ray", "loose", "loose-circle"]
+_KINDS = ["arc"] * 6 + ["fan"] * 3 + ["ray", "two-ray", "near-end", "loose", "loose-circle"]
 
 
 @st.composite
@@ -327,6 +327,9 @@ def _arc_sets(draw):
                 if isinstance(c, Circle):
                     f = rng.choice([0.5, 2.0])
                     arcs.append(Arc(c, c.center + f * (p - c.center), c.center + f * (q - c.center), w))
+            elif kind == "near-end":  # a segment or two-ray arc whose witness is just inside or outside an end
+                f = rng.choice([1, -1]) * 10.0 ** rng.uniform(-12, -2)
+                arcs.append(Arc(line_through(p, q), p, q, q + f * (q - p)))
             elif kind == "ray":
                 arcs.append(Arc(line_through(p, w), p, INF, w))
             else:
