@@ -76,7 +76,8 @@ def emit_svg(d: LombardiDrawing) -> str:
     """Deterministic SVG: one path per edge, one dot per vertex.
 
     y points down, and a negative number that rounds to zero is written
-    as 0.000000000.
+    as 0.000000000.  An arc through INF, a two-ray line arc among them,
+    raises DrawingError.
     """
     x, y, wdt, hgt = _svg_bounds(d)
     diag = math.hypot(wdt, hgt)
@@ -88,11 +89,13 @@ def emit_svg(d: LombardiDrawing) -> str:
     for t in sorted(d.arcs, key=repr):
         a = d.arcs[t]
         p, q, w = a.p, a.q, a.witness
-        if w is INF or p - p + (q - q) + (w - w):  # 0 if all three are finite, else nan
+        line = not isinstance(a.support, Circle)
+        # p - p + (q - q) + (w - w) is 0 if all three are finite, else nan
+        if w is INF or p - p + (q - q) + (w - w) or line and a._sweep()[2] != "segment":
             raise DrawingError("cannot emit an arc through infinity")
         p = complex(p.real, -p.imag)
         q = complex(q.real, -q.imag)
-        if not isinstance(a.support, Circle):
+        if line:
             lines.append(_SVG_LINE % (p.real, p.imag, q.real, q.imag))
             continue
         c = complex(a.support.center.real, -a.support.center.imag)

@@ -169,7 +169,7 @@ def _arcs_overlap_on_support(a1: Arc, a2: Arc, tol_len: float) -> bool:
         for shift in (-_TWO_PI, 0.0, _TWO_PI):
             ov += max(0.0, min(s1 + w1, s2 + w2 + shift) - max(s1, s2 + shift))
         return ov * a1.support.radius > max(tol_len, _support_noise(a1, a2))
-    lo, hi, kind, _ = a1._sweep()
+    lo, hi, kind = a1._sweep()
     if kind != "segment" or a2._sweep()[2] != "segment":
         return True
     t1, t2 = a1.support.coord(a2.p), a1.support.coord(a2.q)
@@ -182,26 +182,24 @@ def _line_box(a: Arc, tol: float) -> tuple:
     a ray or a two-ray arc.
 
     The pad holds every point the crossing test of ``verify`` can place
-    on the arc: every x with ``a.contains(x, tol)``, and every point where
-    another arc on a ``same_support`` overlaps it.  ``Arc.contains`` widens
-    the distance and the coordinate each by tol*max(1, |p|, |q|, |w|, |x|),
-    which grows with absolute position, not with the drawing; x then stays
-    within 5*tol*size of the segment (size bounds |p|, |q|, |w| and the
-    support's distance from them), and ``same_support``'s 1e-9 on the
-    normal and offset moves a projection by less than 3e-9*size.  At
-    tol >= 0.2, where x is not bounded, a segment gives None as well.
+    on the arc: every x with ``a.contains(x, tol)``, which lies within tol
+    of the support and within tol of the span along it, so within 2*tol
+    of the segment in x and in y; and every point where another arc on a
+    ``same_support`` overlaps it, whose 1e-9 on the normal and offset
+    moves a projection by less than 3e-9*size (size bounds |p|, |q|, |w|
+    and the support's distance from them).
     """
     s, p, q, w = a.support, a.p, a.q, a.witness
     if not is_finite(p, q, w, s.normal, s.offset):
         return False, None
-    t1, t2, kind, size = a._sweep()
-    if kind != "segment" or tol >= 0.2:
+    t1, t2, kind = a._sweep()
+    if kind != "segment":
         return True, None
     d, f = s.direction, s.foot()
-    size = max(size, 1.0) + max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
+    size = max(1.0, abs(p), abs(q), abs(w)) + max(abs(s.signed_distance(p)), abs(s.signed_distance(q)))
     xs = [p.real, q.real, (f + d * t1).real, (f + d * t2).real]
     ys = [p.imag, q.imag, (f + d * t1).imag, (f + d * t2).imag]
-    pad = (5 * tol + 3e-9 + 1e-14) * size
+    pad = 2 * tol + (3e-9 + 1e-14) * size
     box = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
     return True, box if is_finite(*box) else None
 
@@ -212,26 +210,25 @@ def _mirror_meeting(o1: complex, r1: float, o2: complex, r2: float, z: complex, 
 
     None where ``support_intersections(..., tol)`` need not find x beside
     a point at ``z``: ``z`` more than ``tol`` off either circle; centres
-    within max(tol, 1e-9) of the larger radius R of each other (nearly
+    within max(tol, 1e-9*R) of each other, R the larger radius (nearly
     concentric, or ``same_support``), or too far apart or too near for
-    the general solve to find any point; x within 4*tol*max(R, 1) of
-    ``z``, where that solve, reading ``tol`` relative to the radius,
-    merges the two points into one; or a general solve too coarse to
-    agree.  It rounds the centres' difference at their size and takes
-    the half chord h = |x - z|/2 from r1**2 - a**2, which moves its points
-    by about 2e-16*R*(|z| + R + R**2/h)/d for centre distance d; x is
-    kept only while five times that stays below ``tol``.
+    the general solve to find any point; x within 4*tol of ``z``, where
+    that solve merges the two points into one; or a general solve too
+    coarse to agree.  It rounds the centres' difference at their size
+    and takes the half chord h = |x - z|/2 from r1**2 - a**2, which moves
+    its points by about 2e-16*R*(|z| + R + R**2/h)/d for centre distance
+    d; x is kept only while five times that stays below ``tol``.
     """
     v = z - o1
     if not (abs(abs(v) - r1) <= tol and abs(abs(z - o2) - r2) <= tol):
         return None
     e = o2 - o1
     dist, big, both = abs(e), (r1 if r1 > r2 else r2), r1 + r2
-    if dist <= (tol if tol > 1e-9 else 1e-9) * big or not abs(r1 - r2) - tol * both <= dist <= both + tol * both:
+    if dist <= (tol if tol > 1e-9 * big else 1e-9 * big) or not abs(r1 - r2) - tol <= dist <= both + tol:
         return None
     x = o1 + e / e.conjugate() * v.conjugate()
     dz = abs(x - z)
-    if dz <= 4 * tol * (big if big > 1.0 else 1.0) or 1e-15 * big * (abs(z) + big + 2 * big * big / dz) > tol * dist:
+    if dz <= 4 * tol or 1e-15 * big * (abs(z) + big + 2 * big * big / dz) > tol * dist:
         return None
     return x
 
@@ -281,7 +278,9 @@ def verify(
     endpoints; (d) vertex positions are pairwise distinct.  When ``g`` is
     given, the drawing's vertex set, edge set and each edge's endpoints
     must match it (DrawingError otherwise).  The point tolerance is
-    ``tol_geom`` times the extent of the finite positions (at least 1).
+    ``tol_geom`` times the extent, the largest distance of a finite
+    position from the first one; every other tolerance is a multiple of
+    it or of a radius, so each scales and moves with the drawing.
 
     One pass over the arcs does all per-arc work.  For a finite circle
     arc between finite vertices it measures the four end-to-vertex
@@ -328,10 +327,8 @@ def verify(
     names = list(pos)
     vfin = {v: is_finite(z) for v, z in pos.items()}  # read by (a) to (d)
     fin = [i for i, v in enumerate(names) if vfin[v]]
-    scale = 1.0
-    if fin:
-        z0 = pos[names[fin[0]]]
-        scale = max(1.0, max(abs(pos[names[i]] - z0) for i in fin))
+    z0 = pos[names[fin[0]]] if fin else 0j
+    scale = max((abs(pos[names[i]] - z0) for i in fin), default=1.0)
     tol_pt = tol_geom * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
 
@@ -369,11 +366,11 @@ def verify(
                 if (_BOTTOM - lo) % _TWO_PI <= sweep and cy - r < y0:
                     y0 = cy - r
                 # the arc's ends on its circle lie within dev of p and q;
-                # Arc.contains widens the radius by tol*max(r, 1) and the arc
-                # by at most tol of length, same_support lets centres and radii
-                # differ by 1e-9*r, and positions on the support carry rounding
+                # Arc.contains widens the radius by tol and the arc by at most
+                # tol of length, same_support lets centres and radii differ
+                # by 1e-9*r, and positions on the support carry rounding
                 # noise of about 1e-14*(|centre| + r)
-                pad = dev + tol_pt * (r if r > 1.0 else 1.0) + tol_pt + 2e-9 * r + 1e-14 * (abs(c) + r)
+                pad = dev + 2 * tol_pt + 2e-9 * r + 1e-14 * (abs(c) + r)
                 x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
                 if -math.inf < x0 and x1 < math.inf and -math.inf < y0 and y1 < math.inf:
                     box, circle = (x0, x1, y0, y1), (c, r)

@@ -3,7 +3,8 @@
 Points are python complex numbers; the point at infinity is the tagged
 singleton ``INF``.  Circles and lines are first-class ("generalized
 circles"), and Moebius transformations act on points, circles and arcs.
-All tolerances are relative to the scale of the operands.
+Every ``tol`` of a membership or intersection test is an absolute
+distance in the operands' own frame, the same at any radius or position.
 
 A Moebius map acts on a generalized circle by one closed form
 (``Mobius.image_form``): the support is written as a Hermitian form
@@ -127,10 +128,10 @@ class Circle(Record, frozen=True):
         return cmath.phase(z - self.center)
 
     def contains(self, p: Point, tol: float = GEOM_TOL) -> bool:
-        """Whether ``p`` lies on the circle, within ``tol`` relative to the radius."""
+        """Whether ``p`` lies within distance ``tol`` of the circle."""
         if is_inf(p):
             return False
-        return abs(abs(p - self.center) - self.radius) <= tol * max(self.radius, 1.0)
+        return abs(abs(p - self.center) - self.radius) <= tol
 
     def strictly_inside(self, p: Point) -> bool:
         if is_inf(p):
@@ -168,8 +169,7 @@ class Line(Record, frozen=True):
     def contains(self, p: Point, tol: float = GEOM_TOL) -> bool:
         if is_inf(p):
             return True  # every line passes through infinity
-        scale = max(1.0, abs(p))
-        return abs(self.signed_distance(p)) <= tol * scale
+        return abs(self.signed_distance(p)) <= tol
 
     def strictly_inside(self, p: Point) -> bool:
         # "interior" of a line: the half plane on the side the normal points away from
@@ -319,10 +319,10 @@ class Mobius(Record, frozen=True):
         2 Re(conj(B') w) + C' = 0 about the origin and k' = |ad - bc| k.
         Expanding about z0 rather than the origin keeps the center out
         of C, which would be |center|^2 - r^2 and cancel for a circle
-        passing near 0.  The first value is ``support.contains(pole,
-        tol=1e-9)`` for the pole -d/c, conjugated when ``conj`` is set, or
-        INF when c == 0, which only lines contain: such a support's image
-        is a line, and lines stay lines under similarities.
+        passing near 0.  The first value is whether the pole -d/c,
+        conjugated when ``conj`` is set, lies within 1e-9*max(r, 1) of a
+        circle or 1e-9*max(1, |pole|) of a line; a pole at INF (c == 0)
+        lies on lines only, whose images stay lines under similarities.
         """
         a, b, c, d = self.a, self.b, self.c, self.d
         pole = INF if c == 0 else -d / c
@@ -330,15 +330,17 @@ class Mobius(Record, frozen=True):
             pole = pole.conjugate()
         if isinstance(support, Circle):
             z0, A, B, C, k = support.center, 1.0, 0j, -(support.radius * support.radius), support.radius
+            through = pole is not INF and abs(abs(pole - z0) - k) <= 1e-9 * max(k, 1.0)
         else:
             z0, A, B, C, k = support.foot(), 0.0, support.normal / 2, 0.0, 0.5
+            through = pole is INF or abs(support.signed_distance(pole)) <= 1e-9 * max(1.0, abs(pole))
         if self.conj:
             z0, B = z0.conjugate(), B.conjugate()
         b0, d0 = a * z0 + b, c * z0 + d
         # a trailing underscore marks a complex conjugate
         a_, B_, c_, d0_ = a.conjugate(), B.conjugate(), c.conjugate(), d0.conjugate()
         return (
-            support.contains(pole, tol=1e-9),
+            through,
             A * abs(d0) ** 2 - 2 * (B_ * d0 * c_).real + C * abs(c) ** 2,
             B * d0_ * a + B_ * b0 * c_ - A * (b0 * d0_) - C * (a * c_),
             A * abs(b0) ** 2 - 2 * (B_ * b0 * a_).real + C * abs(a) ** 2,
@@ -458,11 +460,10 @@ class Arc(Record, frozen=True):
         kept outside the fields, which ``==``, ``hash`` and ``repr`` read alone.
 
         A Circle support gives (start angle, swept angle, ccw?).  A Line
-        support gives (lo, hi, kind, size) in its ``Line.coord``: a
-        "segment" or "ray" is lo <= t <= hi, a ray's INF end being -inf or
-        inf on its (finite) witness's side, and a "two-ray" arc is t <= lo
-        or t >= hi; size is the largest finite |p|, |q|, |witness|.  Only
-        a witness strictly between two finite ends makes a segment.
+        support gives (lo, hi, kind) in its ``Line.coord``: a "segment" or
+        "ray" is lo <= t <= hi, a ray's INF end being -inf or inf on its
+        (finite) witness's side, and a "two-ray" arc is t <= lo or t >= hi.
+        Only a witness strictly between two finite ends makes a segment.
         """
         swept = self._swept
         if swept is None:
@@ -475,15 +476,14 @@ class Arc(Record, frozen=True):
                 swept = (tp, ccw_q, True) if ccw_w <= ccw_q else (tp, _TWO_PI - ccw_q, False)
             else:
                 coord = s.coord
-                size = max(abs(v) for v in (p, q, w) if v is not INF)
                 if p is INF or q is INF:
                     t0 = coord(q if p is INF else p)
-                    swept = (t0, math.inf, "ray", size) if coord(w) >= t0 else (-math.inf, t0, "ray", size)
+                    swept = (t0, math.inf, "ray") if coord(w) >= t0 else (-math.inf, t0, "ray")
                 else:
                     tp, tq = coord(p), coord(q)
                     lo, hi = (tq, tp) if tq < tp else (tp, tq)
                     kind = "segment" if w is not INF and lo < coord(w) < hi else "two-ray"
-                    swept = (lo, hi, kind, size)
+                    swept = (lo, hi, kind)
             _set(self, "_swept", swept)
         return swept
 
@@ -524,14 +524,13 @@ class Arc(Record, frozen=True):
         line: Line = self.support
         if not line.contains(x, tol):
             return False
-        lo, hi, kind, size = self._sweep()
+        lo, hi, kind = self._sweep()
         if x is INF:
             return kind != "segment"
         tx = line.coord(x)
-        eps = tol * max(size, abs(x), 1.0)
         if kind == "two-ray":
-            return tx <= lo + eps or tx >= hi - eps
-        return lo - eps <= tx <= hi + eps
+            return tx <= lo + tol or tx >= hi - tol
+        return lo - tol <= tx <= hi + tol
 
     # tangents -----------------------------------------------------------
 
@@ -559,7 +558,7 @@ class Arc(Record, frozen=True):
             t = radial * (1j if ccw else -1j)
             return t if at_p else -t  # into the arc from whichever end
         line = self.support
-        _, hi, kind, _ = self._sweep()
+        _, hi, kind = self._sweep()
         # a span leaves its lower end upward and its upper end downward;
         # a two-ray arc leaves each end the other way
         up = line.coord(endpoint) != hi
@@ -594,37 +593,37 @@ def segment(p: complex, q: complex) -> Arc:
 
 def _circle_circle_points(c1: Circle, c2: Circle, tol: float) -> list[complex]:
     d = abs(c2.center - c1.center)
-    if d <= tol * max(c1.radius, c2.radius):
+    if d <= tol:
         return []  # concentric (or equal supports, handled by caller)
     r1, r2 = c1.radius, c2.radius
-    if d > r1 + r2 + tol * (r1 + r2) or d < abs(r1 - r2) - tol * (r1 + r2):
+    if d > r1 + r2 + tol or d < abs(r1 - r2) - tol:
         return []
     a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
     h2 = r1 * r1 - a * a
     h = math.sqrt(max(h2, 0.0))
     u = (c2.center - c1.center) / d
     base = c1.center + a * u
-    if h <= tol * r1:
+    if h <= tol:
         return [base]
     return [base + 1j * h * u, base - 1j * h * u]
 
 
 def _line_circle_points(line: Line, c: Circle, tol: float) -> list[complex]:
     s = line.signed_distance(c.center)
-    if abs(s) > c.radius + tol * c.radius:
+    if abs(s) > c.radius + tol:
         return []
     foot = c.center - s * line.normal
     h2 = c.radius * c.radius - s * s
     h = math.sqrt(max(h2, 0.0))
-    if h <= tol * c.radius:
+    if h <= tol:
         return [foot]
     d = line.direction
     return [foot + h * d, foot - h * d]
 
 
-def _line_line_points(l1: Line, l2: Line, tol: float) -> list[Point]:
+def _line_line_points(l1: Line, l2: Line) -> list[Point]:
     cross = (l1.normal.conjugate() * l2.normal).imag
-    if abs(cross) <= tol:
+    if cross == 0:
         return [INF]  # parallel lines meet only at INF
     # solve [n1x n1y; n2x n2y] [x;y] = [d1; d2]
     a1, b1 = l1.normal.real, l1.normal.imag
@@ -642,7 +641,7 @@ def support_intersections(
     if isinstance(s1, Circle) and isinstance(s2, Circle):
         return _circle_circle_points(s1, s2, tol)
     if isinstance(s1, Line) and isinstance(s2, Line):
-        return _line_line_points(s1, s2, tol)
+        return _line_line_points(s1, s2)
     if isinstance(s1, Line):
         return _line_circle_points(s1, s2, tol)
     return _line_circle_points(s2, s1, tol)

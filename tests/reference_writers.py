@@ -1,10 +1,12 @@
 """Reference SVG and JSON writers: one call per number, kept as oracles.
 
-``emit_svg`` formats every number through ``_num`` and checks every arc
-point with ``is_finite``; ``json_text`` lays out every value through
-``_json_value`` and checks every number with ``_finite``.  The library's
-writers must give the same text, or raise the same exception, on every
-drawing (tests/test_writers.py).
+``emit_svg`` formats every number through ``_num``, checks every arc
+point with ``is_finite``, and refuses a line arc whose witness does not
+lie between its ends: a two-ray arc, which passes through INF.
+``json_text`` lays out every value through ``_json_value`` and checks
+every number with ``_finite``.  The library's writers must give the
+same text, or raise the same exception, on every drawing
+(tests/test_writers.py).
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def _arc_path(a) -> str:
     p = complex(a.p.real, -a.p.imag)
     q = complex(a.q.real, -a.q.imag)
     if not isinstance(a.support, Circle):
+        tp, tq, tw = (a.support.coord(z) for z in (a.p, a.q, a.witness))
+        if not min(tp, tq) < tw < max(tp, tq):
+            raise DrawingError("cannot emit an arc through infinity")
         return f"M {_num(p.real)} {_num(p.imag)} L {_num(q.real)} {_num(q.imag)}"
     c = complex(a.support.center.real, -a.support.center.imag)
     w = complex(a.witness.real, -a.witness.imag)

@@ -14,8 +14,8 @@ import pytest
 import lombardi
 from conftest import FIXTURES, load_graph
 from lombardi.cli import RunConfig, _build_parser, _default_outer_face, emit_svg, main, run
-from lombardi.drawing import LombardiDrawing, draw_medial, draw_subcubic, json_text, to_json
-from lombardi.geometry import Arc, Circle, arc_through, segment
+from lombardi.drawing import DrawingError, LombardiDrawing, draw_medial, draw_subcubic, json_text, to_json
+from lombardi.geometry import Arc, Circle, Line, arc_through, segment
 from lombardi.graph import parse
 
 
@@ -109,6 +109,15 @@ def test_svg_numbers_are_fixed_precision():
     for num in re.findall(r'[-+]?\d+\.\d+', body):
         assert len(num.split(".")[1]) == 9
     assert "-0.000000000" not in svg
+
+
+def test_svg_refuses_a_two_ray_line_arc():
+    # the x-axis outside [-1, 1], through 5 and INF: a path from p to q
+    # would draw the segment the arc leaves out
+    arc = Arc(Line(1j, 0), -1 + 0j, 1 + 0j, 5 + 0j)
+    d = LombardiDrawing({"a": -1 + 0j, "b": 1 + 0j}, {"e": arc}, {"e": ("a", "b")})
+    with pytest.raises(DrawingError, match="cannot emit an arc through infinity"):
+        emit_svg(d)
 
 
 def test_empty_drawing_yields_valid_svg():

@@ -56,7 +56,7 @@ def all_pairs(d: LombardiDrawing, tol_geom: float = 1e-9) -> tuple[list, list]:
     before the sweep."""
     pos = d.positions
     vals = list(pos.values())
-    scale = max(1.0, max(abs(z - vals[0]) for z in vals)) if vals else 1.0
+    scale = max(abs(z - vals[0]) for z in vals) if vals else 1.0
     tol_pt = tol_geom * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
     crossings = []
@@ -96,8 +96,10 @@ def assert_agrees(d: LombardiDrawing, tol_geom: float = 1e-9) -> list:
     return crossings
 
 
-def similar(d: LombardiDrawing, s: complex, t: complex) -> LombardiDrawing:
-    """The drawing under z -> s*z + t, mapped exactly on every support."""
+def similar(d: LombardiDrawing, s: complex, t: complex = 0j) -> LombardiDrawing:
+    """The drawing under z -> s*z + t, each support mapped by its centre
+    and radius or its normal and offset: without rounding when s is a
+    power of two and t is 0."""
 
     def f(z):
         return z if is_inf(z) else s * z + t
@@ -105,8 +107,8 @@ def similar(d: LombardiDrawing, s: complex, t: complex) -> LombardiDrawing:
     def support(x):
         if isinstance(x, Circle):
             return Circle(f(x.center), abs(s) * x.radius)
-        n = x.normal * s / abs(s)
-        return Line(n / abs(n), (n.conjugate() * f(x.foot())).real / abs(n))
+        n = x.normal * (s / abs(s))
+        return Line(n, abs(s) * x.offset + (n.conjugate() * t).real)
 
     arcs = {k: Arc(support(a.support), f(a.p), f(a.q), f(a.witness)) for k, a in d.arcs.items()}
     return LombardiDrawing({v: f(z) for v, z in d.positions.items()}, arcs, dict(d.edges))
@@ -134,7 +136,7 @@ def angle_oracle(d: LombardiDrawing, tol_geom: float = 1e-9) -> tuple:
     every arc-end's direction taken from ``Arc.tangent_direction``."""
     pos = d.positions
     fin = [z for z in pos.values() if is_finite(z)]
-    scale = max([1.0] + [abs(z - fin[0]) for z in fin])
+    scale = max([abs(z - fin[0]) for z in fin], default=1.0)
     match_tol = max(1e-6 * scale, 10 * tol_geom * scale)
     incident: dict = {v: [] for v in pos}
     for t, (u, w) in d.edges.items():
@@ -208,15 +210,25 @@ def test_angle_criterion_matches_tangent_direction():
     assert (rep.max_angle_residual, rep.worst_angle_vertex) == (math.inf, "c")
 
 
-def test_sweep_matches_all_pairs_far_from_the_origin():
-    # the Line slack of Arc.contains grows with absolute coordinates, so
-    # these copies have crossings that a pad fixed by the drawing's size misses
-    found = 0
+def test_verify_judges_a_drawing_in_its_own_frame():
+    # every tolerance is a multiple of the drawing's extent, so a power
+    # of two scales every quantity verify compares without rounding, and
+    # the report must not move by a bit
     for label, d in _fixture_drawings():
-        far = 1e7 * cmath.exp(0.3j)
-        for copy in (similar(d, 1, 1e6), similar(d, 1e4, far - 1e4 * far)):
-            found += len(assert_agrees(copy))
-    assert found > 0
+        rep = verify(d)
+        want = (rep.passed, rep.crossings, rep.coincident, rep.max_angle_residual)
+        for k in (-40, -30, -20, -7, 16, 24, 30, 40):
+            got = verify(similar(d, 2.0**k))
+            assert (got.passed, got.crossings, got.coincident, got.max_angle_residual) == want, (label, k)
+        fin = list(d.positions.values())
+        extent = max(abs(z - fin[0]) for z in fin)
+        for u in (1, 1j, -1, -1j):
+            assert verify(similar(d, 1, 1e3 * extent * u)).passed == rep.passed, (label, u)
+    # two perpendicular segments crossing at 0, in a drawing 2e9 across:
+    # a point tolerance of 2 does not make their lines parallel
+    arcs = [segment(-1e3 + 0j, 1e3 + 0j), segment(-1e3j, 1e3j)]
+    d = from_arcs(arcs, [2e9 + 0j])
+    assert verify(d).crossings == [(0, 1)] == assert_agrees(d)
 
 
 def test_sweep_matches_all_pairs_on_huge_support_path():
@@ -232,17 +244,18 @@ def test_sweep_matches_all_pairs_on_huge_support_path():
 
 def test_sweep_matches_all_pairs_within_wide_slacks():
     # a drawing 1e9 across makes the point tolerance about 1: a unit
-    # segment at the origin then contains every point of its line, and
-    # crosses an arc over that line 1e9 away
+    # segment at the origin holds the points within 1 of it, not every
+    # point of its line, so it does not cross an arc over that line 1e9 away
     far = arc_through(1e9 - 1j, 1e9 + 1j, 1e9 + 0.5 + 0j)
-    assert assert_agrees(from_arcs([arc_through(-0.5 + 0j, 0.5 + 0j, 0j), far])) == [(0, 1)]
+    assert assert_agrees(from_arcs([arc_through(-0.5 + 0j, 0.5 + 0j, 0j), far])) == []
     # a radius-4e9 arc in a drawing 100 across: Circle.contains accepts
-    # points 400 off the circle, so a segment 50 away crosses it
+    # points within 1e-7 of the circle, not 400, so a segment 50 away
+    # does not cross it
     radius = 4e9
     c = Circle(complex(0, -radius), radius)
     arc = Arc(c, c.point_at(math.pi / 2 + 1 / radius), c.point_at(math.pi / 2 - 1 / radius), 0j)
     seg = arc_through(-1 + 50j, 1 + 50j, 50j)
-    assert assert_agrees(from_arcs([arc, seg], [100 + 0j])) == [(0, 1)]
+    assert assert_agrees(from_arcs([arc, seg], [100 + 0j])) == []
     # supports equal within same_support's 1e-9 relative but 9e-4 apart
     # overlap, at a tolerance far below that gap
     big = [Circle(0j, 1e6), Circle(9e-4 + 0j, 1e6)]
@@ -365,7 +378,7 @@ def test_arc_intersections_excludes_before_membership_as_a_filter_after_it(d):
     # arc_intersections; that must equal filtering its full result.  Few
     # random arcs share an endpoint, so every end of the two is tried too
     vals = list(d.positions.values())
-    scale = max(1.0, max(abs(z - vals[0]) for z in vals)) if vals else 1.0
+    scale = max(abs(z - vals[0]) for z in vals) if vals else 1.0
     tol_pt = 1e-9 * scale
     match_tol = max(1e-6 * scale, 10 * tol_pt)
     tags = list(d.arcs)
@@ -489,18 +502,16 @@ def test_mirror_meeting_keeps_what_arc_intersections_keeps(pair):
     assert all(abs(x - y) <= 1e-6 * size for x, y in zip(kept, general))
 
 
-def test_mirror_meeting_leaves_a_collapsing_pair_to_the_general_solve():
-    # a drawing 1e9 across has a point tolerance of 1, which
-    # support_intersections reads relative to the radius: it merges the
-    # two meeting points 0 and 1500 of these circles into their midpoint
-    # 750, within the shared-endpoint radius 1000 of 0.  Unguarded, the
-    # closed form would report the crossing at 1500 that the general
-    # solve misses, so the guard must leave this pair to that solve
+def test_mirror_meeting_and_the_general_solve_both_find_a_crossing_at_wide_slack():
+    # a drawing 1e9 across has a point tolerance of 1, an absolute
+    # distance for support_intersections as for the closed form: both
+    # keep the meeting points 0 and 1500 of these circles apart, and the
+    # one at 1500 lies beyond the shared-endpoint radius 1000 of 0
     c1, c2 = Circle(750 + 5000j, abs(750 + 5000j)), Circle(750 - 3000j, abs(750 - 3000j))
     arcs = [Arc(c, 0j, c.point_at(c.angle_of(1500) + s * 0.2), 1500 + 0j) for c, s in ((c1, 1), (c2, -1))]
-    assert _mirror_meeting(c1.center, c1.radius, c2.center, c2.radius, 0j, 1.0) is None
+    assert abs(_mirror_meeting(c1.center, c1.radius, c2.center, c2.radius, 0j, 1.0) - 1500) <= 1e-9
     d = from_arcs(arcs, [1e9 + 0j])
-    assert verify(d).crossings == [] == assert_agrees(d)
+    assert verify(d).crossings == [(0, 1)] == assert_agrees(d)
 
 
 def test_mirror_meeting_leaves_separated_circles_to_the_general_solve():

@@ -148,12 +148,13 @@ def test_writers_match_the_references_on_each_case():
         LombardiDrawing({"a": 0j}, {"e": Arc(Circle(complex(math.inf, 0), 1.0), 0j, 1j, 2j)}, {"e": ("a", "a")}),
         LombardiDrawing({"a": 0j}, {"e": Arc(circle, 0j, complex(0, math.nan), 2j)}, {"e": ("a", "a")}),
         LombardiDrawing({"a": 0j}, {"e": Arc(circle, 0j, 2j, complex(math.inf, 1.0))}, {"e": ("a", "a")}),
+        LombardiDrawing({"a": -1 + 0j, "b": 1 + 0j}, {"e": Arc(Line(1j, 0.0), -1 + 0j, 1 + 0j, 5 + 0j)}, {"e": ("a", "b")}),
     ]
     svg = [outcome(ref.emit_svg, d) for d in cases]
     paths = [line.split() for line in svg[0][1].splitlines() if line.startswith("<path")]
     assert [p[4] for p in paths] == ["A", "L"] and paths[0][8] == "1"  # the large-arc flag
     assert "-0.000000000" in ref._FMT.format(-1e-10) and "-0.000000000" not in svg[0][1]
-    assert [s[0] for s in svg[3:]] == [DrawingError, AttributeError, "value", DrawingError, DrawingError]
+    assert [s[0] for s in svg[3:]] == [DrawingError, AttributeError, "value", DrawingError, DrawingError, DrawingError]
     assert outcome(ref.json_text, to_json(cases[1]))[0] is ValueError
     for d in cases:
         assert_same_writes(d)
