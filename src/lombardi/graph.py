@@ -3,11 +3,14 @@
 A graph is given by a clockwise rotation system: for every vertex, the
 cyclic order of its incident edge tags.  Each edge tag appears exactly
 twice (at its two distinct endpoints); parallel edges carry distinct
-tags, self loops are not supported.  Faces are traced from the rotation
-system and Euler's formula certifies that the rotation system describes
-a sphere embedding; derived graphs (dual, medial, flag kites) check
-their source, which is one exactly when they are.  A graph is not
-written to after construction and keeps its faces, components and DFS
+tags, self loops are not supported.  A dart (v, i) is slot i of v's
+rotation; the table of every dart's twin, the other end of its edge, is
+built once at construction, and ``twin``, ``head``, ``neighbors`` and the
+face trace read it.  Faces are traced from the rotation system and
+Euler's formula certifies that the rotation system describes a sphere
+embedding; derived graphs (dual, medial, flag kites) check their source,
+which is one exactly when they are.  A graph is not written to after
+construction and keeps its faces (with ``face_of``), components and DFS
 from first use: do not mutate them.
 
 The structure checks run in near-linear time on one iterative DFS:
@@ -51,8 +54,12 @@ class PlanarGraph:
             if ds[0][0] == ds[1][0]:
                 raise GraphError(f"self loop at {ds[0][0]!r} (tag {tag!r}) not supported")
         self._ends: dict = {t: (ds[0], ds[1]) for t, ds in ends.items()}
+        self._twin: dict[Dart, Dart] = {}
+        for d1, d2 in self._ends.values():
+            self._twin[d1], self._twin[d2] = d2, d1
         self.edges: list = sorted(self._ends.keys(), key=repr)
         self._faces: list[list[Dart]] | None = None
+        self._face_of: dict[Dart, int] | None = None
         self._components: list[list[str]] | None = None
         self._dfs_result: tuple[dict, dict, dict, list] | None = None
 
@@ -72,17 +79,14 @@ class PlanarGraph:
         return self.rot[d[0]][d[1]]
 
     def twin(self, d: Dart) -> Dart:
-        d1, d2 = self._ends[self.dart_tag(d)]
-        return d2 if d == d1 else d1
+        return self._twin[d]
 
     def head(self, d: Dart) -> str:
-        return self.twin(d)[0]
+        return self._twin[d][0]
 
     def neighbors(self, v: str) -> list[str]:
-        out = []
-        for i in range(len(self.rot[v])):
-            out.append(self.head((v, i)))
-        return out
+        twin = self._twin
+        return [twin[(v, i)][0] for i in range(len(self.rot[v]))]
 
     def darts(self):
         for v in self.vertices:
@@ -103,33 +107,34 @@ class PlanarGraph:
 
     # -- faces -----------------------------------------------------------
 
-    def next_in_face(self, d: Dart) -> Dart:
-        """Successor dart of the face walk: clockwise-next at the head."""
-        w, j = self.twin(d)
-        return (w, (j + 1) % len(self.rot[w]))
-
     def faces(self) -> list[list[Dart]]:
-        """Face walks as dart lists; traced once and kept (do not mutate)."""
+        """Face walks as dart lists; traced once, with ``face_of``, and
+        kept (do not mutate).  A walk leaves each dart's head by the
+        clockwise-next dart there."""
         if self._faces is None:
-            seen: set[Dart] = set()
+            rot, twin = self.rot, self._twin
+            face_of: dict[Dart, int] = {}
             faces = []
             for d in self.darts():
-                if d in seen:
+                if d in face_of:
                     continue
                 walk = []
                 cur = d
-                while cur not in seen:
-                    seen.add(cur)
+                while cur not in face_of:
+                    face_of[cur] = len(faces)
                     walk.append(cur)
-                    cur = self.next_in_face(cur)
+                    w, j = twin[cur]
+                    cur = (w, (j + 1) % len(rot[w]))
                 if cur != d:
                     raise GraphError("rotation system face trace is inconsistent")
                 faces.append(walk)
-            self._faces = faces
+            self._faces, self._face_of = faces, face_of
         return self._faces
 
     def face_of(self) -> dict[Dart, int]:
-        return {d: i for i, f in enumerate(self.faces()) for d in f}
+        """Dart -> index of its face in ``faces()``; kept (do not mutate)."""
+        self.faces()
+        return self._face_of
 
     def face_vertices(self, i: int) -> list[str]:
         return [d[0] for d in self.faces()[i]]

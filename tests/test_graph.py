@@ -1,9 +1,12 @@
 """Rotation-system graph structure: faces, dual, medial, bridges, SPQR."""
 
 import shutil
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, k4_gadgets, load_graph, load_text, spqr_nodes, spqr_problems
 from lombardi.cli import main
@@ -15,6 +18,10 @@ from lombardi.graph import (
     parse,
     spqr,
 )
+from lombardi.packing import kite_triangulation
+
+sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
+import family  # noqa: E402
 
 K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
 
@@ -182,6 +189,49 @@ def test_derived_structure_is_kept():
     assert g.bridges() == g.bridges() == [] and g.connected_components() == g.connected_components()
     g = load_graph("two_blocks_bridge")
     assert g.bridges() == g.bridges() and g.connected_components() is g.connected_components()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(p.stem for p in FIXTURES.glob("*.txt"))),
+    st.lists(st.sampled_from(["truncate", "subdivide", "relabel"]), max_size=2),
+    st.integers(0, 9),
+)
+def test_dart_table_and_kept_faces_on_generated_graphs(name, steps, seed):
+    rot = family.rotation_of(load_graph(name))
+    for step in steps:
+        if step == "relabel":
+            rot = family.relabel(rot, seed)
+        elif step == "subdivide":
+            rot = family.subdivide(rot, 1)
+        elif min(map(len, rot.values())) >= 3:  # truncating a leaf makes a loop
+            rot = family.truncate(rot)
+    g = parse(family.to_text(rot))
+    # the twin table: an involution without fixed points, pairing the two
+    # darts of each edge
+    for d in g.darts():
+        t = g.twin(d)
+        assert t != d and g.twin(t) == d and g.dart_tag(t) == g.dart_tag(d)
+        assert g.head(d) == t[0] == g.other_end(g.dart_tag(d), d[0])
+    # face_of numbers each dart by the face walk holding it, and each walk
+    # goes on from a dart's twin to the clockwise-next dart there
+    faces, face_of = g.faces(), g.face_of()
+    assert face_of == {d: i for i, walk in enumerate(faces) for d in walk}
+    assert len(face_of) == 2 * len(g.edges)
+    for walk in faces:
+        for k, d in enumerate(walk):
+            w, j = g.twin(d)
+            assert walk[(k + 1) % len(walk)] == (w, (j + 1) % g.degree(w))
+    # derived graphs and the structure check read the kept faces and
+    # leave them as they were
+    kept = ([list(walk) for walk in faces], dict(face_of))
+    for derive in (PlanarGraph.dual, PlanarGraph.medial, kite_triangulation, is_three_connected):
+        try:
+            derive(g)
+        except GraphError:  # a bridge's dual is a loop; a cut vertex has no flag kite
+            pass
+        assert g.faces() is faces and g.face_of() is face_of
+        assert ([list(walk) for walk in faces], dict(face_of)) == kept
 
 
 def test_suppress_degree_two_restores_chain():

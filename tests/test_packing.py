@@ -4,21 +4,23 @@ import functools
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_packing
 from conftest import FIXTURES, goldberg, load_graph
 from lombardi import packing
-from lombardi.graph import PlanarGraph, parse
+from lombardi.graph import GraphError, PlanarGraph, parse
 from lombardi.packing import (
     PackingError,
+    corner_angle,
     edge_length,
     kite_triangulation,
     pack_and_layout,
     primal_dual_pack,
-    right_kite,
 )
 
 sys.path.insert(0, str(FIXTURES.parent / "perfbench"))
@@ -112,10 +114,10 @@ def law_of_cosines(lv_u: float, lv_w: float, l_uw: float) -> float:
 @pytest.fixture
 def placements(monkeypatch):
     """Records one entry per circle the layout places: one
-    ``triangle_angles`` call each inside layout_centers (Newton's calls
-    are not counted)."""
+    ``corner_angle`` call each inside layout_centers (the hub's, which
+    primal_dual_pack places after the layout, is not counted)."""
     calls, laying = [], []
-    angles, layout = packing.triangle_angles, packing.layout_centers
+    angles, layout = packing.corner_angle, packing.layout_centers
 
     def counted(*args):
         if laying:
@@ -129,7 +131,7 @@ def placements(monkeypatch):
         finally:
             laying.pop()
 
-    monkeypatch.setattr(packing, "triangle_angles", counted)
+    monkeypatch.setattr(packing, "corner_angle", counted)
     monkeypatch.setattr(packing, "layout_centers", counted_layout)
     return calls
 
@@ -327,17 +329,27 @@ def test_primal_dual_pack_without_solution_raises():
 
 @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 1.0, 7.0, 1e3, 1e6])
 def test_right_kite_matches_law_of_cosines(ratio):
+    # the right kite (v, x, f), x a point circle: the layout's angles,
+    # and Newton's angle sums and weight on side vf, which must be the
+    # same angles
     r_v = 0.3
     r_f = ratio * r_v
-    angle_v, angle_f, w = right_kite(r_v, r_f)
+
+    def angles(r_v, r_f):  # at v and at f
+        return corner_angle(r_v, 0.0, r_f), corner_angle(r_f, r_v, 0.0)
+
+    angle_v, angle_f = angles(r_v, r_f)
     hyp = math.hypot(r_v, r_f)
     assert abs(angle_v - law_of_cosines(r_v, hyp, r_f)) < 1e-9
     assert abs(angle_f - law_of_cosines(r_f, hyp, r_v)) < 1e-9
+    assert corner_angle(0.0, r_f, r_v) == corner_angle(0.0, r_v, r_f) == math.pi / 2
+    theta, (w,) = packing._angle_system([r_v, r_f], [], [(0, 1, 1, 0)], 2, 1)
+    assert theta == [-2 * math.pi + angle_v, -2 * math.pi + angle_f]
     # w = d(angle at v)/d(log r_f) = -d(angle at f)/d(log r_f); difference
     # the smaller angle, whose rounding error is smallest
     k, sign = (0, 1) if angle_v <= angle_f else (1, -1)
     h = 1e-5
-    fd = (right_kite(r_v, r_f * math.exp(h))[k] - right_kite(r_v, r_f * math.exp(-h))[k]) / (2 * h)
+    fd = (angles(r_v, r_f * math.exp(h))[k] - angles(r_v, r_f * math.exp(-h))[k]) / (2 * h)
     assert abs(sign * fd - w) <= 1e-6 * w
 
 
@@ -426,12 +438,18 @@ def test_pack_rejects_triangles_without_a_closed_form():
 
 def test_kite_triangulation_of_k4():
     g = parse(K4_TEXT)
-    kite, primal, dual, cross = kite_triangulation(g)
+    kite, overlap, fname, xname = kite_triangulation(g)
     # one kite vertex per primal vertex, face, and edge crossing
     assert len(kite.vertices) == len(g.vertices) + len(g.faces()) + len(g.edges)
-    assert len(cross) == len(g.edges)
+    assert sorted(fname.values()) == sorted(f"f{i}" for i in range(len(g.faces())))
+    assert len(xname) == len(g.edges)
     # every face of the kite graph is a triangle
     assert all(len(w) == 3 for w in kite.faces())
+    # every kite edge has its overlap: the 2E vertex-face sides cross at
+    # pi/2, the 4E legs to the edge points are tangent
+    e = len(g.edges)
+    assert set(overlap) == set(kite.edges)
+    assert Counter(overlap.values()) == {math.pi / 2: 2 * e, 0.0: 4 * e}
 
 
 def test_primal_dual_pack_k4_closed_form():
@@ -525,3 +543,30 @@ def test_primal_dual_hub_is_recorded():
     assert pdp.hub in pdp.vertex_circles.keys() | pdp.face_circles.keys()
     # crossing points exist for every primal edge
     assert set(pdp.crossing) == set(g.edges)
+
+
+def packed(pack, g):
+    """A packing's repr, which holds every radius, center, tangency and
+    crossing point to the last bit, or the class of what ``pack`` raised."""
+    try:
+        return repr(pack(g))
+    except (GraphError, PackingError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [(p.stem, kind) for p in sorted(FIXTURES.glob("*.txt")) for kind in ("dual", "kite")]
+    + [("trunc180", "dual"), ("goldberg80", "dual")],
+)
+def test_packing_matches_the_reference(name, kind):
+    # integer kite tags, Newton's inline angles and the layout's single
+    # corner angle change no bit of a packing: the dual packings (CG
+    # solves goldberg80's) and the primal-dual packings of the flag kites
+    g = {"trunc180": lambda: trunc(1), "goldberg80": lambda: parse(goldberg(1))}.get(name, lambda: load_graph(name))()
+    if kind == "dual":  # a bridge is a loop of the dual, which raises
+        got = packed(lambda g: pack_and_layout(g.dual()[0]), g)
+        want = packed(lambda g: reference_packing.pack_and_layout(g.dual()[0]), g)
+    else:
+        got, want = packed(primal_dual_pack, g), packed(reference_packing.primal_dual_pack, g)
+    assert got == want
