@@ -608,7 +608,7 @@ def draw_3connected(g: PlanarGraph, outer_face: int = 0) -> LombardiDrawing:
     faces = g.faces()
     if not 0 <= outer_face < len(faces):
         raise GraphError(f"outer face index {outer_face} out of range")
-    norm, _ = normalize_outer(pack_and_layout(g.dual()[0]), f"f{outer_face}")
+    norm, _ = normalize_outer(pack_and_layout(g.dual()), outer_face)
     m, _ = optimize_min_radius(norm)
     norm = apply_to_normalized(norm, m)
     return drawing_from_packing(g, norm, outer_face)
@@ -1182,11 +1182,11 @@ def draw_medial(g: PlanarGraph, angle_tol: float = ANGLE_TOL) -> LombardiDrawing
             v = d2[0]  # the face-walk vertex shared by the two darts
             e1, e2 = g.dart_tag(d1), g.dart_tag(d2)
             cv = pdp.vertex_circles[v]
-            cf = pdp.face_circles[f"f{fi}"]
+            cf = pdp.face_circles[fi]
             # the hub circle is drawn inside-out: its disk is the
             # exterior, so the lune sits on the other side of it
-            sv = v != pdp.hub
-            sf = f"f{fi}" != pdp.hub
+            sv = pdp.hub != ("vertex", v)
+            sf = pdp.hub != ("face", fi)
             bis = lune_bisector(cv, cf, side1=sv, side2=sf)
             # the packing's crossing points become the ends; the
             # bisector's witness, its midpoint, stays inside the lune

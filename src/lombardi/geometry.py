@@ -537,8 +537,8 @@ class Arc(Record, frozen=True):
     def tangent_direction(self, at: Point, tol: float = 1e-7) -> complex:
         """Unit tangent of the arc at an endpoint, pointing into the arc.
 
-        ``at`` must match one of the endpoints (within ``tol``) and be
-        finite: INF and NaN raise ValueError.
+        ``at`` must be finite and within ``tol`` of an endpoint that has
+        a tangent (not the circle's centre), else ValueError.
         """
         if not is_finite(at):
             raise ValueError("tangent direction at a non-finite point is undefined")
@@ -554,6 +554,8 @@ class Arc(Record, frozen=True):
         if isinstance(self.support, Circle):
             c = self.support
             _, _, ccw = self._sweep()
+            if endpoint == c.center:
+                raise ValueError("tangent_direction: the arc ends at its circle's centre")
             radial = (endpoint - c.center) / abs(endpoint - c.center)
             t = radial * (1j if ccw else -1j)
             return t if at_p else -t  # into the arc from whichever end

@@ -9,9 +9,11 @@ built once at construction, and ``twin``, ``head``, ``neighbors`` and the
 face trace read it.  Faces are traced from the rotation system and
 Euler's formula certifies that the rotation system describes a sphere
 embedding; derived graphs (dual, medial, flag kites) check their source,
-which is one exactly when they are.  A graph is not written to after
-construction and keeps its faces (with ``face_of``), components and DFS
-from first use: do not mutate them.
+which is one exactly when they are.  Vertex names may be any hashable
+values, and a face's only name is its index in ``faces()``: vertex i of
+``dual()`` is face i.  A graph is not written to after construction and
+keeps its faces (with ``face_of``), components and DFS from first use:
+do not mutate them.
 
 The structure checks run in near-linear time on one iterative DFS:
 bridges and cut vertices by lowpoints, 2-edge-cut classes by
@@ -201,23 +203,14 @@ class PlanarGraph:
         rot[w].insert(slot_w, tag)
         return PlanarGraph(rot)
 
-    def dual(self) -> tuple["PlanarGraph", dict]:
-        """The dual embedded graph.
-
-        Dual vertices are face names 'f0', 'f1', ...; each primal edge tag
-        is reused as the tag of the dual edge between its two adjacent
-        faces.  Returns (dual, face_of) with face_of mapping primal darts
-        to dual vertex names.
+    def dual(self) -> "PlanarGraph":
+        """The dual embedded graph: dual vertex i is face i of ``faces()``
+        (so ``face_of`` maps each dart to its dual vertex), and each primal
+        edge tag is reused as the tag of the dual edge between its two
+        adjacent faces.
         """
         self.check_planar()  # the dual of a sphere embedding is one too
-        faces = self.faces()
-        fidx = self.face_of()
-        rot = {}
-        for i, walk in enumerate(faces):
-            rot[f"f{i}"] = [self.dart_tag(d) for d in walk]
-        dualg = PlanarGraph(rot)
-        face_name = {d: f"f{fidx[d]}" for d in fidx}
-        return dualg, face_name
+        return PlanarGraph({i: [self.dart_tag(d) for d in walk] for i, walk in enumerate(self.faces())})
 
     def medial(self) -> tuple["PlanarGraph", dict]:
         """The medial graph: one vertex per edge, joined along face corners.

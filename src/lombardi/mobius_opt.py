@@ -33,11 +33,11 @@ from .packing import CirclePacking
 
 
 class NormalizedPacking(Record):
-    """A packing whose designated outer circle is the unit circle."""
+    """A packing whose circle of dual vertex ``outer`` (a face index) is the unit circle."""
 
     __slots__ = _fields = ("circles", "tangency", "outer")
 
-    def __init__(self, circles: dict[str, Circle], tangency: dict, outer: str):
+    def __init__(self, circles: dict[int, Circle], tangency: dict, outer: int):
         self.circles, self.tangency, self.outer = circles, tangency, outer
 
     def interior_names(self):
@@ -58,8 +58,8 @@ def _map_packing(p: CirclePacking | NormalizedPacking, m: Mobius) -> tuple[dict,
 _CONTAIN_TOL = 1e-6  # how far past the unit circle an interior circle may reach
 
 
-def normalize_outer(p: CirclePacking, outer: str) -> tuple[NormalizedPacking, Mobius]:
-    """Turn the packing inside out so circle ``outer`` becomes the unit circle.
+def normalize_outer(p: CirclePacking, outer: int) -> tuple[NormalizedPacking, Mobius]:
+    """Turn a dual packing inside out so face ``outer``'s circle becomes the unit circle.
 
     The map is the inversion in that circle, which fixes it, followed by
     the scaling and translation taking it to the unit circle.  All other

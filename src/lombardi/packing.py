@@ -19,8 +19,8 @@ Two kinds of triangle occur, each with angles in closed form
 per placed circle: three mutually tangent circles (the dual packing of
 a cubic graph), by the incircle through their tangency points, and a
 corner pinned at radius 0 opposite a side crossing at pi/2 (a flag kite
-of the primal-dual packing, whose 6E edges ``kite_triangulation`` tags
-by integers).  Any other triangle raises PackingError.
+of the primal-dual packing, whose V + F + E vertices and 6E edges
+``kite_triangulation`` numbers).  Any other triangle raises PackingError.
 
 Every packing stops on one rule: success once the largest angle-sum
 defect is at most ``_DEFECT_TOL``, and PackingError when a step cannot
@@ -90,17 +90,16 @@ class CirclePacking(Record):
 
 
 class PrimalDualPacking(Record):
-    """Orthogonal primal-dual circle representation of a polyhedral graph."""
+    """Orthogonal primal-dual circle representation of a polyhedral graph:
+    circles by vertex name and by face index, each edge's crossing point
+    by tag, and the hub, ("vertex", v) or ("face", i), the circle whose
+    disk is the exterior of the drawn circle in the flat layout."""
 
     __slots__ = _fields = ("vertex_circles", "face_circles", "crossing", "hub")
 
-    def __init__(self, vertex_circles: dict[str, Circle], face_circles: dict[str, Circle], crossing: dict,
-                 hub: str = ""):
+    def __init__(self, vertex_circles: dict, face_circles: list[Circle], crossing: dict, hub: tuple):
         self.vertex_circles, self.face_circles = vertex_circles, face_circles
-        self.crossing = crossing  # primal edge tag -> the common crossing/tangency point
-        # the puncture circle of the flat layout (a vertex or face name);
-        # its disk is the exterior of the drawn circle
-        self.hub = hub
+        self.crossing, self.hub = crossing, hub
 
 
 def edge_length(r1: float, r2: float, cos_overlap: float) -> float:
@@ -457,46 +456,45 @@ def pack_and_layout(g: PlanarGraph) -> CirclePacking:
 # Primal-dual orthogonal packing via the flag-kite subdivision
 
 
-def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict, dict, dict]:
+def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict]:
     """Split a polyhedral graph into one right kite triangle per flag.
 
-    Vertices: the original vertices, one vertex per face ('f<i>'), and
-    one vertex per edge ('x<k>') at the point where the four circles of
-    the edge meet.  Each (vertex, edge, face) flag becomes the triangle
-    (vertex, edge point, face); edge-point circles have radius zero, so
-    every vertex-face side crosses at pi/2 while the two legs of each
-    triangle are tangencies with a point circle.
+    Vertices are numbered apart from g's names: j is ``g.vertices[j]``,
+    V + i is face i and V + F + k the point of ``g.edges[k]`` where the
+    four circles of the edge meet.  Each (vertex, edge, face) flag becomes
+    the triangle (vertex, edge point, face); edge-point circles have
+    radius zero, so every vertex-face side crosses at pi/2 while the two
+    legs of each triangle are tangencies with a point circle.
 
     Kite edges are tagged by integers, three per dart d = (v, i) of g,
     the j-th in ``g.darts()`` order: 3j joins v to the point of d's edge,
     3j + 1 joins the face of d to that point, and 3j + 2 joins v to the
     face of d (the corner before d at v), crossing at pi/2.
 
-    Returns (kite graph, overlap angles, face names, edge-point names).
+    Returns (kite graph, overlap angles).
     """
     g.check_planar()  # the flag subdivision of a sphere embedding is one too
-    fname = {i: f"f{i}" for i in range(len(g.faces()))}
-    xname = {t: f"x{k}" for k, t in enumerate(g.edges)}
+    nv, nf = len(g.vertices), len(g.faces())
     first, j = {}, 0  # v -> 3 * (the index of the dart (v, 0))
     for v in g.vertices:
         first[v], j = j, j + 3 * g.degree(v)
     overlap = {t: math.pi / 2 if t % 3 == 2 else 0.0 for t in range(j)}
-    rot: dict[str, list] = {}
-    for v in g.vertices:
+    rot: dict[int, list] = {}
+    for n, v in enumerate(g.vertices):
         k, b = g.degree(v), first[v]
         # edge i, then the corner between edges i and i + 1
-        rot[v] = [t for i in range(k) for t in (b + 3 * i, b + 3 * ((i + 1) % k) + 2)]
+        rot[n] = [t for i in range(k) for t in (b + 3 * i, b + 3 * ((i + 1) % k) + 2)]
     for i, walk in enumerate(g.faces()):
         if len({v for v, _ in walk}) < len(walk):  # v would meet the face at two corners
             raise GraphError(f"face {i} passes a vertex twice: no flag subdivision")
-        rot[fname[i]] = [t for v, s in reversed(walk) for t in (first[v] + 3 * s + 1, first[v] + 3 * s + 2)]
-    for e in g.edges:
+        rot[nv + i] = [t for v, s in reversed(walk) for t in (first[v] + 3 * s + 1, first[v] + 3 * s + 2)]
+    for k, e in enumerate(g.edges):
         (u, s), (w, r) = g.darts_of(e)
-        rot[xname[e]] = [first[u] + 3 * s, first[u] + 3 * s + 1, first[w] + 3 * r, first[w] + 3 * r + 1]
+        rot[nv + nf + k] = [first[u] + 3 * s, first[u] + 3 * s + 1, first[w] + 3 * r, first[w] + 3 * r + 1]
     kite = PlanarGraph(rot)
     if any(len(f) != 3 for f in kite.faces()):
         raise GraphError("flag subdivision is not a triangulation")
-    return kite, overlap, fname, xname
+    return kite, overlap
 
 
 def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
@@ -518,19 +516,21 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     layout_centers with the star's faces skipped, from the first ring
     edge in dart order; the hub then goes at its distance from x in a
     star face (x, y, hub), turned from xy by the face's angle at x, but
-    to the side of the laid faces.
+    to the side of the laid faces.  The kite's vertex numbers are then
+    read back as g's vertex names, face indices and edge tags.
     """
-    kite, overlap, fname, xname = kite_triangulation(g)
+    kite, overlap = kite_triangulation(g)
+    nv, nf = len(g.vertices), len(g.faces())
     fidx = g.face_of()
     tri = next((i for i, walk in enumerate(g.faces()) if len(walk) == 3), None)
     deg3 = next((v for v in g.vertices if g.degree(v) == 3), None)
     if tri is not None:
-        hub, triple = fname[tri], g.face_vertices(tri)
+        which, hub, triple = ("face", tri), nv + tri, [g.vertices.index(v) for v in g.face_vertices(tri)]
     elif deg3 is not None:
-        hub, triple = deg3, [fname[fidx[(deg3, s)]] for s in range(3)]
+        which, hub, triple = ("vertex", deg3), g.vertices.index(deg3), [nv + fidx[(deg3, s)] for s in range(3)]
     else:
         raise GraphError("no triangular face and no degree-3 vertex")
-    boundary = {xname[t]: 0.0 for t in g.edges} | dict.fromkeys(triple, 1.0)
+    boundary = dict.fromkeys(range(nv + nf, len(kite.vertices)), 0.0) | dict.fromkeys(triple, 1.0)
     radii = pack_triangulation(kite, boundary, overlap=overlap)
 
     ring = kite.neighbors(hub)
@@ -547,8 +547,8 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     turn = cmath.exp(-1j * corner_angle(radii[x], radii[y], radii[hub]))
     circles = packing.circles | {hub: Circle(packing.centers[x] + side * xy / abs(xy) * turn, radii[hub])}
     return PrimalDualPacking(
-        vertex_circles={v: circles[v] for v in g.vertices},
-        face_circles={fname[i]: circles[fname[i]] for i in fname},
-        crossing={t: packing.centers[xname[t]] for t in g.edges},
-        hub=hub,
+        vertex_circles={v: circles[n] for n, v in enumerate(g.vertices)},
+        face_circles=[circles[nv + i] for i in range(nf)],
+        crossing={t: packing.centers[nv + nf + k] for k, t in enumerate(g.edges)},
+        hub=which,
     )

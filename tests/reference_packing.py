@@ -1,8 +1,10 @@
 """Reference circle packing: the flag kite with tuple tags, every triangle
 through ``triangle_angles``, kept as an oracle.
 
-``kite_triangulation`` tags each kite edge by what it joins: ("vx", v,
-e), ("fx", face index, e) and ("vf", v, face index).  ``_angle_system``
+``kite_triangulation`` keeps g's vertex names, names face i and the
+point of edge e ("face", i) and ("point", e), and tags each kite edge by
+what it joins: ("vx", v, e), ("fx", face index, e) and ("vf", v, face
+index).  ``_angle_system``
 and ``layout_centers`` take every triangle's angles, all three at once,
 from ``triangle_angles``, and right kites from ``right_kite``.  The
 Newton loop, the linear solves and the stopping rule are the library's.
@@ -195,18 +197,16 @@ def pack_and_layout(g: PlanarGraph) -> CirclePacking:
     return laid
 
 
-def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict, dict, dict]:
+def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict]:
     """One right kite triangle per flag, its edges tagged by what they join.
 
-    Returns (kite graph, overlap angles, face names, edge-point names).
+    Returns (kite graph, overlap angles).
     """
     g.check_planar()
     faces = g.faces()
     fidx = g.face_of()
-    fname = {i: f"f{i}" for i in range(len(faces))}
-    xname = {t: f"x{k}" for k, t in enumerate(g.edges)}
     overlap: dict = {}
-    rot: dict[str, list] = {}
+    rot: dict = {}
     for v in g.vertices:
         k = g.degree(v)
         order = []
@@ -225,30 +225,30 @@ def kite_triangulation(g: PlanarGraph) -> tuple[PlanarGraph, dict, dict, dict]:
             order.append(("vf", d[0], j))
             order.append(("fx", j, e))
             overlap[("fx", j, e)] = 0.0
-        rot[fname[j]] = list(reversed(order))
+        rot[("face", j)] = list(reversed(order))
     for e in g.edges:
         du, dw = g.darts_of(e)
-        rot[xname[e]] = [("vx", du[0], e), ("fx", fidx[du], e), ("vx", dw[0], e), ("fx", fidx[dw], e)]
+        rot[("point", e)] = [("vx", du[0], e), ("fx", fidx[du], e), ("vx", dw[0], e), ("fx", fidx[dw], e)]
     kite = PlanarGraph(rot)
     if any(len(f) != 3 for f in kite.faces()):
         raise GraphError("flag subdivision is not a triangulation")
-    return kite, overlap, fname, xname
+    return kite, overlap
 
 
 def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     """Orthogonal circle packing of a polyhedral graph and its dual, from
     the flag kite with the hub's star skipped in the layout."""
-    kite, overlap, fname, xname = kite_triangulation(g)
+    kite, overlap = kite_triangulation(g)
     fidx = g.face_of()
     tri = next((i for i, walk in enumerate(g.faces()) if len(walk) == 3), None)
     deg3 = next((v for v in g.vertices if g.degree(v) == 3), None)
     if tri is not None:
-        hub, triple = fname[tri], g.face_vertices(tri)
+        which, hub, triple = ("face", tri), ("face", tri), g.face_vertices(tri)
     elif deg3 is not None:
-        hub, triple = deg3, [fname[fidx[(deg3, s)]] for s in range(3)]
+        which, hub, triple = ("vertex", deg3), deg3, [("face", fidx[(deg3, s)]) for s in range(3)]
     else:
         raise GraphError("no triangular face and no degree-3 vertex")
-    boundary = {xname[t]: 0.0 for t in g.edges} | dict.fromkeys(triple, 1.0)
+    boundary = {("point", t): 0.0 for t in g.edges} | dict.fromkeys(triple, 1.0)
     radii = pack_triangulation(kite, boundary, overlap=overlap)
 
     ring = kite.neighbors(hub)
@@ -266,7 +266,7 @@ def primal_dual_pack(g: PlanarGraph) -> PrimalDualPacking:
     circles = laid.circles | {hub: Circle(laid.centers[x] + side * xy / abs(xy) * turn, radii[hub])}
     return PrimalDualPacking(
         vertex_circles={v: circles[v] for v in g.vertices},
-        face_circles={fname[i]: circles[fname[i]] for i in fname},
-        crossing={t: laid.centers[xname[t]] for t in g.edges},
-        hub=hub,
+        face_circles=[circles[("face", i)] for i in range(len(g.faces()))],
+        crossing={t: laid.centers[("point", t)] for t in g.edges},
+        hub=which,
     )

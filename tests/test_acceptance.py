@@ -54,7 +54,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def dual_packing(name: str):
     g = load_graph(name)
-    dualg, _ = g.dual()
+    dualg = g.dual()
     return g, dualg, pack_and_layout(dualg)
 
 
@@ -64,7 +64,7 @@ _norm_cache: dict = {}
 def normalized(name: str) -> NormalizedPacking:
     if name not in _norm_cache:
         g, dualg, p = dual_packing(name)
-        _norm_cache[name], _ = normalize_outer(p, "f0")
+        _norm_cache[name], _ = normalize_outer(p, 0)
     return _norm_cache[name]
 
 
@@ -211,7 +211,7 @@ def test_criterion_8_mobius_invariance():
     # pipeline naturality on K4: drawing the transformed packing equals
     # transforming the drawing
     g = load_graph("k4")
-    norm, _ = normalize_outer(pack_and_layout(g.dual()[0]), "f0")
+    norm, _ = normalize_outer(pack_and_layout(g.dual()), 0)
     d_base = drawing_from_packing(g, norm, 0)
     m = Mobius(1.0, 0.15 + 0.1j, -0.08 + 0.05j, 1.1)  # keeps everything finite
     circles = {v: m.apply_circle(c) for v, c in norm.circles.items()}

@@ -315,6 +315,18 @@ def test_cli_verify_only_rejects_an_arc_whose_end_is_off_its_support(tmp_path, c
     assert "endpoint error 5.000e-01 (FAIL)" in capsys.readouterr().out
 
 
+def test_cli_verify_only_reports_an_arc_ending_at_its_centre(tmp_path, capsys):
+    # the unit-circle arc uv ends at its circle's centre v, where it has no
+    # tangent: the angle check fails there and the report is printed
+    arc = Arc(Circle(0j, 1.0), 1 + 0j, 0j, 1j)
+    d = LombardiDrawing({"u": 1 + 0j, "v": 0j, "w": -1 + 0j}, {"uv": arc, "vw": segment(0j, -1 + 0j)},
+                        {"uv": ("u", "v"), "vw": ("v", "w")})
+    dump = tmp_path / "centre.json"
+    dump.write_text(json.dumps(to_json(d)))
+    assert main([str(dump), "--verify-only"]) == 1
+    assert "angle residual inf (FAIL)" in capsys.readouterr().out
+
+
 def test_cli_angle_tol_sets_the_gate(tmp_path, capsys):
     # irregular69 glues blocks and attaches bridge stubs, none of which
     # verify on their own, and leaves an angle residual of about 2.3e-9

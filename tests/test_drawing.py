@@ -12,6 +12,7 @@ from conftest import (
     FIXTURES,
     drawn,
     drawn_medial,
+    goldberg,
     k4_gadgets,
     load_graph,
     load_text,
@@ -838,8 +839,8 @@ def test_draw_medial_corners_meet_their_circles_at_45_degrees(name):
     for fi, walk in enumerate(g.faces()):
         for i in range(len(walk)):
             arc = d.arcs[("corner", fi, i)]
-            v, f = walk[(i + 1) % len(walk)][0], f"f{fi}"
-            cv, cf = pdp.vertex_circles[v], pdp.face_circles[f]
+            v = walk[(i + 1) % len(walk)][0]
+            cv, cf = pdp.vertex_circles[v], pdp.face_circles[fi]
             for z in (arc.p, arc.q):
                 t = arc.tangent_direction(z)
                 for c in (cv, cf):
@@ -847,7 +848,8 @@ def test_draw_medial_corners_meet_their_circles_at_45_degrees(name):
                     assert abs(turn - math.pi / 4) <= 1e-9
             # the hub's disk is the exterior, so its lune is outside its circle
             w = arc.witness
-            assert (cv.strictly_inside(w), cf.strictly_inside(w)) == (v != pdp.hub, f != pdp.hub)
+            hub = (pdp.hub == ("vertex", v), pdp.hub == ("face", fi))
+            assert (cv.strictly_inside(w), cf.strictly_inside(w)) == (not hub[0], not hub[1])
 
 
 def test_draw_medial_rejects_non_polyhedral():
@@ -855,6 +857,49 @@ def test_draw_medial_rejects_non_polyhedral():
         draw_medial(load_graph("g18"))
     with pytest.raises(GraphError):
         draw_medial(load_graph("two_blocks_bridge"))
+
+
+def renamed(g: PlanarGraph, name) -> tuple[PlanarGraph, dict]:
+    """g with vertex k renamed ``name(k)`` and its edge tags kept, and the
+    map from new names back to old."""
+    new = {v: name(k) for k, v in enumerate(g.vertices)}
+    return PlanarGraph({new[v]: g.rot[v] for v in g.vertices}), {w: v for v, w in new.items()}
+
+
+def draw_outcome(draw, g: PlanarGraph, back: dict | None = None):
+    """The JSON text of ``draw(g)`` with its vertex ids mapped by ``back``,
+    or the class of the error it raised."""
+    try:
+        d = draw(g)
+    except (GraphError, DrawingError) as err:
+        return type(err)
+    if back is not None:
+        d = LombardiDrawing({back[v]: z for v, z in d.positions.items()}, d.arcs,
+                            {t: (back[u], back[w]) for t, (u, w) in d.edges.items()}, d.outer_face)
+    return json_text(to_json(d))
+
+
+@pytest.mark.parametrize("mode", ["subcubic", "medial"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.txt")))
+def test_vertex_names_do_not_change_a_draw(name, mode):
+    # faces and flag-kite vertices are numbered apart from the input's
+    # names, so renaming the vertices x<k> or f<k>, the names the flag
+    # kite once gave its edge points and faces, or k changes no byte of a
+    # medial drawing (whose ids are m<k>) and, ids mapped back, none of a
+    # subcubic one; an input that cannot be drawn fails the same way
+    g = load_graph(name)
+    draw = draw_medial if mode == "medial" else draw_subcubic
+    want = draw_outcome(draw, g)
+    for rename in (lambda k: f"x{k}", lambda k: f"f{k}", lambda k: k):
+        h, back = renamed(g, rename)
+        assert draw_outcome(draw, h, None if mode == "medial" else back) == want, rename(0)
+
+
+def test_draw_medial_of_goldberg_graph():
+    # goldberg(1) names its 80 vertices f0 ... f79
+    d = draw_medial(parse(goldberg(1)))
+    assert d.report.passed, d.report.summary()
+    assert d.report.max_angle_residual < 1e-11
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,14 @@ def test_tangent_direction_rejects_non_finite_points():
             a.tangent_direction(at)
 
 
+def test_tangent_direction_rejects_an_end_at_the_circle_centre():
+    # an arc of the unit circle ending at the circle's centre: the radius
+    # there has no direction, so neither has the tangent
+    a = Arc(Circle(0j, 1.0), 1 + 0j, 0j, 1j)
+    with pytest.raises(ValueError, match="centre"):
+        a.tangent_direction(0j)
+
+
 def test_arc_intersections_of_crossing_circles():
     a1 = arc_through(1 + 0j, -1 + 0j, 1j)  # upper unit semicircle
     c2 = Circle(1 + 0j, 1.0)

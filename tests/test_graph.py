@@ -84,12 +84,13 @@ def test_k4_faces_are_triangles():
 
 def test_dual_of_cube_is_octahedron_like():
     g = load_graph("cube")
-    dg, face_name = g.dual()
-    assert len(dg.vertices) == 6
+    dg = g.dual()
+    assert dg.vertices == list(range(6))
     assert all(dg.degree(v) == 4 for v in dg.vertices)
     assert len(dg.edges) == 12
-    # the face-corner labels cover every vertex-slot pair
-    assert set(face_name) == {(v, i) for v in g.vertices for i in range(3)}
+    # dual vertex i is face i, so face_of names every dart's dual vertex
+    assert set(g.face_of()) == {(v, i) for v in g.vertices for i in range(3)}
+    assert all(dg.rot[i] == [g.dart_tag(d) for d in walk] for i, walk in enumerate(g.faces()))
 
 
 def test_medial_of_k4_is_octahedron():

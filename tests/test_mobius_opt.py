@@ -24,8 +24,8 @@ K4_TEXT = "a b c d\nb c a d\nc a b d\nd a c b\n"
 
 
 def normalized(g) -> NormalizedPacking:
-    dualg, _ = g.dual()
-    norm, _ = normalize_outer(pack_and_layout(dualg), "f0")
+    dualg = g.dual()
+    norm, _ = normalize_outer(pack_and_layout(dualg), 0)
     return norm
 
 

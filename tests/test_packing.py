@@ -58,7 +58,7 @@ def packing_defects(g: PlanarGraph, p: packing.CirclePacking) -> dict:
 
 def k4_dual_packing():
     g = parse(K4_TEXT)
-    dualg, _ = g.dual()
+    dualg = g.dual()
     return dualg, pack_and_layout(dualg)
 
 
@@ -149,7 +149,7 @@ def assert_laid_lengths(g, centers, radii, overlap, name):
 def test_dual_packing_of_cubic_fixtures(name, newton_steps, placements):
     # Newton converges quadratically: a handful of steps reach the defect bound
     g = load_graph(name)
-    dualg, _ = g.dual()
+    dualg = g.dual()
     p = pack_and_layout(dualg)
     assert 0 < len(newton_steps) <= 8, (name, len(newton_steps))
     # the seed edge's two circles go down first, every other circle once
@@ -244,11 +244,11 @@ def trunc(times: int) -> PlanarGraph:
 @pytest.mark.parametrize(
     "pack, g, exact",
     [
-        (pack_and_layout, lambda: load_graph("tutte").dual()[0], True),  # all 22 unknowns eliminated
+        (pack_and_layout, lambda: load_graph("tutte").dual(), True),  # all 22 unknowns eliminated
         (primal_dual_pack, lambda: load_graph("tutte"), True),  # all 68, adding mesh sides
-        (pack_and_layout, lambda: trunc(2).dual()[0], True),  # all 269
-        (pack_and_layout, lambda: parse(goldberg(1)).dual()[0], False),  # over the fill budget: CG
-        (pack_and_layout, lambda: parse(goldberg(2)).dual()[0], False),  # far over it: CG
+        (pack_and_layout, lambda: trunc(2).dual(), True),  # all 269
+        (pack_and_layout, lambda: parse(goldberg(1)).dual(), False),  # over the fill budget: CG
+        (pack_and_layout, lambda: parse(goldberg(2)).dual(), False),  # far over it: CG
     ],
     ids=["tutte-dual", "tutte-kite", "trunc540-dual", "goldberg80-dual", "goldberg320-dual"],
 )
@@ -299,13 +299,13 @@ def test_star_mesh_remainder_is_flat_in_n(monkeypatch):
     graphs = [trunc(1), trunc(2), trunc(3), load_graph("dodecahedron"), trunc(0), parse(goldberg(2))]
     for g in graphs:
         with pytest.raises(PackingError, match="within 0 Newton steps"):
-            pack_and_layout(g.dual()[0])
+            pack_and_layout(g.dual())
     assert exact == [True, True, True, True, True, False]
 
 
 def test_pack_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(packing, "_MAX_NEWTON_STEPS", 1)
-    dualg, _ = load_graph("dodecahedron").dual()
+    dualg = load_graph("dodecahedron").dual()
     with pytest.raises(PackingError, match="did not converge within 1 Newton steps"):
         pack_and_layout(dualg)
 
@@ -314,7 +314,7 @@ def test_pack_stall_raises(monkeypatch):
     # with no defect small enough, Newton runs until rounding stops the
     # residual from falling, long before the step cap
     monkeypatch.setattr(packing, "_DEFECT_TOL", 0.0)
-    dualg, _ = load_graph("k4").dual()
+    dualg = load_graph("k4").dual()
     with pytest.raises(PackingError, match="packing stalled after 5 Newton steps"):
         pack_and_layout(dualg)
 
@@ -415,7 +415,7 @@ def test_dual_packing_of_trunc540_keeps_edge_lengths():
     # far apart in size, and every edge keeps its length to 1e-10 of its
     # smaller circle
     rot = family.rotation_of(load_graph("truncated_icosahedron"))
-    dualg, _ = parse(family.to_text(family.truncate(family.truncate(rot)))).dual()
+    dualg = parse(family.to_text(family.truncate(family.truncate(rot)))).dual()
     p = pack_and_layout(dualg)
     worst = 0.0
     for t in dualg.edges:
@@ -438,11 +438,18 @@ def test_pack_rejects_triangles_without_a_closed_form():
 
 def test_kite_triangulation_of_k4():
     g = parse(K4_TEXT)
-    kite, overlap, fname, xname = kite_triangulation(g)
-    # one kite vertex per primal vertex, face, and edge crossing
-    assert len(kite.vertices) == len(g.vertices) + len(g.faces()) + len(g.edges)
-    assert sorted(fname.values()) == sorted(f"f{i}" for i in range(len(g.faces())))
-    assert len(xname) == len(g.edges)
+    kite, overlap = kite_triangulation(g)
+    # one kite vertex per primal vertex, face, and edge crossing, numbered
+    # in that order: vertex j is g.vertices[j], V + i is face i, and
+    # V + F + k is the point of g.edges[k], joined to its edge's two ends
+    # and two faces
+    nv, nf, fo = len(g.vertices), len(g.faces()), g.face_of()
+    assert kite.vertices == list(range(nv + nf + len(g.edges)))
+    assert [kite.degree(j) for j in range(nv)] == [2 * g.degree(v) for v in g.vertices]
+    assert [kite.degree(nv + i) for i in range(nf)] == [2 * len(walk) for walk in g.faces()]
+    for k, t in enumerate(g.edges):
+        ends = {g.vertices.index(v) for v in g.endpoints(t)}
+        assert set(kite.neighbors(nv + nf + k)) == ends | {nv + fo[d] for d in g.darts_of(t)}
     # every face of the kite graph is a triangle
     assert all(len(w) == 3 for w in kite.faces())
     # every kite edge has its overlap: the 2E vertex-face sides cross at
@@ -465,11 +472,21 @@ def test_primal_dual_pack_k4_closed_form():
     # medial triangle of an equilateral triangle with side 2); each of
     # the other three faces touches two unit circles and the inner one,
     # giving radius 2 - sqrt(3)
-    got = sorted(c.radius for c in pdp.face_circles.values())
+    got = sorted(c.radius for c in pdp.face_circles)
     want = sorted([2 - math.sqrt(3)] * 3 + [1 / math.sqrt(3)])
     assert len(got) == len(want)
     for r, w in zip(got, want):
         assert abs(r - w) < 1e-6
+
+
+def kite_circles(g, pdp):
+    """The vertex and face circles of ``pdp`` by kite vertex number (see
+    ``kite_triangulation``), and the hub's number."""
+    nv = len(g.vertices)
+    circles = dict(enumerate(pdp.vertex_circles[v] for v in g.vertices))
+    circles.update((nv + i, c) for i, c in enumerate(pdp.face_circles))
+    kind, x = pdp.hub
+    return circles, nv + x if kind == "face" else g.vertices.index(x)
 
 
 @pytest.mark.parametrize("name", CUBIC_3CONNECTED + ["octahedron"])
@@ -477,19 +494,20 @@ def test_primal_dual_orthogonality(name, newton_steps, placements):
     g = load_graph(name) if name != "k4" else parse(K4_TEXT)
     pdp = primal_dual_pack(g)
     assert 0 < len(newton_steps) <= 12, (name, len(newton_steps))
-    kite, overlap, _, xname = kite_triangulation(g)
+    kite, overlap = kite_triangulation(g)
     # the layout places every circle once but the seed edge's two and the
     # hub, which primal_dual_pack places after the layout; each flag kite
     # keeps its side lengths
     assert len(placements) == len(kite.vertices) - 3, name
-    circles = {**pdp.vertex_circles, **pdp.face_circles}
-    centers = {v: c.center for v, c in circles.items() if v != pdp.hub}
-    centers.update((xname[t], z) for t, z in pdp.crossing.items())
-    radii = {v: c.radius for v, c in circles.items()} | dict.fromkeys(xname.values(), 0.0)
+    circles, hub = kite_circles(g, pdp)
+    points = range(len(circles), len(kite.vertices))
+    centers = {v: c.center for v, c in circles.items() if v != hub}
+    centers.update(zip(points, (pdp.crossing[t] for t in g.edges)))
+    radii = {v: c.radius for v, c in circles.items()} | dict.fromkeys(points, 0.0)
     assert_laid_lengths(kite, centers, radii, overlap, name)
     # oracle: law-of-cosines angle sums over the flag kites close at 2*pi
     # at every circle but the three pinned at radius 1 beside the hub
-    pinned = set(kite.neighbors(pdp.hub)) - set(xname.values())
+    pinned = set(kite.neighbors(hub)) - set(points)
     angle_sum = dict.fromkeys(set(circles) - pinned, 0.0)
     for walk in kite.faces():
         vs = [d[0] for d in walk]
@@ -514,13 +532,13 @@ def test_primal_dual_orthogonality(name, newton_steps, placements):
             cv = pdp.vertex_circles[v]
             assert cv.contains(z, 1e-7)
         for fi in faces:
-            cf = pdp.face_circles[f"f{fi}"]
+            cf = pdp.face_circles[fi]
             assert cf.contains(z, 1e-7)
         # orthogonality: |cv - cf|^2 == rv^2 + rf^2 for incident pairs
         for v in (u, w):
             for fi in faces:
                 cv = pdp.vertex_circles[v]
-                cf = pdp.face_circles[f"f{fi}"]
+                cf = pdp.face_circles[fi]
                 lhs = abs(cv.center - cf.center) ** 2
                 rhs = cv.radius**2 + cf.radius**2
                 assert abs(lhs - rhs) < 1e-6 * max(1.0, rhs)
@@ -537,12 +555,18 @@ def test_primal_dual_pack_lays_out_the_kite_itself(monkeypatch):
 
 
 def test_primal_dual_hub_is_recorded():
-    g = parse(K4_TEXT)
-    pdp = primal_dual_pack(g)
-    # the puncture circle is one of the packed circles
-    assert pdp.hub in pdp.vertex_circles.keys() | pdp.face_circles.keys()
-    # crossing points exist for every primal edge
-    assert set(pdp.crossing) == set(g.edges)
+    # the puncture circle is the first triangular face's, else the first
+    # degree-3 vertex's, named by its kind: with int vertex names, vertex 0
+    # is not face 0
+    for g, hub in [(parse(K4_TEXT), ("face", 0)), (load_graph("cube"), ("vertex", "c0"))]:
+        pdp = primal_dual_pack(g)
+        assert pdp.hub == hub
+        assert len(pdp.face_circles) == len(g.faces())
+        # crossing points exist for every primal edge
+        assert set(pdp.crossing) == set(g.edges)
+    cube = load_graph("cube")
+    numbered = PlanarGraph({n: cube.rot[v] for n, v in enumerate(cube.vertices)})
+    assert primal_dual_pack(numbered).hub == ("vertex", 0)
 
 
 def packed(pack, g):
@@ -565,8 +589,8 @@ def test_packing_matches_the_reference(name, kind):
     # solves goldberg80's) and the primal-dual packings of the flag kites
     g = {"trunc180": lambda: trunc(1), "goldberg80": lambda: parse(goldberg(1))}.get(name, lambda: load_graph(name))()
     if kind == "dual":  # a bridge is a loop of the dual, which raises
-        got = packed(lambda g: pack_and_layout(g.dual()[0]), g)
-        want = packed(lambda g: reference_packing.pack_and_layout(g.dual()[0]), g)
+        got = packed(lambda g: pack_and_layout(g.dual()), g)
+        want = packed(lambda g: reference_packing.pack_and_layout(g.dual()), g)
     else:
         got, want = packed(primal_dual_pack, g), packed(reference_packing.primal_dual_pack, g)
     assert got == want

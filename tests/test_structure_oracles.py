@@ -151,9 +151,9 @@ def _cases() -> dict[str, PlanarGraph]:
     for path in sorted(FIXTURES.glob("*.txt")):
         g = load_graph(path.stem)
         cases[path.stem] = g
-        for kind in ("medial", "dual"):
+        for kind, derive in (("medial", lambda: g.medial()[0]), ("dual", g.dual)):
             try:
-                cases[f"{path.stem}.{kind}"] = getattr(g, kind)()[0]
+                cases[f"{path.stem}.{kind}"] = derive()
             except GraphError:
                 pass  # a bridge or a leaf gives the medial or dual a loop
     for name in SMALL:
