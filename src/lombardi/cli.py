@@ -76,45 +76,44 @@ def emit_svg(d: LombardiDrawing) -> str:
     """Deterministic SVG: one path per edge, one dot per vertex.
 
     y points down, and a negative number that rounds to zero is written
-    as 0.000000000.  An arc through INF, a two-ray line arc among them,
-    raises DrawingError.
+    as 0.000000000.  An arc's flags come from its one parametrization
+    (``Arc._sweep``): large when it sweeps more than pi, sweep when it
+    runs clockwise in the drawing's frame, the direction of increasing
+    angle once y points down.  An arc through INF, a two-ray line arc
+    among them, and a non-finite position, centre or radius raise
+    DrawingError.
     """
-    x, y, wdt, hgt = _svg_bounds(d)
+    paths = []
+    for t in sorted(d.arcs, key=repr):
+        a = d.arcs[t]
+        p, q, w, s = a.p, a.q, a.witness, a.support
+        line = not isinstance(s, Circle)
+        # z - z is 0 for a finite number, nan for any other
+        if INF in (p, q, w) or p - p + (q - q) + (w - w) or line and a._sweep()[2] != "segment":
+            raise DrawingError("cannot emit an arc through infinity")
+        if line:
+            paths.append(_SVG_LINE % (p.real, -p.imag, q.real, -q.imag))
+            continue
+        r = s.radius
+        if s.center - s.center + (r - r):
+            raise DrawingError("cannot emit an arc of a non-finite circle")
+        _, swept, ccw = a._sweep()
+        paths.append(_SVG_ARC % (p.real, -p.imag, r, r, swept > math.pi, not ccw, q.real, -q.imag))
+    x, y, wdt, hgt = _svg_bounds(d)  # of finite arcs, once the paths have checked them
     diag = math.hypot(wdt, hgt)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9f %.9f %.9f %.9f">' % (x, y, wdt, hgt),
         '<g fill="none" stroke="black" stroke-width="%.9f">' % (0.004 * diag),
+        *paths,
+        "</g>",
+        '<g fill="black" stroke="none">',
     ]
-    for t in sorted(d.arcs, key=repr):
-        a = d.arcs[t]
-        p, q, w = a.p, a.q, a.witness
-        line = not isinstance(a.support, Circle)
-        # p - p + (q - q) + (w - w) is 0 if all three are finite, else nan
-        if w is INF or p - p + (q - q) + (w - w) or line and a._sweep()[2] != "segment":
-            raise DrawingError("cannot emit an arc through infinity")
-        p = complex(p.real, -p.imag)
-        q = complex(q.real, -q.imag)
-        if line:
-            lines.append(_SVG_LINE % (p.real, p.imag, q.real, q.imag))
-            continue
-        c = complex(a.support.center.real, -a.support.center.imag)
-        w = complex(w.real, -w.imag)
-        r = a.support.radius
-        ap = math.atan2((p - c).imag, (p - c).real)
-        aq = math.atan2((q - c).imag, (q - c).real)
-        aw = math.atan2((w - c).imag, (w - c).real)
-        dq = (aq - ap) % (2 * math.pi)
-        dw = (aw - ap) % (2 * math.pi)
-        sweep = 1 if dw <= dq else 0
-        swept = dq if sweep else 2 * math.pi - dq
-        large = 1 if swept > math.pi else 0
-        lines.append(_SVG_ARC % (p.real, p.imag, r, r, large, sweep, q.real, q.imag))
-    lines.append("</g>")
-    lines.append('<g fill="black" stroke="none">')
     dot = 0.008 * diag
     for v in sorted(d.positions, key=repr):
         z = d.positions[v]
+        if z - z:
+            raise DrawingError(f"cannot emit vertex {v!r} at a non-finite position")
         lines.append(_SVG_DOT % (z.real, -z.imag, dot))
     lines.append("</g>")
     lines.append("</svg>")

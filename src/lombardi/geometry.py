@@ -199,23 +199,20 @@ def circle_through(p: Point, q: Point, r: Point, tol: float = 1e-9) -> Generaliz
     becomes a Line rather than a circle of radius ~1/tol, whose image
     under a Möbius map loses about radius * epsilon of relative precision.
     """
-    pts = [p, q, r]
-    infs = [x for x in pts if is_inf(x)]
-    if len(infs) > 1:
-        raise ValueError("at most one of the three points may be INF")
-    finite = [x for x in pts if not is_inf(x)]
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            if finite[i] == finite[j]:
-                raise ValueError("circle_through needs three distinct points")
-    if infs:
-        return line_through(finite[0], finite[1])
-    a, b, c = finite
-    u = b - a
-    v = c - a
+    if p is INF or q is INF or r is INF:
+        finite = [x for x in (p, q, r) if x is not INF]
+        if len(finite) < 2:
+            raise ValueError("at most one of the three points may be INF")
+        if finite[0] == finite[1]:
+            raise ValueError("circle_through needs three distinct points")
+        return line_through(*finite)
+    if p == q or p == r or q == r:
+        raise ValueError("circle_through needs three distinct points")
+    u = q - p
+    v = r - p
     cross = (u.conjugate() * v).imag
     if abs(cross) <= tol * abs(u) * abs(v):
-        return line_through(a, b)
+        return line_through(p, q)
     # circumcenter via the standard determinant formula
     u2 = abs(u) ** 2
     v2 = abs(v) ** 2
@@ -224,8 +221,8 @@ def circle_through(p: Point, q: Point, r: Point, tol: float = 1e-9) -> Generaliz
     d = 2 * (ux * vy - uy * vx)
     cx = (vy * u2 - uy * v2) / d
     cy = (ux * v2 - vx * u2) / d
-    center = a + complex(cx, cy)
-    radius = (abs(center - a) + abs(center - b) + abs(center - c)) / 3.0
+    center = p + complex(cx, cy)
+    radius = (abs(center - p) + abs(center - q) + abs(center - r)) / 3.0
     return Circle(center, radius)
 
 
@@ -442,13 +439,13 @@ class Arc(Record, frozen=True):
     __slots__ = (*_fields, "_swept")
 
     def __init__(self, support: GeneralizedCircle, p: Point, q: Point, witness: Point):
-        if isinstance(support, Circle):
-            if is_inf(p) or is_inf(q) or is_inf(witness):
-                raise ValueError("arcs of circles have finite endpoints and witness")
-        for u, v in ((p, q), (p, witness), (q, witness)):
-            # equal non-finite coordinates are left to verify to report
-            if u == v and (is_inf(u) or cmath.isfinite(u)):
-                raise ValueError("arc endpoints and witness must be pairwise distinct")
+        if isinstance(support, Circle) and (p is INF or q is INF or witness is INF):
+            raise ValueError("arcs of circles have finite endpoints and witness")
+        if p == q or p == witness or q == witness:
+            for u, v in ((p, q), (p, witness), (q, witness)):
+                # equal non-finite coordinates are left to verify to report
+                if u == v and (u is INF or cmath.isfinite(u)):
+                    raise ValueError("arc endpoints and witness must be pairwise distinct")
         _set(self, "support", support)
         _set(self, "p", p)
         _set(self, "q", q)

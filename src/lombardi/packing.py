@@ -131,10 +131,10 @@ def pack_triangulation(
             pairs.append((min(key[0], n), min(key[1], n)))
         return slot[key]
 
-    # per tangent triangle in faces() order: its vertices and the slots
-    # of its sides ab, bc, ca in ``pairs``; a right kite -- a corner
-    # pinned at radius 0 whose opposite side crosses at pi/2 -- is
-    # instead counted on that side in ``kites``
+    # flat, six ints per tangent triangle in faces() order: its vertices
+    # a, b, c and the slots of its sides ab, bc, ca in ``pairs``; a right
+    # kite -- a corner pinned at radius 0 whose opposite side crosses at
+    # pi/2 -- is instead counted on that side in ``kites``
     tris = []
     kites: dict[tuple[int, int], int] = {}  # side (a, b), a < b -> its right kites
     tangent = not ov and 0.0 not in boundary.values()  # no overlap, no point circle
@@ -153,7 +153,7 @@ def pack_triangulation(
         else:
             if not tangent and any(ov.get(g.dart_tag(d), 0.0) or boundary.get(d[0]) == 0.0 for d in walk):
                 raise PackingError("packing solves only tangent triangles and right kites")
-            tris.append((vs, [side(vs[k], vs[(k + 1) % 3]) for k in range(3)]))
+            tris += (*vs, side(vs[0], vs[1]), side(vs[1], vs[2]), side(vs[2], vs[0]))
     kite_sides = [(a, b, m, side(a, b)) for (a, b), m in kites.items()]
     system = (tris, kite_sides, n, len(pairs))
     order = _elimination(pairs, n)
@@ -202,7 +202,8 @@ def _angle_system(radii, tris, kites, n, n_pairs):
 
     A triangle of three tangent circles has the angle 2 atan(rho / r_a)
     at a (corner_angle), and w_ab = rho / (r_a + r_b), rho being its
-    incircle radius.  ``kites`` lists (a, b, m, slot): m right kites on
+    incircle radius; ``tris`` is flat, a, b, c and the slots of sides ab,
+    bc, ca per triangle.  ``kites`` lists (a, b, m, slot): m right kites on
     side ab, each with the angle atan2(r_b, r_a) at a (corner_angle) and
     the weight r_a r_b / (r_a^2 + r_b^2) on ab (Bobenko-Springborn 2004).
     """
@@ -213,12 +214,13 @@ def _angle_system(radii, tris, kites, n, n_pairs):
         theta[a] += m * math.atan2(rb, ra)
         theta[b] += m * math.atan2(ra, rb)
         weight[s] += m * (ra * rb / (ra * ra + rb * rb))
-    for (a, b, c), (sab, sbc, sca) in tris:
+    flat, atan, sqrt = iter(tris), math.atan, math.sqrt
+    for a, b, c, sab, sbc, sca in zip(flat, flat, flat, flat, flat, flat):
         ra, rb, rc = radii[a], radii[b], radii[c]
-        rho = math.sqrt(ra * rb * rc / (ra + rb + rc))
-        theta[a] += 2 * math.atan(rho / ra)
-        theta[b] += 2 * math.atan(rho / rb)
-        theta[c] += 2 * math.atan(rho / rc)
+        rho = sqrt(ra * rb * rc / (ra + rb + rc))
+        theta[a] += 2 * atan(rho / ra)
+        theta[b] += 2 * atan(rho / rb)
+        theta[c] += 2 * atan(rho / rc)
         weight[sab] += rho / (ra + rb)
         weight[sbc] += rho / (rb + rc)
         weight[sca] += rho / (rc + ra)
@@ -315,17 +317,18 @@ def _solve_laplacian(pairs, order, weight, b, rtol):
         w[s] += ws
     y, stars = list(b) + [0.0], []
     for v, live, star, mesh in steps:
-        ws = [w[s] for s in star]
+        ws = list(map(w.__getitem__, star))
         total = sum(ws)
+        yv = y[v]
         for a, wa in zip(live, ws):
-            y[a] += wa / total * y[v]
+            y[a] += wa / total * yv
         flat = iter(mesh)
         for s, i, j in zip(flat, flat, flat):
             w[s] += ws[i] * ws[j] / total
         stars.append((ws, total))
     y[n] = 0.0
     for (v, live, _, _), (ws, total) in zip(reversed(steps), reversed(stars)):
-        y[v] = (y[v] + sum(map(operator.mul, ws, [y[a] for a in live]))) / total
+        y[v] = (y[v] + sum(map(operator.mul, ws, map(y.__getitem__, live)))) / total
     return y[:n]
 
 

@@ -1,8 +1,9 @@
 """Reference SVG and JSON writers: one call per number, kept as oracles.
 
 ``emit_svg`` formats every number through ``_num``, checks every arc
-point with ``is_finite``, and refuses a line arc whose witness does not
-lie between its ends: a two-ray arc, which passes through INF.
+point, circle centre and radius and vertex position with ``is_finite``,
+and refuses a line arc whose witness does not lie between its ends: a
+two-ray arc, which passes through INF.
 ``json_text`` lays out every value through ``_json_value`` and checks
 every number with ``_finite``.  The library's writers must give the
 same text, or raise the same exception, on every drawing
@@ -61,17 +62,18 @@ def _arc_path(a) -> str:
         if not min(tp, tq) < tw < max(tp, tq):
             raise DrawingError("cannot emit an arc through infinity")
         return f"M {_num(p.real)} {_num(p.imag)} L {_num(q.real)} {_num(q.imag)}"
-    c = complex(a.support.center.real, -a.support.center.imag)
-    w = complex(a.witness.real, -a.witness.imag)
-    r = a.support.radius
-    ap = math.atan2((p - c).imag, (p - c).real)
-    aq = math.atan2((q - c).imag, (q - c).real)
-    aw = math.atan2((w - c).imag, (w - c).real)
+    if not is_finite(a.support.center, a.support.radius):
+        raise DrawingError("cannot emit an arc of a non-finite circle")
+    c, r = a.support.center, a.support.radius
+    # the flags read the arc's orientation in the drawing's frame (y up),
+    # a witness at an end's angle counting as on the counterclockwise arc:
+    # sweep is 1 for a clockwise arc, whose angle grows once y points down
+    ap, aq, aw = (math.atan2((z - c).imag, (z - c).real) for z in (a.p, a.q, a.witness))
     dq = (aq - ap) % (2 * math.pi)
-    dw = (aw - ap) % (2 * math.pi)
-    sweep = 1 if dw <= dq else 0
-    swept = dq if sweep else 2 * math.pi - dq
+    ccw = (aw - ap) % (2 * math.pi) <= dq
+    swept = dq if ccw else 2 * math.pi - dq
     large = 1 if swept > math.pi else 0
+    sweep = 0 if ccw else 1
     return (
         f"M {_num(p.real)} {_num(p.imag)} "
         f"A {_num(r)} {_num(r)} 0 {large} {sweep} {_num(q.real)} {_num(q.imag)}"
@@ -80,6 +82,7 @@ def _arc_path(a) -> str:
 
 def emit_svg(d: LombardiDrawing) -> str:
     """Deterministic SVG: one path per edge, one dot per vertex."""
+    paths = [f'<path d="{_arc_path(d.arcs[t])}"/>' for t in sorted(d.arcs, key=repr)]
     x, y, wdt, hgt = _svg_bounds(d)
     diag = math.hypot(wdt, hgt)
     stroke = 0.004 * diag
@@ -90,12 +93,13 @@ def emit_svg(d: LombardiDrawing) -> str:
         f'viewBox="{_num(x)} {_num(y)} {_num(wdt)} {_num(hgt)}">',
         f'<g fill="none" stroke="black" stroke-width="{_num(stroke)}">',
     ]
-    for t in sorted(d.arcs, key=repr):
-        lines.append(f'<path d="{_arc_path(d.arcs[t])}"/>')
+    lines += paths
     lines.append("</g>")
     lines.append('<g fill="black" stroke="none">')
     for v in sorted(d.positions, key=repr):
         z = d.positions[v]
+        if not is_finite(z):
+            raise DrawingError(f"cannot emit vertex {v!r} at a non-finite position")
         lines.append(
             f'<circle cx="{_num(z.real)}" cy="{_num(-z.imag)}" r="{_num(dot)}"/>'
         )

@@ -82,6 +82,94 @@ def test_circle_through_infinity_gives_line():
     assert got.contains(1 + 0j) and got.contains(2 + 5j)
 
 
+def general_circle_through(p, q, r, tol=1e-9):
+    """circle_through as one path for every triple, INF or not, kept as
+    the oracle of its direct path for finite ones."""
+    pts = [p, q, r]
+    infs = [x for x in pts if is_inf(x)]
+    if len(infs) > 1:
+        raise ValueError("at most one of the three points may be INF")
+    finite = [x for x in pts if not is_inf(x)]
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            if finite[i] == finite[j]:
+                raise ValueError("circle_through needs three distinct points")
+    if infs:
+        return line_through(finite[0], finite[1])
+    a, b, c = finite
+    u = b - a
+    v = c - a
+    cross = (u.conjugate() * v).imag
+    if abs(cross) <= tol * abs(u) * abs(v):
+        return line_through(a, b)
+    u2 = abs(u) ** 2
+    v2 = abs(v) ** 2
+    ux, uy = u.real, u.imag
+    vx, vy = v.real, v.imag
+    d = 2 * (ux * vy - uy * vx)
+    cx = (vy * u2 - uy * v2) / d
+    cy = (ux * v2 - vx * u2) / d
+    center = a + complex(cx, cy)
+    radius = (abs(center - a) + abs(center - b) + abs(center - c)) / 3.0
+    return Circle(center, radius)
+
+
+def outcome_of(f, *args):
+    """``f(*args)`` as text that tells -0.0 from 0.0, or its exception."""
+    try:
+        return repr(f(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def near_collinear(scale: float, m: float, k: int, quarter: int) -> tuple:
+    """0, scale and r, turned by ``quarter`` right angles, with the cross
+    product k ulps of r's imaginary part above circle_through's threshold
+    tol |u| |v| (a power-of-two scale and a quarter turn round nothing)."""
+    x = scale * m
+    y = 1e-9 * x  # hypot(x, y) == x, so the threshold is scale * y exactly
+    r = complex(x, y + k * math.ulp(y))
+    return tuple(z * 1j**quarter for z in (0j, complex(scale, 0.0), r))
+
+
+scales = st.integers(-40, 40).map(lambda e: 2.0**e)
+coords = st.floats(-4.0, 4.0)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(scales, st.lists(st.tuples(coords, coords), min_size=3, max_size=3), st.tuples(coords, coords),
+       st.integers(-40, 40))
+def test_direct_circumcircle_is_the_general_one(scale, pts, at, shift):
+    # finite distinct triples from 2^-40 to 2^40, anywhere within 2^shift
+    # times their own size of the origin
+    p, q, r = (scale * (complex(*at) * 2.0**shift + complex(*z)) for z in pts)
+    assume(len({p, q, r}) == 3)
+    assert outcome_of(circle_through, p, q, r) == outcome_of(general_circle_through, p, q, r)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(scales, st.floats(0.1, 10.0), st.integers(-4, 4), st.integers(0, 3), st.permutations(range(3)))
+def test_direct_circumcircle_is_the_general_one_at_the_collinear_threshold(scale, m, k, quarter, order):
+    pts = near_collinear(scale, m, k, quarter)
+    p, q, r = (pts[i] for i in order)
+    assert outcome_of(circle_through, p, q, r) == outcome_of(general_circle_through, p, q, r)
+
+
+def test_the_collinear_threshold_falls_between_two_ulps():
+    for e in (-40, -3, 0, 17, 40):
+        for quarter in range(4):
+            kinds = [type(circle_through(*near_collinear(2.0**e, 1.7, k, quarter))) for k in range(-2, 3)]
+            assert kinds == [Line, Line, Line, Circle, Circle]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.lists(st.sampled_from([INF, 0j, -0.0 + 0j, 1 + 0j, 1j, 2.0**40 + 3j, complex(math.nan, 0.0)]),
+                min_size=3, max_size=3))
+def test_circle_through_with_infinite_or_repeated_points_is_unchanged(pts):
+    # INF, repeated points and NaN: the same Line, Circle or ValueError
+    assert outcome_of(circle_through, *pts) == outcome_of(general_circle_through, *pts)
+
+
 def test_line_signed_distance_and_direction():
     ln = line_through(0j, 2 + 0j)  # the real axis
     assert abs(abs(ln.signed_distance(3j)) - 3.0) < 1e-12

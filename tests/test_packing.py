@@ -223,6 +223,31 @@ def dense_solve(pairs, weight, b):
     return x
 
 
+def star_mesh_solve(order, weight, b):
+    """_solve_laplacian's exact solve written plainly, kept as the oracle of
+    its float operations: each step v of ``order`` adds w_va w_vb / W_v to
+    side ab and w_va / W_v * b_v to b_a; then, in reverse order, x_v is
+    (b_v + the sum of w_va x_a) / W_v."""
+    slot, n_sides, steps = order
+    w = [0.0] * n_sides
+    for s, ws in zip(slot, weight):
+        w[s] += ws
+    y, kept = list(b) + [0.0], []
+    for v, live, star, mesh in steps:
+        ws = [w[s] for s in star]
+        total = sum(ws)
+        for a, wa in zip(live, ws):
+            y[a] += wa / total * y[v]
+        for k in range(0, len(mesh), 3):
+            s, i, j = mesh[k:k + 3]
+            w[s] += ws[i] * ws[j] / total
+        kept.append((v, live, ws, total))
+    y[len(b)] = 0.0
+    for v, live, ws, total in reversed(kept):
+        y[v] = (y[v] + sum([wa * y[a] for a, wa in zip(live, ws)])) / total
+    return y[:len(b)]
+
+
 def assert_solves(pairs, order, weight, b, rtol):
     """_solve_laplacian meets rtol and agrees with Gaussian elimination."""
     x = packing._solve_laplacian(pairs, order, weight, b, rtol=rtol)
@@ -260,6 +285,7 @@ def test_solve_laplacian_matches_gaussian_elimination(monkeypatch, pack, g, exac
         x = packing._solve_laplacian(pairs, order, weight, b, rtol=0.5)
         r = [bi - li for bi, li in zip(b, laplacian_times(pairs, weight, x))]
         assert math.hypot(*r) <= 1e-12 * math.hypot(*b)
+        assert repr(x) == repr(star_mesh_solve(order, weight, b))  # bit for bit
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -357,10 +383,10 @@ def test_right_kite_matches_law_of_cosines(ratio):
 def test_tangent_triangle_matches_law_of_cosines(ratio):
     # one triangle of tangent circles with radii r, ratio*r, sqrt(ratio)*r
     radii = [0.3, 0.3 * ratio, 0.3 * math.sqrt(ratio)]
-    tri = ((0, 1, 2), (0, 1, 2))  # vertices a, b, c; slots of sides ab, bc, ca
+    tri = (0, 1, 2, 0, 1, 2)  # vertices a, b, c; slots of sides ab, bc, ca
 
     def angles(rs):
-        theta, weight = packing._angle_system(rs, [tri], [], 3, 3)
+        theta, weight = packing._angle_system(rs, tri, [], 3, 3)
         return [x + 2 * math.pi for x in theta], weight
 
     got, weight = angles(radii)

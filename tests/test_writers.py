@@ -5,7 +5,10 @@ tests/reference_writers.py, or raise the same exception, on every
 drawing: the fixtures in both modes, every benchmark input, and
 hypothesis-built drawings with signed zeros, numbers that round to
 -0.000000000, non-finite coordinates, line arcs, arcs sweeping more
-than pi, and str, int and tuple tags.
+than pi, and str, int and tuple tags.  The arc flags are also pinned
+where reading them from ``Arc._sweep`` in the drawing's frame and from
+atan2 in the SVG's could part: half circles one ulp either side of pi,
+and ends on the branch cut of the angle, left of the centre.
 """
 
 import cmath
@@ -132,6 +135,27 @@ def test_writers_match_the_references_on_generated_drawings(d):
     assert_same_writes(d)
 
 
+def flipped_frame_flags(a: Arc) -> tuple[int, int]:
+    """The (large, sweep) flags read by three atan2 calls in the SVG's
+    frame, y pointing down, rather than from ``Arc._sweep``."""
+    p, q, w, c = (complex(z.real, -z.imag) for z in (a.p, a.q, a.witness, a.support.center))
+    ap, aq, aw = (math.atan2((z - c).imag, (z - c).real) for z in (p, q, w))
+    dq = (aq - ap) % (2 * math.pi)
+    sweep = 1 if (aw - ap) % (2 * math.pi) <= dq else 0
+    swept = dq if sweep else 2 * math.pi - dq
+    return (1 if swept > math.pi else 0), sweep
+
+
+def svg_flags(d: LombardiDrawing) -> list[tuple[int, int]]:
+    """The (large, sweep) flags of every arc path ``cli.emit_svg`` writes for d."""
+    paths = [line.split() for line in cli.emit_svg(d).splitlines() if line.startswith("<path")]
+    return [(int(p[8]), int(p[9])) for p in paths if p[4] == "A"]
+
+
+def lone_arc(a: Arc) -> LombardiDrawing:
+    return LombardiDrawing({"u": a.p, "v": a.q}, {"e": a}, {"e": ("u", "v")})
+
+
 def test_writers_match_the_references_on_each_case():
     # one drawing per case the writers treat apart, whatever the
     # generated ones happen to reach
@@ -150,11 +174,43 @@ def test_writers_match_the_references_on_each_case():
         LombardiDrawing({"a": 0j}, {"e": Arc(circle, 0j, 2j, complex(math.inf, 1.0))}, {"e": ("a", "a")}),
         LombardiDrawing({"a": -1 + 0j, "b": 1 + 0j}, {"e": Arc(Line(1j, 0.0), -1 + 0j, 1 + 0j, 5 + 0j)}, {"e": ("a", "b")}),
     ]
+    # half circles whose swept angle is pi + 4.4e-16 or pi - 4.4e-16, each
+    # way round: the far end sits 2 ulps off the antipode of p
+    halves = []
+    for t, above_ccw in ((0.003, False), (0.526, True)):
+        q = circle.center - cmath.exp(1j * t)
+        q = complex(q.real, q.imag - 2 * math.ulp(q.imag))
+        for turn in (math.pi / 2, -math.pi / 2):
+            a = Arc(circle, circle.point_at(t), q, circle.point_at(t + turn))
+            _, swept, ccw = a._sweep()
+            assert 0 < abs(swept - math.pi) < 1e-15 and (swept > math.pi) == (ccw == above_ccw)
+            halves.append(a)
+    # an end exactly left of the centre, where the angle is pi or -pi by
+    # the sign of its zero imaginary part; the half circles from there to
+    # the point right of the centre, both ways round
+    cut = []
+    for left in (complex(-0.5, 0.0), complex(-0.5, -0.0)):
+        for p, q, w in ((left, 1.5 + 0j, 0.5 + 1j), (left, 1.5 + 0j, 0.5 - 1j), (1.5 + 0j, left, 0.5 + 1j),
+                        (complex(1.5, -0.0), left, 0.5 - 1j), (left, circle.point_at(1.0), circle.point_at(-2.0)),
+                        (circle.point_at(-2.0), left, circle.point_at(2.5)), (1j, 0.5 - 1j, left)):
+            cut.append(Arc(circle, p, q, w))
+    # a witness off the circle at an end's angle: the drawing's frame counts
+    # it on the counterclockwise arc, from angle 1 to 2, where the SVG's
+    # frame counted it on the other, which sweeps 2 pi - 1
+    ties = [Arc(circle, circle.point_at(1.0), circle.point_at(2.0), circle.center + 2 * cmath.exp(2j)),
+            Arc(circle, circle.point_at(1.0), circle.point_at(2.0), circle.center + 2 * cmath.exp(1j))]
     svg = [outcome(ref.emit_svg, d) for d in cases]
     paths = [line.split() for line in svg[0][1].splitlines() if line.startswith("<path")]
     assert [p[4] for p in paths] == ["A", "L"] and paths[0][8] == "1"  # the large-arc flag
     assert "-0.000000000" in ref._FMT.format(-1e-10) and "-0.000000000" not in svg[0][1]
-    assert [s[0] for s in svg[3:]] == [DrawingError, AttributeError, "value", DrawingError, DrawingError, DrawingError]
+    assert [s[0] for s in svg[1:]] == [DrawingError] * 8
     assert outcome(ref.json_text, to_json(cases[1]))[0] is ValueError
     for d in cases:
         assert_same_writes(d)
+    for a in halves + cut + ties:
+        assert_same_writes(lone_arc(a))
+    # reading the flags in the drawing's frame changes none of them here
+    assert [svg_flags(lone_arc(a))[0] for a in halves + cut] == [flipped_frame_flags(a) for a in halves + cut]
+    assert [svg_flags(lone_arc(a))[0][0] for a in halves] == [0, 1, 1, 0]
+    assert [svg_flags(lone_arc(a))[0] for a in ties] == [(0, 0), (0, 0)]
+    assert [flipped_frame_flags(a) for a in ties] == [(1, 1), (1, 1)]
